@@ -1,11 +1,13 @@
 """Bimould expression graphs with exact memoized evaluation.
 
 A mould is an immutable node in an expression DAG; evaluating (node, word)
-through an EvalContext yields an exact rational and is memoized on the
-node's identity.  Every node carries an empty-word class: group (value 1 at
-the empty word), lie (value 0) or free.  The identity checker samples random
-words per length, compares two graphs exactly, and resamples on division by
-zero up to a retry cap.
+through an EvalContext yields an exact rational.  The context memoizes each
+result on the node's uid plus the word's exact integer encoding (lowest-terms
+numerator and denominator of every coordinate), so a memo probe hashes and
+compares plain ints, never ``Fraction``s.  Every node carries an empty-word
+class: group (value 1 at the empty word), lie (value 0) or free.  The
+identity checker samples random words per length, compares two graphs
+exactly, and resamples on division by zero up to a retry cap.
 """
 
 from __future__ import annotations
@@ -89,15 +91,32 @@ class Mould:
 
 
 class EvalContext:
-    """Memo table plus counters; one per worker process."""
+    """Memo table plus counters; build one per checked item.
+
+    ``memo`` maps ``(uid, u1.num, u1.den, v1.num, v1.den, u2.num, ...)`` to the
+    node's value at that word: the node's uid followed by four ints per
+    letter, each coordinate's numerator and denominator in lowest terms.  Two
+    words share an entry exactly when their coordinates are equal rationals.
+    Letters must hold ``Fraction`` coordinates; anything else raises
+    ``TypeError``.  The memo lives as long as the context, so a context per
+    item frees it when the item ends.
+    """
 
     def __init__(self, retry_cap: int = 8):
-        self.memo: dict[tuple[int, Word], Rat] = {}
+        self.memo: dict[tuple[int, ...], Rat] = {}
         self.retry_cap = retry_cap
         self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
 
     def eval(self, A: Mould, w: Word) -> Rat:
-        key = (A.uid, w)
+        key = [A.uid]
+        try:
+            for u, v in w:
+                # Fraction keeps its lowest-terms parts in these slots; the
+                # public properties cost a call each on this hot path
+                key += (u._numerator, u._denominator, v._numerator, v._denominator)
+        except AttributeError:
+            raise TypeError(f"word coordinates must be Fractions: {w!r}") from None
+        key = tuple(key)
         hit = self.memo.get(key)
         if hit is not None:
             self.stats["memo_hits"] += 1

@@ -17,8 +17,9 @@ Conventions used by the item runners:
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -191,17 +192,6 @@ class Config:
         }
 
 
-_CTXS: dict[int, EvalContext] = {}
-
-
-def _ctx(cfg: Config) -> EvalContext:
-    ctx = _CTXS.get(cfg.retry_cap)
-    if ctx is None:
-        ctx = EvalContext(retry_cap=cfg.retry_cap)
-        _CTXS[cfg.retry_cap] = ctx
-    return ctx
-
-
 # Seed salts are spaced out so distinct generators never collide even when
 # cfg.seed varies over a contiguous range.
 def _salted(cfg: Config, salt: int) -> int:
@@ -313,6 +303,7 @@ def _fk_expansion_report(
             lb = total_len - la
             for i in range(plan.samples_per_length):
                 rec = None
+                last_exc = None
                 for attempt in range(ctx.retry_cap + 1):
                     rng = derived_rng(plan.seed, name, total_len, la, i, attempt)
                     a = sample_word(rng, la, plan.bounds)
@@ -320,7 +311,8 @@ def _fk_expansion_report(
                     try:
                         lhs = sum(ctx.eval(F, s) for s in shuffles(a, b))
                         rhs = _fk_half(ctx, A, B, a, b) + _fk_half(ctx, A, B, b, a)
-                    except DivByZero:
+                    except DivByZero as exc:
+                        last_exc = exc
                         continue
                     rec = PointRecord(
                         identity=name,
@@ -336,11 +328,12 @@ def _fk_expansion_report(
                     rec = PointRecord(
                         identity=name,
                         length=total_len,
-                        word=EMPTY,
+                        word=a + b,
                         lhs=None,
                         rhs=None,
                         status="skipped",
                         split=la,
+                        detail=None if last_exc is None else str(last_exc),
                     )
                 points.append(rec)
     return Report(identity=name, points=points)
@@ -373,6 +366,8 @@ class ItemResult:
     name: str
     expect: str
     report: Report
+    # wall time of the item; console telemetry, kept out of JSON and equality
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def observed(self) -> str:
@@ -2009,9 +2004,16 @@ def list_suites() -> list[dict]:
 
 
 def run_item(suite_name: str, index: int, cfg: Config) -> ItemResult:
+    """Run one item with its own EvalContext, so its memo ends with it."""
     item = SUITES[suite_name].items[index]
-    report = item.run(cfg, _ctx(cfg))
-    return ItemResult(name=item.name, expect=item.expect, report=report)
+    started = time.perf_counter()
+    report = item.run(cfg, EvalContext(retry_cap=cfg.retry_cap))
+    return ItemResult(
+        name=item.name,
+        expect=item.expect,
+        report=report,
+        seconds=time.perf_counter() - started,
+    )
 
 
 def _run_item_job(args: tuple[str, int, Config]) -> tuple[str, int, ItemResult]:

@@ -1,0 +1,35 @@
+"""Tests for the ``flexionlab`` command line."""
+
+from __future__ import annotations
+
+import itertools
+import re
+import time
+
+from flexionlab.cli import main
+
+ARGS = ["verify", "--suite", "unit-axioms", "--max-length", "2", "--samples", "1", "--jobs", "1"]
+
+
+def _verify(tmp_path, monkeypatch, report, tick):
+    """Run ``verify`` with a clock that advances ``tick`` seconds per reading."""
+    clock = itertools.count(step=tick)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    out = tmp_path / f"report.{report}"
+    assert main(ARGS + ["--report", report, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_text_report_shows_suite_and_overall_time(tmp_path, monkeypatch):
+    text = _verify(tmp_path, monkeypatch, "text", tick=1.0).decode()
+    # every item reads the clock twice, so each of the six items takes 1 s
+    assert re.search(r"suite unit-axioms .*\(6 identities, \d+ points, 6\.0s\)", text)
+    assert re.search(r"overall: pass  \(\d+\.\ds wall\)", text)
+    assert "0.0s" not in text
+
+
+def test_json_report_bytes_do_not_depend_on_time(tmp_path, monkeypatch):
+    slow = _verify(tmp_path, monkeypatch, "json", tick=3.0)
+    fast = _verify(tmp_path, monkeypatch, "json", tick=0.5)
+    assert slow == fast
+    assert b"seconds" not in slow

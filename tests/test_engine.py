@@ -39,8 +39,10 @@ from flexionlab.engine import (
 )
 from flexionlab.words import (
     EMPTY,
+    Biletter,
     DivByZero,
     bl,
+    ful,
     negate,
     reverse,
     swap_pullback,
@@ -95,6 +97,67 @@ def test_memoized_evaluation_is_stable():
     assert first == second
     assert ctx.stats["evals"] == evals_before
     assert ctx.stats["memo_hits"] >= 1
+
+
+def _counts(ctx):
+    return ctx.stats["evals"], ctx.stats["memo_hits"]
+
+
+def test_memo_key_is_uid_plus_lowest_terms_ints():
+    ctx = EvalContext()
+    A = DigestMould(4)
+    direct = (Biletter(Fraction(5, 2), Fraction(3)), Biletter(Fraction(1, 2), Fraction(-7, 3)))
+    reduced = (Biletter(Fraction(10, 4), Fraction(6, 2)), Biletter(Fraction(2, 4), Fraction(14, -6)))
+    value = ctx.eval(A, direct)
+    assert _counts(ctx) == (1, 0)
+    assert ctx.eval(A, reduced) == value
+    assert _counts(ctx) == (1, 1)
+    assert list(ctx.memo) == [(A.uid, 5, 2, 3, 1, 1, 2, -7, 3)]
+
+
+def test_flexed_word_shares_the_entry_of_the_direct_word():
+    ctx = EvalContext()
+    A = DigestMould(5)
+    flexed = ful(word([("1/3", "2")]), word([("1/6", "5"), ("4", "-1")]))
+    direct = word([("1/2", "5"), ("4", "-1")])
+    assert flexed is not direct
+    ctx.eval(A, direct)
+    ctx.eval(A, flexed)
+    assert _counts(ctx) == (1, 1)
+    assert list(ctx.memo) == [(A.uid, 1, 2, 5, 1, 4, 1, -1, 1)]
+
+
+def test_memo_separates_sign_swap_and_reciprocal():
+    ctx = EvalContext()
+    A = DigestMould(6)
+    variants = [
+        word([("1/2", "3")]),
+        word([("-1/2", "3")]),  # sign
+        word([("3", "1/2")]),  # u and v swapped
+        word([("2", "3")]),  # numerator and denominator swapped
+        word([("1/2", "1/3")]),
+    ]
+    for w in variants:
+        ctx.eval(A, w)
+    assert _counts(ctx) == (len(variants), 0)
+    assert set(ctx.memo) == {
+        (A.uid, 1, 2, 3, 1),
+        (A.uid, -1, 2, 3, 1),
+        (A.uid, 3, 1, 1, 2),
+        (A.uid, 2, 1, 3, 1),
+        (A.uid, 1, 2, 1, 3),
+    }
+
+
+@pytest.mark.parametrize("letter", [Biletter(1, 2), Biletter(Fraction(1), 2.0)])
+def test_non_fraction_coordinates_raise_instead_of_taking_an_entry(letter):
+    ctx = EvalContext()
+    A = DigestMould(9)
+    ctx.eval(A, (bl(1, 2),))
+    with pytest.raises(TypeError, match="Fractions"):
+        ctx.eval(A, (letter,))
+    assert _counts(ctx) == (1, 0)
+    assert len(ctx.memo) == 1
 
 
 def test_arithmetic_sugar(ev):

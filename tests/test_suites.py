@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import weakref
 
 import pytest
 
+from flexionlab import suites
+from flexionlab.engine import LIE, EvalContext, FuncMould
 from flexionlab.suites import (
     ALL_SUITE,
     Config,
     SUITES,
     list_suites,
+    run_item,
     run_suites,
 )
+from flexionlab.words import DivByZero
 
 SMALL = Config(max_length=3, samples=2)
 
@@ -181,3 +187,46 @@ def test_report_json_shape():
     # exact values serialize as fraction strings
     text = json.dumps(data)
     assert "Fraction" not in text
+
+
+def test_item_contexts_die_with_their_items(monkeypatch):
+    made = []
+
+    class TrackedContext(EvalContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(suites, "EvalContext", TrackedContext)
+    first = run_item("algebra-core", 0, SMALL)
+    second = run_item("algebra-core", 1, SMALL)
+    assert first.ok and second.ok
+    gc.collect()
+    assert len(made) == 2
+    assert all(ref() is None for ref in made)
+
+
+def test_item_time_is_kept_out_of_json_and_equality():
+    result = run_item("unit-axioms", 0, SMALL)
+    assert result.seconds > 0
+    twin = suites.ItemResult(result.name, result.expect, result.report, seconds=0.0)
+    assert twin == result
+    assert twin.to_json() == result.to_json()
+    assert "seconds" not in result.to_json()
+
+
+def test_fk_expansion_skip_records_the_sampled_word(monkeypatch):
+    def singular(w):
+        raise DivByZero("forced singular value")
+
+    monkeypatch.setattr(
+        suites, "_digest", lambda cfg, salt, tag="gen": FuncMould("singular", singular, LIE)
+    )
+    cfg = Config(max_length=3, samples=1, retry_cap=2)
+    report = suites._fk_expansion_report(cfg, EvalContext(retry_cap=cfg.retry_cap))
+    assert report.points and report.status == "fail"
+    for point in report.points:
+        assert point.status == "skipped"
+        assert len(point.word) == point.length
+        assert 1 <= point.split < point.length
+        assert "forced singular value" in point.detail
