@@ -76,6 +76,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         get_unit(args.unit)
     except KeyError as exc:
         args.parser.error(str(exc))
+    for flag, value, low in (
+        ("--max-length", args.max_length, 0),
+        ("--samples", args.samples, 1),
+        ("--retry-cap", args.retry_cap, 0),
+    ):
+        if value < low:
+            args.parser.error(f"{flag} must be >= {low}, got {value}")
     cfg = Config(
         unit=args.unit,
         max_length=args.max_length,

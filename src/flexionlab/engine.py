@@ -5,9 +5,16 @@ through an EvalContext yields an exact rational.  The context memoizes each
 result on the node's uid plus the word's exact integer encoding (lowest-terms
 numerator and denominator of every coordinate), so a memo probe hashes and
 compares plain ints, never ``Fraction``s.  Every node carries an empty-word
-class: group (value 1 at the empty word), lie (value 0) or free.  The
-identity checker samples random words per length, compares two graphs
-exactly, and resamples on division by zero up to a retry cap.
+class: group (value 1 at the empty word), lie (value 0) or free.
+
+``Mu(A, B, proper)`` is the two-block product; ``proper`` 1 drops the cut
+with an empty left block and 2 drops both end cuts, so a solver's
+self-referential recursion never reaches the full word.
+
+``sample_points`` is the one sampling loop behind every randomized checker:
+it draws seeded random words per shape, compares two exact values, and
+resamples on division by zero up to the context's retry cap.
+``check_identity`` compares two graphs on it.
 """
 
 from __future__ import annotations
@@ -103,6 +110,8 @@ class EvalContext:
     """
 
     def __init__(self, retry_cap: int = 8):
+        if retry_cap < 0:
+            raise ValueError(f"need retry_cap >= 0, got {retry_cap}")
         self.memo: dict[tuple[int, ...], Rat] = {}
         self.retry_cap = retry_cap
         self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
@@ -135,10 +144,6 @@ class EvalContext:
                 raise RuntimeError(f"lie mould {A.name} evaluated to {val} at the empty word")
         self.memo[key] = val
         return val
-
-
-def eval_mould(ctx: EvalContext, A: Mould, w: Word) -> Rat:
-    return ctx.eval(A, w)
 
 
 # ---------------------------------------------------------------------------
@@ -355,25 +360,6 @@ def gantar(A: Mould) -> Mould:
     return Anti(Pari(invmu(A)))
 
 
-def unary(kind: str, A: Mould, r: int | None = None) -> Mould:
-    if kind == "leng_r":
-        if r is None:
-            raise ValueError("leng_r needs the length r")
-        return LengR(A, r)
-    table = {
-        "anti": anti,
-        "pari": pari,
-        "neg": neg,
-        "swap": swap,
-        "push": push,
-        "push_inv": push_inv,
-        "mantar": mantar,
-        "der": der,
-        "gantar": gantar,
-    }
-    return table[kind](A)
-
-
 # ---------------------------------------------------------------------------
 # Pointwise sums and the mu product
 # ---------------------------------------------------------------------------
@@ -436,64 +422,34 @@ class SMul(Mould):
 
 
 class Mu(Mould):
-    """mu(A,B)(w) = sum over two-block factorizations w = a.b of A(a)B(b)."""
+    """mu(A,B)(w) = sum over two-block factorizations w = a.b of A(a)B(b).
 
-    __slots__ = ("A", "B")
+    ``proper=1`` keeps only the cuts with ``a`` nonempty and ``proper=2``
+    only those with both parts nonempty; both are lie-class and internal to
+    solvers.  ``Mu(A, B, 2)`` equals ``Mu(A, B)`` when both operands vanish
+    on the empty word, but never evaluates either operand at the full word,
+    which keeps self-referential length recursions well founded.
+    """
 
-    def __init__(self, A: Mould, B: Mould):
+    __slots__ = ("A", "B", "first", "dropped")
+
+    def __init__(self, A: Mould, B: Mould, proper: int = 0):
         ca, cb = A.empty_class, B.empty_class
-        if LIE in (ca, cb):
+        if proper or LIE in (ca, cb):
             cls = LIE
         elif ca == GROUP and cb == GROUP:
             cls = GROUP
         else:
             cls = FREE
-        super().__init__("mu", cls)
+        super().__init__(("mu", "mu'", "mu''")[proper], cls)
         self.A = A
         self.B = B
+        self.first = 1 if proper else 0  # shortest left block
+        self.dropped = 1 if proper == 2 else 0  # cuts dropped at the right end
 
     def _eval(self, ctx, w):
         total = Fraction(0)
-        for i in range(len(w) + 1):
-            total += ctx.eval(self.A, w[:i]) * ctx.eval(self.B, w[i:])
-        return total
-
-
-class MuLeftProper(Mould):
-    """sum over w = a.b with a nonempty of A(a)B(b); internal to solvers."""
-
-    __slots__ = ("A", "B")
-
-    def __init__(self, A: Mould, B: Mould):
-        super().__init__("mu'", LIE)
-        self.A = A
-        self.B = B
-
-    def _eval(self, ctx, w):
-        total = Fraction(0)
-        for i in range(1, len(w) + 1):
-            total += ctx.eval(self.A, w[:i]) * ctx.eval(self.B, w[i:])
-        return total
-
-
-class MuProper(Mould):
-    """sum over w = a.b with both parts nonempty of A(a)B(b).
-
-    Equals Mu(A, B) when both operands vanish on the empty word, but never
-    evaluates either operand at the full word - which keeps self-referential
-    length recursions well founded.
-    """
-
-    __slots__ = ("A", "B")
-
-    def __init__(self, A: Mould, B: Mould):
-        super().__init__("mu''", LIE)
-        self.A = A
-        self.B = B
-
-    def _eval(self, ctx, w):
-        total = Fraction(0)
-        for i in range(1, len(w)):
+        for i in range(self.first, len(w) + 1 - self.dropped):
             total += ctx.eval(self.A, w[:i]) * ctx.eval(self.B, w[i:])
         return total
 
@@ -623,6 +579,49 @@ class Report:
         return out
 
 
+def sample_points(
+    ctx: EvalContext,
+    plan: SamplePlan,
+    name: str,
+    shapes: Iterable[tuple[tuple, tuple[int, ...]]],
+    evaluate: Callable[..., tuple[Rat, Rat]],
+) -> Report:
+    """Compare ``evaluate(*parts)`` exactly at seeded random points per shape.
+
+    Each shape is ``(label, part_lengths)``.  A point samples its parts in
+    order from ``derived_rng(plan.seed, name, *label, i, attempt)``; its word
+    is their concatenation, and a two-part shape records the first part's
+    length as ``split``.  A shape of total length 0 gets one sample, any
+    other ``plan.samples_per_length``.  Division by zero resamples up to the
+    context's retry cap; a point that keeps hitting singular words is
+    recorded as skipped, with its last word and the error as ``detail``.
+    """
+    report = Report(identity=name)
+    for label, lengths in shapes:
+        length = sum(lengths)
+        split = lengths[0] if len(lengths) == 2 else None
+        for i in range(plan.samples_per_length if length else 1):
+            for attempt in range(ctx.retry_cap + 1):
+                rng = derived_rng(plan.seed, name, *label, i, attempt)
+                parts = [sample_word(rng, n, plan.bounds) for n in lengths]
+                w = sum(parts, EMPTY)
+                try:
+                    lhs, rhs = evaluate(*parts)
+                except DivByZero as exc:
+                    # keep the text, not the exception: its traceback holds
+                    # this frame, and the cycle would keep ctx's memo alive
+                    # past the item until the cyclic collector runs
+                    detail = str(exc)
+                    continue
+                status = "pass" if lhs == rhs else "fail"
+                rec = PointRecord(name, length, w, lhs, rhs, status, split=split)
+                break
+            else:
+                rec = PointRecord(name, length, w, None, None, "skipped", split=split, detail=detail)
+            report.points.append(rec)
+    return report
+
+
 def check_identity(
     lhs: Mould,
     rhs: Mould,
@@ -637,25 +636,5 @@ def check_identity(
     recorded as skipped.
     """
     ctx = ctx if ctx is not None else EvalContext()
-    report = Report(identity=name)
-    for r in range(plan.max_length + 1):
-        n_samples = 1 if r == 0 else plan.samples_per_length
-        for i in range(n_samples):
-            rec = None
-            last_exc = None
-            for attempt in range(ctx.retry_cap + 1):
-                rng = derived_rng(plan.seed, name, r, i, attempt)
-                w = sample_word(rng, r, plan.bounds)
-                try:
-                    a = ctx.eval(lhs, w)
-                    b = ctx.eval(rhs, w)
-                except DivByZero as exc:
-                    last_exc = exc
-                    continue
-                rec = PointRecord(name, r, w, a, b, "pass" if a == b else "fail")
-                break
-            if rec is None:
-                detail = None if last_exc is None else str(last_exc)
-                rec = PointRecord(name, r, w, None, None, "skipped", detail=detail)
-            report.points.append(rec)
-    return report
+    shapes = (((r,), (r,)) for r in range(plan.max_length + 1))
+    return sample_points(ctx, plan, name, shapes, lambda w: (ctx.eval(lhs, w), ctx.eval(rhs, w)))

@@ -3,13 +3,16 @@
 Derivation level: amit/anit/axit/arit/irat and the preari/ari brackets.
 Group level: the gaxit family (gamit/ganit/garit specializations), gari with
 its inverse and quotient, the exponential/logarithm pair expari/logari, the
-inner action adari, the twisted products swamu/answamu, and the swap
-conjugates gira/preira/fragira/girat.
+inner action adari, the twisted products swamu/answamu (one node, told
+apart by its flexion pair), and the swap conjugates gira/preira/girat.
 
 Solvable inverses (invgari, logari, gaxit_inv, dilator extraction) are
 length recursions: at word length r the unknown enters linearly with unit
 coefficient through terms that only consume values at shorter lengths, so a
-memoized recursive node computes them exactly.
+memoized recursive node computes them exactly.  Where the unknown is a
+factor of a mu product, ``Mu(..., proper=1)`` (left block nonempty) or
+``proper=2`` (both blocks nonempty) leaves out the terms that would need it
+at the full word.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .engine import (
     Add,
     Mould,
     Mu,
-    MuLeftProper,
-    MuProper,
     Sub,
     invmu,
     lu,
@@ -343,7 +344,7 @@ class Logari(Mould):
     def _power(self, n: int) -> Mould:
         while len(self._powers) <= n:
             prev = self._powers[-1]
-            self._powers.append(Add(arit(self, prev), MuProper(prev, self)))
+            self._powers.append(Add(arit(self, prev), Mu(prev, self, proper=2)))
         return self._powers[n]
 
     def _eval(self, ctx, w):
@@ -409,51 +410,38 @@ def adari_inv(M: Mould, A: Mould) -> Mould:
 
 
 class Swamu(Mould):
-    """swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b))."""
+    """The flexion-twisted mu product for a flexion pair (fa, fb).
 
-    __slots__ = ("A", "B")
+    swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b)) takes (ful, flr);
+    answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b)) takes (fur, fll).
+    """
 
-    def __init__(self, A: Mould, B: Mould):
+    __slots__ = ("A", "B", "fa", "fb")
+
+    def __init__(self, A: Mould, B: Mould, fa, fb):
         ca, cb = A.empty_class, B.empty_class
         cls = LIE if LIE in (ca, cb) else (GROUP if ca == cb == GROUP else FREE)
-        super().__init__("swamu", cls)
+        super().__init__("swamu" if fa is ful else "answamu", cls)
         self.A = A
         self.B = B
+        self.fa = fa
+        self.fb = fb
 
     def _eval(self, ctx, w):
+        fa, fb = self.fa, self.fb
         total = Fraction(0)
         for i in range(len(w) + 1):
             a, b = w[:i], w[i:]
-            total += ctx.eval(self.A, ful(a, b)) * ctx.eval(self.B, flr(a, b))
-        return total
-
-
-class Answamu(Mould):
-    """answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b))."""
-
-    __slots__ = ("A", "B")
-
-    def __init__(self, A: Mould, B: Mould):
-        ca, cb = A.empty_class, B.empty_class
-        cls = LIE if LIE in (ca, cb) else (GROUP if ca == cb == GROUP else FREE)
-        super().__init__("answamu", cls)
-        self.A = A
-        self.B = B
-
-    def _eval(self, ctx, w):
-        total = Fraction(0)
-        for i in range(len(w) + 1):
-            a, b = w[:i], w[i:]
-            total += ctx.eval(self.A, fur(a, b)) * ctx.eval(self.B, fll(a, b))
+            total += ctx.eval(self.A, fa(a, b)) * ctx.eval(self.B, fb(a, b))
         return total
 
 
 def swamu(A: Mould, B: Mould) -> Mould:
-    return Swamu(A, B)
+    return Swamu(A, B, ful, flr)
 
 
 def answamu(A: Mould, B: Mould) -> Mould:
-    return Answamu(A, B)
+    return Swamu(A, B, fur, fll)
 
 
 def gira(A: Mould, B: Mould) -> Mould:
@@ -462,10 +450,6 @@ def gira(A: Mould, B: Mould) -> Mould:
 
 def preira(A: Mould, B: Mould) -> Mould:
     return swap(preari(swap(A), swap(B)))
-
-
-def fragira(A: Mould, B: Mould) -> Mould:
-    return swap(fragari(swap(A), swap(B)))
 
 
 def girat(B: Mould, A: Mould) -> Mould:
@@ -491,7 +475,7 @@ class DilatorOf(Mould):
             raise ValueError(f"dilator extraction needs group-class S, got {S.empty_class}")
         super().__init__("dilator_of", LIE)
         self.S = S
-        self.inner = Add(arit(self, S), MuLeftProper(S, self))
+        self.inner = Add(arit(self, S), Mu(S, self, proper=1))
 
     def _eval(self, ctx, w):
         if not w:

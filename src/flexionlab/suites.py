@@ -5,7 +5,12 @@ that must *fail*) for one slice of the flexion-algebra surface.  Every item
 is a pure function of the run configuration, so reports are deterministic
 and safe to compute in parallel worker processes.
 
-Conventions used by the item runners:
+Each ``_suite_*`` function declares its items in registry order.  An item
+that is one ``check_identity`` call is a row: ``@items.identity(name, cap,
+expect)`` on a ``cfg -> (lhs, rhs)`` function.  Every other item is a
+``(cfg, ctx) -> Report`` runner added by ``@items.run(name, expect)``.
+
+Conventions used by the items:
 
 * ``[polar]`` in an item name means the item pins the polar unit regardless
   of the configured one, because the identity holds only when the conjugate
@@ -58,7 +63,6 @@ from .engine import (
     anti,
     check_identity,
     der,
-    derived_rng,
     invmu,
     leng_r,
     mantar,
@@ -68,6 +72,7 @@ from .engine import (
     pari,
     push,
     push_inv,
+    sample_points,
     swap,
     zero,
 )
@@ -139,7 +144,7 @@ from .symmetry import (
     o_alternal_routes_agree,
     pushsym,
 )
-from .words import DivByZero, EMPTY, bl, flr, fll, ful, fur, sample_word, shuffles, word
+from .words import EMPTY, bl, flr, fll, ful, fur, shuffles, word
 
 __all__ = [
     "Config",
@@ -297,46 +302,17 @@ def _fk_expansion_report(
     B = _profile(cfg, "alternal", 702)
     F = arit(B, A)
     plan = cfg.plan()
-    points = []
-    for total_len in range(2, plan.max_length + 1):
-        for la in range(1, total_len):
-            lb = total_len - la
-            for i in range(plan.samples_per_length):
-                rec = None
-                last_exc = None
-                for attempt in range(ctx.retry_cap + 1):
-                    rng = derived_rng(plan.seed, name, total_len, la, i, attempt)
-                    a = sample_word(rng, la, plan.bounds)
-                    b = sample_word(rng, lb, plan.bounds)
-                    try:
-                        lhs = sum(ctx.eval(F, s) for s in shuffles(a, b))
-                        rhs = _fk_half(ctx, A, B, a, b) + _fk_half(ctx, A, B, b, a)
-                    except DivByZero as exc:
-                        last_exc = exc
-                        continue
-                    rec = PointRecord(
-                        identity=name,
-                        length=total_len,
-                        word=a + b,
-                        lhs=lhs,
-                        rhs=rhs,
-                        status="pass" if lhs == rhs else "fail",
-                        split=la,
-                    )
-                    break
-                if rec is None:
-                    rec = PointRecord(
-                        identity=name,
-                        length=total_len,
-                        word=a + b,
-                        lhs=None,
-                        rhs=None,
-                        status="skipped",
-                        split=la,
-                        detail=None if last_exc is None else str(last_exc),
-                    )
-                points.append(rec)
-    return Report(identity=name, points=points)
+    shapes = (
+        ((total, la), (la, total - la))
+        for total in range(2, plan.max_length + 1)
+        for la in range(1, total)
+    )
+
+    def evaluate(a, b):
+        lhs = sum(ctx.eval(F, s) for s in shuffles(a, b))
+        return lhs, _fk_half(ctx, A, B, a, b) + _fk_half(ctx, A, B, b, a)
+
+    return sample_points(ctx, plan, name, shapes, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +327,35 @@ class Item:
     name: str
     run: Runner
     expect: str = "pass"  # "fail" marks a negative control
+
+
+class _Items(list):
+    """A suite's items in definition order, added by decorating functions."""
+
+    def run(self, name: str, expect: str = "pass"):
+        """Add the decorated ``(cfg, ctx) -> Report`` runner as item ``name``."""
+
+        def add(run: Runner) -> Runner:
+            self.append(Item(name, run, expect))
+            return run
+
+        return add
+
+    def identity(self, name: str, cap: Optional[int] = None, expect: str = "pass"):
+        """Add a row: ``check_identity`` of the decorated ``cfg -> (lhs, rhs)``
+        at ``cfg.plan(cap=cap)``, reported as ``name``.  A negative control's
+        item is named ``"<name> (control)"``."""
+
+        def add(build: Callable[[Config], tuple[Mould, Mould]]):
+            def run(cfg: Config, ctx: EvalContext) -> Report:
+                lhs, rhs = build(cfg)
+                return check_identity(lhs, rhs, cfg.plan(cap=cap), name, ctx)
+
+            item = name if expect == "pass" else f"{name} (control)"
+            self.append(Item(item, run, expect))
+            return build
+
+        return add
 
 
 @dataclass(frozen=True)
@@ -440,15 +445,20 @@ class RunReport:
 
 
 def _suite_unit_axioms() -> Suite:
+    items = _Items()
+
+    @items.run("tripartite-polar")
     def tripartite_polar(cfg, ctx):
         return _bool_report("tripartite-polar", check_tripartite(_polar(), seed=cfg.seed))
 
+    @items.run("tripartite-polar-conjugate")
     def tripartite_conj(cfg, ctx):
         return _bool_report(
             "tripartite-polar-conjugate",
             check_tripartite(get_unit("polar-conjugate"), seed=cfg.seed),
         )
 
+    @items.run("tripartite-bipolar")
     def tripartite_bipolar(cfg, ctx):
         return _bool_report(
             "tripartite-bipolar",
@@ -456,6 +466,7 @@ def _suite_unit_axioms() -> Suite:
             note="self-conjugate unit mixing u and v; valid unit, excluded from v-only closed forms",
         )
 
+    @items.run("tripartite-spot-values")
     def tripartite_spots(cfg, ctx):
         w_polar = word([(2, 7), (3, 11)])
         w_conj = word([(5, 1), (7, 3)])
@@ -482,6 +493,7 @@ def _suite_unit_axioms() -> Suite:
             checked.append((w, rhs, want_rhs))
         return _value_report("tripartite-spot-values", checked)
 
+    @items.run("conjugate-swaps-letters")
     def conjugate_swaps_letters(cfg, ctx):
         U = _unit(cfg)
         C = U.conjugate()
@@ -495,6 +507,7 @@ def _suite_unit_axioms() -> Suite:
             ],
         )
 
+    @items.run("tripartite-inv-square (control)", expect="fail")
     def tripartite_inv_square(cfg, ctx):
         return _bool_report(
             "tripartite-inv-square", check_tripartite(_inv_square(), seed=cfg.seed)
@@ -504,24 +517,19 @@ def _suite_unit_axioms() -> Suite:
         name="unit-axioms",
         anchor="Section 2",
         description="Flexion-unit axioms: tripartite relation, conjugation, exact spot values.",
-        items=(
-            Item("tripartite-polar", tripartite_polar),
-            Item("tripartite-polar-conjugate", tripartite_conj),
-            Item("tripartite-bipolar", tripartite_bipolar),
-            Item("tripartite-spot-values", tripartite_spots),
-            Item("conjugate-swaps-letters", conjugate_swaps_letters),
-            Item("tripartite-inv-square (control)", tripartite_inv_square, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_algebra_core() -> Suite:
-    def mu_associative(cfg, ctx):
-        A, B, C = _digest(cfg, 11, "a"), _digest(cfg, 12, "b"), _group(cfg, 13, "c")
-        return check_identity(
-            mu(A, mu(B, C)), mu(mu(A, B), C), cfg.plan(), "mu-associative", ctx
-        )
+    items = _Items()
 
+    @items.identity("mu-associative")
+    def mu_associative(cfg):
+        A, B, C = _digest(cfg, 11, "a"), _digest(cfg, 12, "b"), _group(cfg, 13, "c")
+        return mu(A, mu(B, C)), mu(mu(A, B), C)
+
+    @items.run("mu-unit")
     def mu_unit(cfg, ctx):
         A = _digest(cfg, 14, "a")
         plan = cfg.plan()
@@ -533,12 +541,12 @@ def _suite_algebra_core() -> Suite:
             ],
         )
 
-    def anti_mu_reversal(cfg, ctx):
+    @items.identity("anti-mu-reversal")
+    def anti_mu_reversal(cfg):
         A, B = _digest(cfg, 15, "a"), _group(cfg, 16, "b")
-        return check_identity(
-            anti(mu(A, B)), mu(anti(B), anti(A)), cfg.plan(), "anti-mu-reversal", ctx
-        )
+        return anti(mu(A, B)), mu(anti(B), anti(A))
 
+    @items.run("invmu-roundtrip")
     def invmu_roundtrip(cfg, ctx):
         S = _group(cfg, 17, "s")
         plan = cfg.plan()
@@ -550,113 +558,81 @@ def _suite_algebra_core() -> Suite:
             ],
         )
 
-    def arit_derivation(cfg, ctx):
+    @items.identity("arit-mu-derivation")
+    def arit_derivation(cfg):
         X = _digest(cfg, 18, "x")
         A, B = _digest(cfg, 19, "a"), _group(cfg, 20, "b")
-        return check_identity(
-            arit(X, mu(A, B)),
-            mu(arit(X, A), B) + mu(A, arit(X, B)),
-            cfg.plan(),
-            "arit-mu-derivation",
-            ctx,
-        )
+        return arit(X, mu(A, B)), mu(arit(X, A), B) + mu(A, arit(X, B))
 
-    def axit_derivation(cfg, ctx):
+    @items.identity("axit-mu-derivation")
+    def axit_derivation(cfg):
         X, Y = _digest(cfg, 21, "x"), _digest(cfg, 22, "y")
         A, B = _digest(cfg, 23, "a"), _group(cfg, 24, "b")
-        return check_identity(
-            axit(X, Y, mu(A, B)),
-            mu(axit(X, Y, A), B) + mu(A, axit(X, Y, B)),
-            cfg.plan(),
-            "axit-mu-derivation",
-            ctx,
-        )
+        return axit(X, Y, mu(A, B)), mu(axit(X, Y, A), B) + mu(A, axit(X, Y, B))
 
-    def ari_antisymmetry(cfg, ctx):
+    @items.identity("ari-antisymmetry")
+    def ari_antisymmetry(cfg):
         A = _digest(cfg, 25, "a")
-        return check_identity(ari(A, A), zero(), cfg.plan(), "ari-antisymmetry", ctx)
+        return ari(A, A), zero()
 
-    def ari_length1(cfg, ctx):
+    @items.identity("ari-vanishes-at-length-1", cap=1)
+    def ari_length1(cfg):
         A, B = _digest(cfg, 26, "a"), _digest(cfg, 27, "b")
-        return check_identity(
-            ari(A, B), zero(), cfg.plan(cap=1), "ari-vanishes-at-length-1", ctx
-        )
+        return ari(A, B), zero()
 
-    def ari_jacobi(cfg, ctx):
+    @items.identity("ari-jacobi", cap=3)
+    def ari_jacobi(cfg):
         A, B, C = _digest(cfg, 28, "a"), _digest(cfg, 29, "b"), _digest(cfg, 30, "c")
         total = ari(A, ari(B, C)) + ari(B, ari(C, A)) + ari(C, ari(A, B))
-        return check_identity(total, zero(), cfg.plan(cap=3), "ari-jacobi", ctx)
+        return total, zero()
 
-    def ari_preari(cfg, ctx):
+    @items.identity("ari-is-preari-antisymmetrized")
+    def ari_preari(cfg):
         A, B = _digest(cfg, 31, "a"), _digest(cfg, 32, "b")
-        return check_identity(
-            ari(A, B), preari(A, B) - preari(B, A), cfg.plan(), "ari-is-preari-antisymmetrized", ctx
-        )
+        return ari(A, B), preari(A, B) - preari(B, A)
 
-    def gaxit_identity(cfg, ctx):
+    @items.identity("gaxit-fixes-unit-mould")
+    def gaxit_identity(cfg):
         S1, S2 = _group(cfg, 33, "s"), _group(cfg, 34, "t")
-        return check_identity(
-            gaxit(S1, S2, one()), one(), cfg.plan(), "gaxit-fixes-unit-mould", ctx
-        )
+        return gaxit(S1, S2, one()), one()
 
-    def gamit_linear(cfg, ctx):
+    @items.identity("gamit-linear-part", cap=3)
+    def gamit_linear(cfg):
         X = _digest(cfg, 35, "x")
         A = _digest(cfg, 36, "a")
-        return check_identity(
-            gamit(one() + X, A) - A, amit(X, A), cfg.plan(cap=3), "gamit-linear-part", ctx
-        )
+        return gamit(one() + X, A) - A, amit(X, A)
 
-    def ganit_linear(cfg, ctx):
+    @items.identity("ganit-linear-part", cap=3)
+    def ganit_linear(cfg):
         Y = _digest(cfg, 37, "y")
         A = _digest(cfg, 38, "a")
-        return check_identity(
-            ganit(one() + Y, A) - A, anit(Y, A), cfg.plan(cap=3), "ganit-linear-part", ctx
-        )
+        return ganit(one() + Y, A) - A, anit(Y, A)
 
-    def gaxit_compose_left(cfg, ctx):
+    @items.identity("gaxit-separates-gamit-first", cap=3)
+    def gaxit_compose_left(cfg):
         X, Y = _group(cfg, 39, "x"), _group(cfg, 40, "y")
         A = _digest(cfg, 41, "a")
-        return check_identity(
-            gaxit(X, Y, A),
-            gamit(X, ganit(gamit_inv(X, Y), A)),
-            cfg.plan(cap=3),
-            "gaxit-separates-gamit-first",
-            ctx,
-        )
+        return gaxit(X, Y, A), gamit(X, ganit(gamit_inv(X, Y), A))
 
-    def gaxit_compose_right(cfg, ctx):
+    @items.identity("gaxit-separates-ganit-first", cap=3)
+    def gaxit_compose_right(cfg):
         X, Y = _group(cfg, 42, "x"), _group(cfg, 43, "y")
         A = _digest(cfg, 44, "a")
-        return check_identity(
-            gaxit(X, Y, A),
-            ganit(Y, gamit(ganit_inv(Y, X), A)),
-            cfg.plan(cap=3),
-            "gaxit-separates-ganit-first",
-            ctx,
-        )
+        return gaxit(X, Y, A), ganit(Y, gamit(ganit_inv(Y, X), A))
 
-    def gamit_mu_hom(cfg, ctx):
+    @items.identity("gamit-mu-homomorphism")
+    def gamit_mu_hom(cfg):
         X = _group(cfg, 45, "x")
         A, B = _digest(cfg, 46, "a"), _group(cfg, 47, "b")
-        return check_identity(
-            gamit(X, mu(A, B)),
-            mu(gamit(X, A), gamit(X, B)),
-            cfg.plan(),
-            "gamit-mu-homomorphism",
-            ctx,
-        )
+        return gamit(X, mu(A, B)), mu(gamit(X, A), gamit(X, B))
 
-    def ganit_mu_hom(cfg, ctx):
+    @items.identity("ganit-mu-homomorphism")
+    def ganit_mu_hom(cfg):
         Y = _group(cfg, 48, "y")
         A, B = _digest(cfg, 49, "a"), _group(cfg, 50, "b")
-        return check_identity(
-            ganit(Y, mu(A, B)),
-            mu(ganit(Y, A), ganit(Y, B)),
-            cfg.plan(),
-            "ganit-mu-homomorphism",
-            ctx,
-        )
+        return ganit(Y, mu(A, B)), mu(ganit(Y, A), ganit(Y, B))
 
+    @items.run("gari-unit")
     def gari_unit(cfg, ctx):
         S = _group(cfg, 51, "s")
         plan = cfg.plan()
@@ -668,6 +644,7 @@ def _suite_algebra_core() -> Suite:
             ],
         )
 
+    @items.run("gari-inverse")
     def gari_inverse(cfg, ctx):
         S = _group(cfg, 52, "s")
         plan = cfg.plan()
@@ -679,28 +656,25 @@ def _suite_algebra_core() -> Suite:
             ],
         )
 
-    def gari_assoc(cfg, ctx):
+    @items.identity("gari-associative", cap=3)
+    def gari_assoc(cfg):
         A, B, C = _group(cfg, 53, "a"), _group(cfg, 54, "b"), _group(cfg, 55, "c")
-        return check_identity(
-            gari(gari(A, B), C), gari(A, gari(B, C)), cfg.plan(cap=3), "gari-associative", ctx
-        )
+        return gari(gari(A, B), C), gari(A, gari(B, C))
 
-    def gari_length1(cfg, ctx):
+    @items.identity("gari-length-1-additive", cap=1)
+    def gari_length1(cfg):
         A, B = _group(cfg, 56, "a"), _group(cfg, 57, "b")
-        return check_identity(
-            leng_r(gari(A, B), 1),
-            leng_r(A, 1) + leng_r(B, 1),
-            cfg.plan(cap=1),
-            "gari-length-1-additive",
-            ctx,
-        )
+        return leng_r(gari(A, B), 1), leng_r(A, 1) + leng_r(B, 1)
 
-    def expari_zero(cfg, ctx):
-        return check_identity(expari(zero()), one(), cfg.plan(), "expari-of-zero", ctx)
+    @items.identity("expari-of-zero")
+    def expari_zero(cfg):
+        return expari(zero()), one()
 
-    def logari_one(cfg, ctx):
-        return check_identity(logari(one()), zero(), cfg.plan(), "logari-of-unit", ctx)
+    @items.identity("logari-of-unit")
+    def logari_one(cfg):
+        return logari(one()), zero()
 
+    @items.run("expari-logari-roundtrip")
     def exp_log_roundtrip(cfg, ctx):
         A = _digest(cfg, 58, "a")
         S = _group(cfg, 59, "s")
@@ -713,211 +687,144 @@ def _suite_algebra_core() -> Suite:
             ],
         )
 
-    def adari_identity(cfg, ctx):
+    @items.identity("adari-of-unit")
+    def adari_identity(cfg):
         A = _digest(cfg, 60, "a")
-        return check_identity(adari(one(), A), A, cfg.plan(), "adari-of-unit", ctx)
+        return adari(one(), A), A
 
-    def adari_vs_series(cfg, ctx):
+    @items.identity("adari-closed-vs-series")
+    def adari_vs_series(cfg):
         M = _group(cfg, 61, "m")
         A = _digest(cfg, 62, "a")
-        return check_identity(
-            adari(M, A), adari_series(M, A), cfg.plan(), "adari-closed-vs-series", ctx
-        )
+        return adari(M, A), adari_series(M, A)
 
-    def adari_length1(cfg, ctx):
+    @items.identity("adari-preserves-length-1", cap=1)
+    def adari_length1(cfg):
         M = _group(cfg, 63, "m")
         A = _digest(cfg, 64, "a")
-        return check_identity(
-            leng_r(adari(M, A), 1), leng_r(A, 1), cfg.plan(cap=1), "adari-preserves-length-1", ctx
-        )
+        return leng_r(adari(M, A), 1), leng_r(A, 1)
 
-    def adari_roundtrip(cfg, ctx):
+    @items.identity("adari-inverse-roundtrip", cap=3)
+    def adari_roundtrip(cfg):
         M = _group(cfg, 65, "m")
         A = _digest(cfg, 66, "a")
-        return check_identity(
-            adari_inv(M, adari(M, A)), A, cfg.plan(cap=3), "adari-inverse-roundtrip", ctx
-        )
+        return adari_inv(M, adari(M, A)), A
 
-    def fragari_roundtrip(cfg, ctx):
+    @items.identity("fragari-undoes-gari", cap=3)
+    def fragari_roundtrip(cfg):
         A, B = _group(cfg, 67, "a"), _group(cfg, 68, "b")
-        return check_identity(
-            fragari(gari(A, B), B), A, cfg.plan(cap=3), "fragari-undoes-gari", ctx
-        )
+        return fragari(gari(A, B), B), A
 
-    def mu_commutative(cfg, ctx):
+    @items.identity("mu-commutative", expect="fail")
+    def mu_commutative(cfg):
         A, B = _digest(cfg, 69, "a"), _digest(cfg, 70, "b")
-        return check_identity(mu(A, B), mu(B, A), cfg.plan(), "mu-commutative", ctx)
+        return mu(A, B), mu(B, A)
 
-    def der_expari(cfg, ctx):
+    @items.identity("der-expari-naive-ode", cap=3, expect="fail")
+    def der_expari(cfg):
         A = _digest(cfg, 71, "a")
         S = expari(A)
-        return check_identity(
-            der(S), preari(S, A), cfg.plan(cap=3), "der-expari-naive-ode", ctx
-        )
+        return der(S), preari(S, A)
 
     return Suite(
         name="algebra-core",
         anchor="Section 2",
         description="mu/ari/gari algebra: derivations, group laws, exp/log, adjoint action.",
-        items=(
-            Item("mu-associative", mu_associative),
-            Item("mu-unit", mu_unit),
-            Item("anti-mu-reversal", anti_mu_reversal),
-            Item("invmu-roundtrip", invmu_roundtrip),
-            Item("arit-mu-derivation", arit_derivation),
-            Item("axit-mu-derivation", axit_derivation),
-            Item("ari-antisymmetry", ari_antisymmetry),
-            Item("ari-vanishes-at-length-1", ari_length1),
-            Item("ari-jacobi", ari_jacobi),
-            Item("ari-is-preari-antisymmetrized", ari_preari),
-            Item("gaxit-fixes-unit-mould", gaxit_identity),
-            Item("gamit-linear-part", gamit_linear),
-            Item("ganit-linear-part", ganit_linear),
-            Item("gaxit-separates-gamit-first", gaxit_compose_left),
-            Item("gaxit-separates-ganit-first", gaxit_compose_right),
-            Item("gamit-mu-homomorphism", gamit_mu_hom),
-            Item("ganit-mu-homomorphism", ganit_mu_hom),
-            Item("gari-unit", gari_unit),
-            Item("gari-inverse", gari_inverse),
-            Item("gari-associative", gari_assoc),
-            Item("gari-length-1-additive", gari_length1),
-            Item("expari-of-zero", expari_zero),
-            Item("logari-of-unit", logari_one),
-            Item("expari-logari-roundtrip", exp_log_roundtrip),
-            Item("adari-of-unit", adari_identity),
-            Item("adari-closed-vs-series", adari_vs_series),
-            Item("adari-preserves-length-1", adari_length1),
-            Item("adari-inverse-roundtrip", adari_roundtrip),
-            Item("fragari-undoes-gari", fragari_roundtrip),
-            Item("mu-commutative (control)", mu_commutative, expect="fail"),
-            Item("der-expari-naive-ode (control)", der_expari, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_swamu() -> Suite:
-    def via_swap(cfg, ctx):
+    items = _Items()
+
+    @items.identity("swamu-is-swapped-mu")
+    def via_swap(cfg):
         A, B = _digest(cfg, 101, "a"), _group(cfg, 102, "b")
-        return check_identity(
-            swamu(A, B), swap(mu(swap(A), swap(B))), cfg.plan(), "swamu-is-swapped-mu", ctx
-        )
+        return swamu(A, B), swap(mu(swap(A), swap(B)))
 
-    def answamu_via_anti(cfg, ctx):
+    @items.identity("answamu-is-anti-swamu")
+    def answamu_via_anti(cfg):
         A, B = _digest(cfg, 103, "a"), _group(cfg, 104, "b")
-        return check_identity(
-            answamu(A, B),
-            anti(swamu(anti(A), anti(B))),
-            cfg.plan(),
-            "answamu-is-anti-swamu",
-            ctx,
-        )
+        return answamu(A, B), anti(swamu(anti(A), anti(B)))
 
-    def answamu_via_antiswap(cfg, ctx):
+    @items.identity("answamu-is-antiswapped-mu")
+    def answamu_via_antiswap(cfg):
         A, B = _digest(cfg, 105, "a"), _group(cfg, 106, "b")
-        return check_identity(
-            answamu(A, B),
-            anti(swap(mu(swap(anti(A)), swap(anti(B))))),
-            cfg.plan(),
-            "answamu-is-antiswapped-mu",
-            ctx,
-        )
+        return answamu(A, B), anti(swap(mu(swap(anti(A)), swap(anti(B)))))
 
-    def law1(cfg, ctx):
+    @items.identity("swamu-slides-right-mu-factor")
+    def law1(cfg):
         A = _digest(cfg, 107, "a")
         B, C = _group(cfg, 108, "b"), _group(cfg, 109, "c")
-        return check_identity(
-            swamu(mu(A, B), C), mu(swamu(A, C), B), cfg.plan(), "swamu-slides-right-mu-factor", ctx
-        )
+        return swamu(mu(A, B), C), mu(swamu(A, C), B)
 
-    def law2(cfg, ctx):
+    @items.identity("answamu-slides-left-mu-factor")
+    def law2(cfg):
         B = _digest(cfg, 110, "b")
         A, C = _group(cfg, 111, "a"), _group(cfg, 112, "c")
-        return check_identity(
-            answamu(mu(A, B), C), mu(A, answamu(B, C)), cfg.plan(), "answamu-slides-left-mu-factor", ctx
-        )
+        return answamu(mu(A, B), C), mu(A, answamu(B, C))
 
-    def law3(cfg, ctx):
+    @items.identity("swamu-answamu-commute")
+    def law3(cfg):
         A = _digest(cfg, 113, "a")
         B, C = _group(cfg, 114, "b"), _group(cfg, 115, "c")
-        return check_identity(
-            swamu(answamu(A, B), C),
-            answamu(swamu(A, C), B),
-            cfg.plan(),
-            "swamu-answamu-commute",
-            ctx,
-        )
+        return swamu(answamu(A, B), C), answamu(swamu(A, C), B)
 
-    def associative(cfg, ctx):
+    @items.identity("swamu-associative")
+    def associative(cfg):
         A, B, C = _digest(cfg, 116, "a"), _group(cfg, 117, "b"), _group(cfg, 118, "c")
-        return check_identity(
-            swamu(swamu(A, B), C), swamu(A, swamu(B, C)), cfg.plan(), "swamu-associative", ctx
-        )
+        return swamu(swamu(A, B), C), swamu(A, swamu(B, C))
 
-    def push_lemma(cfg, ctx):
+    @items.identity("push-of-swamu")
+    def push_lemma(cfg):
         A, B = _digest(cfg, 119, "a"), _digest(cfg, 120, "b")
-        return check_identity(
-            push(swamu(A, B)), answamu(push(B), push(A)), cfg.plan(), "push-of-swamu", ctx
-        )
+        return push(swamu(A, B)), answamu(push(B), push(A))
 
-    def empty_word(cfg, ctx):
+    @items.identity("swamu-agrees-with-mu-at-length-0", cap=0)
+    def empty_word(cfg):
         A, B = _group(cfg, 121, "a"), _group(cfg, 122, "b")
-        return check_identity(
-            swamu(A, B), mu(A, B), cfg.plan(cap=0), "swamu-agrees-with-mu-at-length-0", ctx
-        )
+        return swamu(A, B), mu(A, B)
 
-    def rush_r4_reversal(cfg, ctx):
+    @items.identity("rush-tail-reversal [polar]")
+    def rush_r4_reversal(cfg):
         P = _polar()
         X = _digest(cfg, 123, "x")
-        return check_identity(
-            rush_r4(P, X), rush_r4_alt(P, X), cfg.plan(), "rush-tail-reversal [polar]", ctx
-        )
+        return rush_r4(P, X), rush_r4_alt(P, X)
 
-    def preari_es_expansion(cfg, ctx):
+    @items.identity("preari-es-expansion")
+    def preari_es_expansion(cfg):
         U = _unit(cfg)
         es = mould_es(U)
         B = _digest(cfg, 124, "b")
-        return check_identity(
-            preari(es, B),
-            swamu(es, mu(es, B) - answamu(es - one(), B)),
-            cfg.plan(),
-            "preari-es-expansion",
-            ctx,
-        )
+        return preari(es, B), swamu(es, mu(es, B) - answamu(es - one(), B))
 
-    def commutative(cfg, ctx):
+    @items.identity("swamu-commutative", expect="fail")
+    def commutative(cfg):
         A, B = _digest(cfg, 125, "a"), _digest(cfg, 126, "b")
-        return check_identity(swamu(A, B), swamu(B, A), cfg.plan(), "swamu-commutative", ctx)
+        return swamu(A, B), swamu(B, A)
 
     return Suite(
         name="swamu",
         anchor="Section 5 (Prop. swamu_answamu)",
         description="Swap/anti-transported convolutions: cut formulas, sliding laws, push lemma.",
-        items=(
-            Item("swamu-is-swapped-mu", via_swap),
-            Item("answamu-is-anti-swamu", answamu_via_anti),
-            Item("answamu-is-antiswapped-mu", answamu_via_antiswap),
-            Item("swamu-slides-right-mu-factor", law1),
-            Item("answamu-slides-left-mu-factor", law2),
-            Item("swamu-answamu-commute", law3),
-            Item("swamu-associative", associative),
-            Item("push-of-swamu", push_lemma),
-            Item("swamu-agrees-with-mu-at-length-0", empty_word),
-            Item("rush-tail-reversal [polar]", rush_r4_reversal),
-            Item("preari-es-expansion", preari_es_expansion),
-            Item("swamu-commutative (control)", commutative, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_symmetry() -> Suite:
+    items = _Items()
+
+    @items.run("alternal-profile")
     def alternal_profile(cfg, ctx):
         A = _profile(cfg, "alternal", 201)
         return check_alternal(A, cfg.plan(), "alternal-profile", ctx)
 
+    @items.run("symmetral-profile")
     def symmetral_profile(cfg, ctx):
         S = _profile(cfg, "symmetral", 202)
         return check_symmetral(S, cfg.plan(), "symmetral-profile", ctx)
 
+    @items.run("bialternal-profile")
     def al_al_profile(cfg, ctx):
         A = _profile(cfg, "al_al_seed", 203)
         plan = cfg.plan()
@@ -929,6 +836,7 @@ def _suite_symmetry() -> Suite:
             ],
         )
 
+    @items.run("al-ol-profile")
     def al_ol_profile(cfg, ctx):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 204, unit=U)
@@ -941,6 +849,7 @@ def _suite_symmetry() -> Suite:
             ],
         )
 
+    @items.run("even-length-1-profile")
     def even_length1(cfg, ctx):
         A = _profile(cfg, "even_length1", 205)
         plan = cfg.plan(cap=2)
@@ -952,41 +861,43 @@ def _suite_symmetry() -> Suite:
             ],
         )
 
+    @items.run("length-1-is-alternal")
     def length1_alternal(cfg, ctx):
         A = leng_r(_digest(cfg, 206, "a"), 1)
         return check_alternal(A, cfg.plan(cap=2), "length-1-is-alternal", ctx)
 
-    def pushsym_invariant(cfg, ctx):
+    @items.identity("pushsym-is-push-invariant", cap=3)
+    def pushsym_invariant(cfg):
         A = pushsym(_digest(cfg, 207, "a"))
-        return check_identity(push(A), A, cfg.plan(cap=3), "pushsym-is-push-invariant", ctx)
+        return push(A), A
 
-    def pushsym_idempotent(cfg, ctx):
+    @items.identity("pushsym-idempotent", cap=3)
+    def pushsym_idempotent(cfg):
         A = _digest(cfg, 208, "a")
-        return check_identity(
-            pushsym(pushsym(A)), pushsym(A), cfg.plan(cap=3), "pushsym-idempotent", ctx
-        )
+        return pushsym(pushsym(A)), pushsym(A)
 
-    def pushsym_length1(cfg, ctx):
+    @items.identity("pushsym-averages-push-orbit", cap=1)
+    def pushsym_length1(cfg):
         A = _digest(cfg, 209, "a")
         avg = SMul(Fraction(1, 2), A + push(A))
-        return check_identity(
-            pushsym(A), avg, cfg.plan(cap=1), "pushsym-averages-push-orbit", ctx
-        )
+        return pushsym(A), avg
 
+    @items.run("push-order")
     def push_order(cfg, ctx):
         A = _digest(cfg, 210, "a")
         return check_push_order(A, cfg.plan(), "push-order", ctx)
 
+    @items.run("alternal-is-mantar-invariant")
     def alternal_mantar(cfg, ctx):
         A = _profile(cfg, "alternal", 211)
         return check_invariant("mantar", A, cfg.plan(), None, "alternal-is-mantar-invariant", ctx)
 
-    def mantar_vs_pari(cfg, ctx):
+    @items.identity("anti-mantar-is-minus-pari")
+    def mantar_vs_pari(cfg):
         A = _digest(cfg, 212, "a")
-        return check_identity(
-            anti(mantar(A)), SMul(Fraction(-1), pari(A)), cfg.plan(), "anti-mantar-is-minus-pari", ctx
-        )
+        return anti(mantar(A)), SMul(Fraction(-1), pari(A))
 
+    @items.run("ari-preserves-bialternality")
     def ari_preserves_bialternal(cfg, ctx):
         A = _profile(cfg, "al_al_seed", 213)
         B = _profile(cfg, "al_al_seed", 214)
@@ -1000,6 +911,7 @@ def _suite_symmetry() -> Suite:
             ],
         )
 
+    @items.run("bialternal-neg-and-push-invariant")
     def bialternal_neg_push(cfg, ctx):
         A = _profile(cfg, "al_al_seed", 215)
         plan = cfg.plan()
@@ -1011,18 +923,22 @@ def _suite_symmetry() -> Suite:
             ],
         )
 
+    @items.run("o-alternality-routes-agree")
     def routes_agree(cfg, ctx):
         U = _unit(cfg)
         A = _digest(cfg, 216, "a")
         return o_alternal_routes_agree(U, A, cfg.plan(cap=3), "o-alternality-routes-agree", ctx)
 
+    @items.run("generic-alternal (control)", expect="fail")
     def generic_not_alternal(cfg, ctx):
         return check_alternal(_digest(cfg, 217, "a"), cfg.plan(), "generic-alternal", ctx)
 
-    def generic_not_push(cfg, ctx):
+    @items.identity("generic-push-invariant", expect="fail")
+    def generic_not_push(cfg):
         A = _digest(cfg, 218, "a")
-        return check_identity(push(A), A, cfg.plan(), "generic-push-invariant", ctx)
+        return push(A), A
 
+    @items.run("alternal-symmetral (control)", expect="fail")
     def alternal_not_symmetral(cfg, ctx):
         A = _profile(cfg, "alternal", 219)
         return check_symmetral(A, cfg.plan(), "alternal-symmetral", ctx)
@@ -1031,178 +947,138 @@ def _suite_symmetry() -> Suite:
         name="symmetry",
         anchor="Section 3",
         description="Alternality, symmetrality, push-invariance: generators, checks, transports.",
-        items=(
-            Item("alternal-profile", alternal_profile),
-            Item("symmetral-profile", symmetral_profile),
-            Item("bialternal-profile", al_al_profile),
-            Item("al-ol-profile", al_ol_profile),
-            Item("even-length-1-profile", even_length1),
-            Item("length-1-is-alternal", length1_alternal),
-            Item("pushsym-is-push-invariant", pushsym_invariant),
-            Item("pushsym-idempotent", pushsym_idempotent),
-            Item("pushsym-averages-push-orbit", pushsym_length1),
-            Item("push-order", push_order),
-            Item("alternal-is-mantar-invariant", alternal_mantar),
-            Item("anti-mantar-is-minus-pari", mantar_vs_pari),
-            Item("ari-preserves-bialternality", ari_preserves_bialternal),
-            Item("bialternal-neg-and-push-invariant", bialternal_neg_push),
-            Item("o-alternality-routes-agree", routes_agree),
-            Item("generic-alternal (control)", generic_not_alternal, expect="fail"),
-            Item("generic-push-invariant (control)", generic_not_push, expect="fail"),
-            Item("alternal-symmetral (control)", alternal_not_symmetral, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_mould_constants() -> Suite:
-    def oz_vs_closed(cfg, ctx):
-        U = _unit(cfg)
-        return check_identity(mould_oz(U), oz_closed(U), cfg.plan(), "oz-matches-closed-form", ctx)
+    items = _Items()
 
-    def es_vs_closed(cfg, ctx):
+    @items.identity("oz-matches-closed-form")
+    def oz_vs_closed(cfg):
         U = _unit(cfg)
-        return check_identity(mould_es(U), es_closed(U), cfg.plan(), "es-matches-closed-form", ctx)
+        return mould_oz(U), oz_closed(U)
 
-    def pari_oz(cfg, ctx):
+    @items.identity("es-matches-closed-form")
+    def es_vs_closed(cfg):
         U = _unit(cfg)
-        return check_identity(
-            pari(mould_oz(U)), invmu(one() + mould_O(U)), cfg.plan(), "pari-oz-inverts-one-plus-O", ctx
-        )
+        return mould_es(U), es_closed(U)
 
-    def swap_ez(cfg, ctx):
+    @items.identity("pari-oz-inverts-one-plus-O")
+    def pari_oz(cfg):
+        U = _unit(cfg)
+        return pari(mould_oz(U)), invmu(one() + mould_O(U))
+
+    @items.identity("swap-ez-is-anti-os [polar]")
+    def swap_ez(cfg):
         P = _polar()
-        return check_identity(
-            swap(mould_ez(P)), anti(mould_os(P)), cfg.plan(), "swap-ez-is-anti-os [polar]", ctx
-        )
+        return swap(mould_ez(P)), anti(mould_os(P))
 
-    def ez_length1(cfg, ctx):
+    @items.identity("ez-length-1-is-E", cap=1)
+    def ez_length1(cfg):
         U = _unit(cfg)
-        return check_identity(
-            leng_r(mould_ez(U), 1), mould_E(U), cfg.plan(cap=1), "ez-length-1-is-E", ctx
-        )
+        return leng_r(mould_ez(U), 1), mould_E(U)
 
-    def invmu_es(cfg, ctx):
+    @items.identity("invmu-es-is-push-es")
+    def invmu_es(cfg):
         U = _unit(cfg)
         es = mould_es(U)
-        return check_identity(invmu(es), push(es), cfg.plan(), "invmu-es-is-push-es", ctx)
+        return invmu(es), push(es)
 
+    @items.run("os-gantar-invariant")
     def os_gantar(cfg, ctx):
         U = _unit(cfg)
         return check_invariant("gantar", mould_os(U), cfg.plan(), None, "os-gantar-invariant", ctx)
 
-    def mantar_os(cfg, ctx):
+    @items.identity("mantar-os-is-minus-invmu-os")
+    def mantar_os(cfg):
         U = _unit(cfg)
         osm = mould_os(U)
-        return check_identity(
-            mantar(osm), SMul(Fraction(-1), invmu(osm)), cfg.plan(), "mantar-os-is-minus-invmu-os", ctx
-        )
+        return mantar(osm), SMul(Fraction(-1), invmu(osm))
 
-    def ro1(cfg, ctx):
+    @items.identity("ro-component-1-is-O", cap=2)
+    def ro1(cfg):
         U = _unit(cfg)
-        return check_identity(
-            ro_component(U, 1), mould_O(U), cfg.plan(cap=2), "ro-component-1-is-O", ctx
-        )
+        return ro_component(U, 1), mould_O(U)
 
-    def to_length1(cfg, ctx):
+    @items.identity("To-length-1-is-half-O", cap=1)
+    def to_length1(cfg):
         U = _unit(cfg)
-        return check_identity(
-            leng_r(To_series(U), 1),
-            SMul(Fraction(1, 2), mould_O(U)),
-            cfg.plan(cap=1),
-            "To-length-1-is-half-O",
-            ctx,
-        )
+        return leng_r(To_series(U), 1), SMul(Fraction(1, 2), mould_O(U))
 
+    @items.run("To-is-O-alternal")
     def to_o_alternal(cfg, ctx):
         U = _unit(cfg)
         return check_o_alternal(
             U, To_series(U), cfg.plan(), "To-is-O-alternal", ctx, both_routes=True
         )
 
+    @items.run("To-is-O-alternal (conjugate unit)")
     def to_o_alternal_conjugate(cfg, ctx):
         C = get_unit("polar-conjugate")
         return check_o_alternal(
             C, To_series(C), cfg.plan(), "To-is-O-alternal (conjugate unit)", ctx
         )
 
-    def eq_ganit_os(cfg, ctx):
+    @items.identity("ganit-os-of-O [polar]")
+    def eq_ganit_os(cfg):
         P = _polar()
         osm = mould_os(P)
-        return check_identity(
-            ganit(osm, mould_O(P)), osm - one(), cfg.plan(), "ganit-os-of-O [polar]", ctx
-        )
+        return ganit(osm, mould_O(P)), osm - one()
 
-    def ganit_os_pari_oz(cfg, ctx):
+    @items.identity("ganit-os-of-pari-oz [polar]")
+    def ganit_os_pari_oz(cfg):
         P = _polar()
         osm = mould_os(P)
-        return check_identity(
-            ganit(osm, pari(mould_oz(P))), invmu(osm), cfg.plan(), "ganit-os-of-pari-oz [polar]", ctx
-        )
+        return ganit(osm, pari(mould_oz(P))), invmu(osm)
 
-    def ganit_inv_oz_oz(cfg, ctx):
+    @items.identity("ganit-inverse-oz-of-oz [polar]")
+    def ganit_inv_oz_oz(cfg):
         P = _polar()
         ozm = mould_oz(P)
-        return check_identity(
-            ganit_inv(ozm, ozm), anti(mould_os(P)), cfg.plan(), "ganit-inverse-oz-of-oz [polar]", ctx
-        )
+        return ganit_inv(ozm, ozm), anti(mould_os(P))
 
-    def gamit_inv_oz_oz(cfg, ctx):
+    @items.identity("gamit-inverse-oz-of-oz [polar]")
+    def gamit_inv_oz_oz(cfg):
         P = _polar()
         ozm = mould_oz(P)
-        return check_identity(
-            gamit_inv(ozm, ozm), mould_os(P), cfg.plan(), "gamit-inverse-oz-of-oz [polar]", ctx
-        )
+        return gamit_inv(ozm, ozm), mould_os(P)
 
-    def girat_vs_gaxit(cfg, ctx):
+    @items.identity("girat-oz-is-gaxit-oz-oz [polar]")
+    def girat_vs_gaxit(cfg):
         P = _polar()
         ozm = mould_oz(P)
         A = _digest(cfg, 301, "a")
-        return check_identity(
-            girat(ozm, A), gaxit(ozm, ozm, A), cfg.plan(), "girat-oz-is-gaxit-oz-oz [polar]", ctx
-        )
+        return girat(ozm, A), gaxit(ozm, ozm, A)
 
-    def girat_inv_oz(cfg, ctx):
+    @items.identity("girat-inverse-of-oz [polar]")
+    def girat_inv_oz(cfg):
         P = _polar()
         ozm = mould_oz(P)
-        return check_identity(
-            gaxit_inv(ozm, ozm, ozm), one() + mould_O(P), cfg.plan(), "girat-inverse-of-oz [polar]", ctx
-        )
+        return gaxit_inv(ozm, ozm, ozm), one() + mould_O(P)
 
-    def solver_vs_closed(cfg, ctx):
+    @items.identity("ganit-oz-inverse-solver-vs-closed [polar]")
+    def solver_vs_closed(cfg):
         P = _polar()
         A = _digest(cfg, 302, "a")
-        return check_identity(
-            ganit_oz_inv(P, A),
-            ganit_oz_inv_closed(P, A),
-            cfg.plan(),
-            "ganit-oz-inverse-solver-vs-closed [polar]",
-            ctx,
-        )
+        return ganit_oz_inv(P, A), ganit_oz_inv_closed(P, A)
 
-    def cor311_ganit_route(cfg, ctx):
+    @items.identity("ganit-oz-inverse-via-gaxit [polar]", cap=3)
+    def cor311_ganit_route(cfg):
         P = _polar()
         ozm, osm = mould_oz(P), mould_os(P)
         A = _digest(cfg, 303, "a")
-        return check_identity(
-            ganit_oz_inv(P, A),
-            gamit(anti(osm), gaxit_inv(ozm, ozm, A)),
-            cfg.plan(cap=3),
-            "ganit-oz-inverse-via-gaxit [polar]",
-            ctx,
-        )
+        return ganit_oz_inv(P, A), gamit(anti(osm), gaxit_inv(ozm, ozm, A))
 
-    def cor311_gamit_route(cfg, ctx):
+    @items.identity("gamit-oz-inverse-via-gaxit [polar]", cap=3)
+    def cor311_gamit_route(cfg):
         P = _polar()
         ozm, osm = mould_oz(P), mould_os(P)
         A = _digest(cfg, 304, "a")
-        return check_identity(
-            gamit_inv(ozm, A),
-            ganit(osm, gaxit_inv(ozm, ozm, A)),
-            cfg.plan(cap=3),
-            "gamit-oz-inverse-via-gaxit [polar]",
-            ctx,
-        )
+        return gamit_inv(ozm, A), ganit(osm, gaxit_inv(ozm, ozm, A))
 
+    # a runner, not a row: its identity is not named after the item
+    @items.run("ganit-os-of-O (bipolar control)", expect="fail")
     def bipolar_breaks_closed(cfg, ctx):
         B = _bipolar()
         osm = mould_os(B)
@@ -1210,6 +1086,7 @@ def _suite_mould_constants() -> Suite:
             ganit(osm, mould_O(B)), osm - one(), cfg.plan(cap=2), "ganit-os-of-O (bipolar unit)", ctx
         )
 
+    @items.run("oz-gantar-invariant (control)", expect="fail")
     def gantar_oz(cfg, ctx):
         U = _unit(cfg)
         return check_invariant("gantar", mould_oz(U), cfg.plan(), None, "oz-gantar-invariant", ctx)
@@ -1218,54 +1095,30 @@ def _suite_mould_constants() -> Suite:
         name="mould-constants",
         anchor="Section 2 & Appendix A (Thm. sro_dimorphy)",
         description="Distinguished unit moulds oz/ez/os/es, ro/To series, exact inter-relations.",
-        items=(
-            Item("oz-matches-closed-form", oz_vs_closed),
-            Item("es-matches-closed-form", es_vs_closed),
-            Item("pari-oz-inverts-one-plus-O", pari_oz),
-            Item("swap-ez-is-anti-os [polar]", swap_ez),
-            Item("ez-length-1-is-E", ez_length1),
-            Item("invmu-es-is-push-es", invmu_es),
-            Item("os-gantar-invariant", os_gantar),
-            Item("mantar-os-is-minus-invmu-os", mantar_os),
-            Item("ro-component-1-is-O", ro1),
-            Item("To-length-1-is-half-O", to_length1),
-            Item("To-is-O-alternal", to_o_alternal),
-            Item("To-is-O-alternal (conjugate unit)", to_o_alternal_conjugate),
-            Item("ganit-os-of-O [polar]", eq_ganit_os),
-            Item("ganit-os-of-pari-oz [polar]", ganit_os_pari_oz),
-            Item("ganit-inverse-oz-of-oz [polar]", ganit_inv_oz_oz),
-            Item("gamit-inverse-oz-of-oz [polar]", gamit_inv_oz_oz),
-            Item("girat-oz-is-gaxit-oz-oz [polar]", girat_vs_gaxit),
-            Item("girat-inverse-of-oz [polar]", girat_inv_oz),
-            Item("ganit-oz-inverse-solver-vs-closed [polar]", solver_vs_closed),
-            Item("ganit-oz-inverse-via-gaxit [polar]", cor311_ganit_route),
-            Item("gamit-oz-inverse-via-gaxit [polar]", cor311_gamit_route),
-            Item("ganit-os-of-O (bipolar control)", bipolar_breaks_closed, expect="fail"),
-            Item("oz-gantar-invariant (control)", gantar_oz, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_dilator() -> Suite:
-    def d_length1(cfg, ctx):
-        U = _unit(cfg)
-        return check_identity(
-            leng_r(dilator_D(U), 1),
-            SMul(Fraction(1, 2), mould_O(U)),
-            cfg.plan(cap=1),
-            "dilator-length-1-is-half-O",
-            ctx,
-        )
+    items = _Items()
 
+    @items.identity("dilator-length-1-is-half-O", cap=1)
+    def d_length1(cfg):
+        U = _unit(cfg)
+        return leng_r(dilator_D(U), 1), SMul(Fraction(1, 2), mould_O(U))
+
+    @items.run("dilator-alternal")
     def d_alternal(cfg, ctx):
         U = _unit(cfg)
         return check_alternal(dilator_D(U), cfg.plan(), "dilator-alternal", ctx)
 
-    def flow_ode(cfg, ctx):
+    @items.identity("flow-satisfies-dilation-ode")
+    def flow_ode(cfg):
         D = _profile(cfg, "alternal", 401)
         S = solve_dilator_ode(D)
-        return check_identity(der(S), preari(S, D), cfg.plan(), "flow-satisfies-dilation-ode", ctx)
+        return der(S), preari(S, D)
 
+    @items.run("secondary-pair-normalized")
     def pair_empty(cfg, ctx):
         U = _unit(cfg)
         plan = cfg.plan(cap=0)
@@ -1277,18 +1130,23 @@ def _suite_dilator() -> Suite:
             ],
         )
 
+    @items.run("ess-symmetral")
     def ess_symmetral(cfg, ctx):
         return check_symmetral(ess(_unit(cfg)), cfg.plan(), "ess-symmetral", ctx)
 
+    @items.run("oess-symmetral")
     def oess_symmetral(cfg, ctx):
         return check_symmetral(oess(_unit(cfg)), cfg.plan(), "oess-symmetral", ctx)
 
+    @items.run("eess-symmetral")
     def eess_symmetral(cfg, ctx):
         return check_symmetral(eess(_unit(cfg)), cfg.plan(), "eess-symmetral", ctx)
 
+    @items.run("oss-symmetral")
     def oss_symmetral(cfg, ctx):
         return check_symmetral(oss(_unit(cfg)), cfg.plan(), "oss-symmetral", ctx)
 
+    @items.run("alternal-dilator-gives-symmetral-flow")
     def alternal_to_symmetral(cfg, ctx):
         plan = cfg.plan()
         reports = []
@@ -1298,6 +1156,7 @@ def _suite_dilator() -> Suite:
             reports.append(check_symmetral(S, plan, f"flow-of-alternal-{j}", ctx))
         return _merged("alternal-dilator-gives-symmetral-flow", reports)
 
+    @items.run("symmetral-flow-gives-alternal-dilator")
     def symmetral_to_alternal(cfg, ctx):
         plan = cfg.plan()
         reports = []
@@ -1307,31 +1166,26 @@ def _suite_dilator() -> Suite:
             reports.append(check_alternal(D, plan, f"dilator-of-symmetral-{j}", ctx))
         return _merged("symmetral-flow-gives-alternal-dilator", reports)
 
-    def roundtrip_d(cfg, ctx):
+    @items.identity("dilator-of-flow-roundtrip", cap=3)
+    def roundtrip_d(cfg):
         D = _profile(cfg, "alternal", 408)
-        return check_identity(
-            dilator_of(solve_dilator_ode(D)), D, cfg.plan(cap=3), "dilator-of-flow-roundtrip", ctx
-        )
+        return dilator_of(solve_dilator_ode(D)), D
 
-    def roundtrip_s(cfg, ctx):
+    @items.identity("flow-of-dilator-roundtrip", cap=3)
+    def roundtrip_s(cfg):
         S = _profile(cfg, "symmetral", 409)
-        return check_identity(
-            solve_dilator_ode(dilator_of(S)), S, cfg.plan(cap=3), "flow-of-dilator-roundtrip", ctx
-        )
+        return solve_dilator_ode(dilator_of(S)), S
 
+    @items.run("arit-shuffle-expansion")
     def fk_expansion(cfg, ctx):
         return _fk_expansion_report(cfg, ctx)
 
-    def neg_flow_fragari(cfg, ctx):
+    @items.identity("negated-flow-fragari-gives-es", cap=3)
+    def neg_flow_fragari(cfg):
         U = _unit(cfg)
-        return check_identity(
-            fragari(neg(ess(U)), ess(U)),
-            mould_es(U),
-            cfg.plan(cap=3),
-            "negated-flow-fragari-gives-es",
-            ctx,
-        )
+        return fragari(neg(ess(U)), ess(U)), mould_es(U)
 
+    @items.run("generic-flow-symmetral (control)", expect="fail")
     def generic_flow(cfg, ctx):
         D = _digest(cfg, 410, "d")
         return check_symmetral(solve_dilator_ode(D), cfg.plan(), "generic-flow-symmetral", ctx)
@@ -1340,27 +1194,14 @@ def _suite_dilator() -> Suite:
         name="dilator",
         anchor="Appendix A",
         description="Canonical dilator, its flow ODE, and bisymmetrality of the secondary pair.",
-        items=(
-            Item("dilator-length-1-is-half-O", d_length1),
-            Item("dilator-alternal", d_alternal),
-            Item("flow-satisfies-dilation-ode", flow_ode),
-            Item("secondary-pair-normalized", pair_empty),
-            Item("ess-symmetral", ess_symmetral),
-            Item("oess-symmetral", oess_symmetral),
-            Item("eess-symmetral", eess_symmetral),
-            Item("oss-symmetral", oss_symmetral),
-            Item("alternal-dilator-gives-symmetral-flow", alternal_to_symmetral),
-            Item("symmetral-flow-gives-alternal-dilator", symmetral_to_alternal),
-            Item("dilator-of-flow-roundtrip", roundtrip_d),
-            Item("flow-of-dilator-roundtrip", roundtrip_s),
-            Item("arit-shuffle-expansion", fk_expansion),
-            Item("negated-flow-fragari-gives-es", neg_flow_fragari),
-            Item("generic-flow-symmetral (control)", generic_flow, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_fundamental() -> Suite:
+    items = _Items()
+
+    @items.run("sena-push-swamu-identity")
     def main_identity(cfg, ctx):
         U = _unit(cfg)
         es = mould_es(U)
@@ -1379,236 +1220,215 @@ def _suite_fundamental() -> Suite:
             )
         return _merged("sena-push-swamu-identity", reports)
 
-    def rephrase_collapse(cfg, ctx):
+    @items.identity("rush-rephrasing")
+    def rephrase_collapse(cfg):
         U = _unit(cfg)
         O = mould_O(U)
         B = _digest(cfg, 504, "b")
         lhs = o_rush(U, mu(O, B) + mu(one() - O, swap(e_sena(U, swap(B)))))
         rhs = mu(B, one() - O)
-        return check_identity(lhs, rhs, cfg.plan(), "rush-rephrasing", ctx)
+        return lhs, rhs
 
-    def rephrase_rest(cfg, ctx):
+    @items.identity("rush-is-swapped-push-inverse")
+    def rephrase_rest(cfg):
         U = _unit(cfg)
         O = mould_O(U)
         C = _digest(cfg, 505, "c")
         lhs = mu(swap(e_push_inv(U, swap(C))), one() - O)
-        return check_identity(lhs, o_rush(U, C), cfg.plan(), "rush-is-swapped-push-inverse", ctx)
+        return lhs, o_rush(U, C)
 
-    def sena_swap_expression(cfg, ctx):
+    @items.identity("swapped-sena-expression")
+    def sena_swap_expression(cfg):
         U = _unit(cfg)
         O, ozm = mould_O(U), mould_oz(U)
         B = _digest(cfg, 506, "b")
         B_prime = B - mu(B, O) + swamu(O, B)
         lhs = swap(e_sena(U, swap(B)))
         rhs = swamu(push_inv(mu(ozm, B_prime)), ozm)
-        return check_identity(lhs, rhs, cfg.plan(), "swapped-sena-expression", ctx)
+        return lhs, rhs
 
-    def sena_length1(cfg, ctx):
+    @items.identity("sena-negates-length-1", cap=1)
+    def sena_length1(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 507, "b")
-        return check_identity(
-            leng_r(e_sena(U, B), 1), leng_r(neg(B), 1), cfg.plan(cap=1), "sena-negates-length-1", ctx
-        )
+        return leng_r(e_sena(U, B), 1), leng_r(neg(B), 1)
 
-    def rush_blocks(cfg, ctx):
+    @items.identity("rush-blocks-collapse")
+    def rush_blocks(cfg):
         U = _unit(cfg)
         M = _digest(cfg, 508, "m")
         arg = mu(mould_O(U), M)
         combo = SMul(Fraction(-1), rush_r2(U, arg)) + rush_r3(U, arg) - rush_r4(U, arg)
-        return check_identity(combo, zero(), cfg.plan(), "rush-blocks-collapse", ctx)
+        return combo, zero()
 
-    def rush_zero(cfg, ctx):
+    @items.identity("rush-annihilates-zero", cap=2)
+    def rush_zero(cfg):
         U = _unit(cfg)
-        return check_identity(o_rush(U, zero()), zero(), cfg.plan(cap=2), "rush-annihilates-zero", ctx)
+        return o_rush(U, zero()), zero()
 
-    def wrong_constant(cfg, ctx):
+    @items.identity("sena-push-with-oz-constant", cap=3, expect="fail")
+    def wrong_constant(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 509, "b")
-        return check_identity(
-            B - e_sena(U, B),
-            swamu(mould_oz(U), B - e_push(U, B)),
-            cfg.plan(cap=3),
-            "sena-push-with-oz-constant",
-            ctx,
-        )
+        return B - e_sena(U, B), swamu(mould_oz(U), B - e_push(U, B))
 
     return Suite(
         name="fundamental",
         anchor="Theorem 357 (Section 5)",
         description="The universal identity (id - E-sena)(B) = swamu(es, (id - E-push)(B)) and rephrasings.",
-        items=(
-            Item("sena-push-swamu-identity", main_identity),
-            Item("rush-rephrasing", rephrase_collapse),
-            Item("rush-is-swapped-push-inverse", rephrase_rest),
-            Item("swapped-sena-expression", sena_swap_expression),
-            Item("sena-negates-length-1", sena_length1),
-            Item("rush-blocks-collapse", rush_blocks),
-            Item("rush-annihilates-zero", rush_zero),
-            Item("sena-push-with-oz-constant (control)", wrong_constant, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_senary() -> Suite:
+    items = _Items()
+
+    @items.run("o-mantar-fixes-To")
     def o_mantar_fixes_to(cfg, ctx):
         U = _unit(cfg)
         return check_invariant("o-mantar", To_series(U), cfg.plan(), U, "o-mantar-fixes-To", ctx)
 
-    def o_mantar_involution(cfg, ctx):
+    @items.identity("o-mantar-involution", cap=3)
+    def o_mantar_involution(cfg):
         U = _unit(cfg)
         A = _digest(cfg, 601, "a")
-        return check_identity(
-            o_mantar(U, o_mantar(U, A)), A, cfg.plan(cap=3), "o-mantar-involution", ctx
-        )
+        return o_mantar(U, o_mantar(U, A)), A
 
-    def o_mantar_gaxit_route(cfg, ctx):
+    @items.identity("o-mantar-gaxit-route", cap=3)
+    def o_mantar_gaxit_route(cfg):
         U = _unit(cfg)
         A = _digest(cfg, 602, "a")
-        return check_identity(
-            o_mantar(U, A), o_mantar_gaxit(U, A), cfg.plan(cap=3), "o-mantar-gaxit-route", ctx
-        )
+        return o_mantar(U, A), o_mantar_gaxit(U, A)
 
+    @items.run("negpush-fixes-al-ol")
     def negpush_fixes_al_ol(cfg, ctx):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 603, unit=U)
         return check_invariant("e-negpush", A, cfg.plan(cap=3), U, "negpush-fixes-al-ol", ctx)
 
+    @items.run("push-twist-fixes-al-ol")
     def push_fixes_al_ol(cfg, ctx):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 604, unit=U)
         return check_invariant("e-push", A, cfg.plan(cap=3), U, "push-twist-fixes-al-ol", ctx)
 
-    def negpush_roundtrip(cfg, ctx):
+    @items.identity("negpush-roundtrip")
+    def negpush_roundtrip(cfg):
         U = _unit(cfg)
         A = _digest(cfg, 605, "a")
-        return check_identity(
-            e_negpush_inv(U, e_negpush(U, A)), A, cfg.plan(), "negpush-roundtrip", ctx
-        )
+        return e_negpush_inv(U, e_negpush(U, A)), A
 
-    def neg_conj_ess(cfg, ctx):
+    @items.identity("neg-twist-conjugates-ess", cap=3)
+    def neg_conj_ess(cfg):
         U = _unit(cfg)
         S = ess(U)
         B = _digest(cfg, 606, "b")
-        return check_identity(
-            e_neg(U, B), adari(S, neg(adari_inv(S, B))), cfg.plan(cap=3), "neg-twist-conjugates-ess", ctx
-        )
+        return e_neg(U, B), adari(S, neg(adari_inv(S, B)))
 
-    def neg_conj_eess(cfg, ctx):
+    @items.identity("neg-twist-conjugates-eess", cap=3)
+    def neg_conj_eess(cfg):
         U = _unit(cfg)
         S = eess(U)
         B = _digest(cfg, 607, "b")
-        return check_identity(
-            e_neg(U, B), adari(S, neg(adari_inv(S, B))), cfg.plan(cap=3), "neg-twist-conjugates-eess", ctx
-        )
+        return e_neg(U, B), adari(S, neg(adari_inv(S, B)))
 
-    def neg_roundtrip(cfg, ctx):
+    @items.identity("neg-twist-roundtrip")
+    def neg_roundtrip(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 608, "b")
-        return check_identity(e_neg_inv(U, e_neg(U, B)), B, cfg.plan(), "neg-twist-roundtrip", ctx)
+        return e_neg_inv(U, e_neg(U, B)), B
 
-    def push_roundtrip(cfg, ctx):
+    @items.identity("push-twist-roundtrip", cap=3)
+    def push_roundtrip(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 609, "b")
-        return check_identity(
-            e_push_inv(U, e_push(U, B)), B, cfg.plan(cap=3), "push-twist-roundtrip", ctx
-        )
+        return e_push_inv(U, e_push(U, B)), B
 
-    def push_inv_explicit(cfg, ctx):
+    @items.identity("push-twist-inverse-explicit", cap=3)
+    def push_inv_explicit(cfg):
         U = _unit(cfg)
         C = _digest(cfg, 610, "c")
-        return check_identity(
-            e_push_inv(U, C), e_push_inv_explicit(U, C), cfg.plan(cap=3), "push-twist-inverse-explicit", ctx
-        )
+        return e_push_inv(U, C), e_push_inv_explicit(U, C)
 
-    def push_composition(cfg, ctx):
+    @items.identity("push-twist-via-swap-twist", cap=3)
+    def push_composition(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 611, "b")
-        return check_identity(
-            e_push(U, B),
-            neg(mantar(e_swap(U, mantar(swap(B))))),
-            cfg.plan(cap=3),
-            "push-twist-via-swap-twist",
-            ctx,
-        )
+        return e_push(U, B), neg(mantar(e_swap(U, mantar(swap(B)))))
 
-    def swap_roundtrip(cfg, ctx):
+    @items.identity("swap-twist-roundtrip", cap=3)
+    def swap_roundtrip(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 612, "b")
-        return check_identity(
-            e_swap_inv(U, e_swap(U, B)), B, cfg.plan(cap=3), "swap-twist-roundtrip", ctx
-        )
+        return e_swap_inv(U, e_swap(U, B)), B
 
-    def swap_inv_2(cfg, ctx):
+    @items.identity("swap-twist-inverse-form-2", cap=3)
+    def swap_inv_2(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 613, "b")
-        return check_identity(
-            e_swap_inv(U, B), e_swap_inv_2(U, B), cfg.plan(cap=3), "swap-twist-inverse-form-2", ctx
-        )
+        return e_swap_inv(U, B), e_swap_inv_2(U, B)
 
-    def swap_inv_3(cfg, ctx):
+    @items.identity("swap-twist-inverse-form-3", cap=3)
+    def swap_inv_3(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 614, "b")
-        return check_identity(
-            e_swap_inv(U, B), e_swap_inv_3(U, B), cfg.plan(cap=3), "swap-twist-inverse-form-3", ctx
-        )
+        return e_swap_inv(U, B), e_swap_inv_3(U, B)
 
-    def ter_length1(cfg, ctx):
+    @items.identity("ter-fixes-length-1", cap=1)
+    def ter_length1(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 615, "b")
-        return check_identity(
-            leng_r(e_ter(U, B), 1), leng_r(B, 1), cfg.plan(cap=1), "ter-fixes-length-1", ctx
-        )
+        return leng_r(e_ter(U, B), 1), leng_r(B, 1)
 
-    def ter_roundtrip(cfg, ctx):
+    @items.identity("ter-roundtrip")
+    def ter_roundtrip(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 616, "b")
-        return check_identity(e_ter_inv(U, e_ter(U, B)), B, cfg.plan(), "ter-roundtrip", ctx)
+        return e_ter_inv(U, e_ter(U, B)), B
 
-    def ter_inv_triple(cfg, ctx):
+    @items.identity("ter-inverse-triple-sum")
+    def ter_inv_triple(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 617, "b")
-        return check_identity(
-            e_ter_inv(U, B), e_ter_inv_triple(U, B), cfg.plan(), "ter-inverse-triple-sum", ctx
-        )
+        return e_ter_inv(U, B), e_ter_inv_triple(U, B)
 
-    def ter_explicit(cfg, ctx):
+    @items.identity("ter-explicit-form")
+    def ter_explicit(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 618, "b")
-        return check_identity(
-            e_ter(U, B), e_ter_explicit(U, B), cfg.plan(), "ter-explicit-form", ctx
-        )
+        return e_ter(U, B), e_ter_explicit(U, B)
 
-    def sena_explicit(cfg, ctx):
+    @items.identity("sena-explicit-form")
+    def sena_explicit(cfg):
         U = _unit(cfg)
         B = _digest(cfg, 619, "b")
-        return check_identity(
-            e_sena(U, B), e_sena_explicit(U, B), cfg.plan(), "sena-explicit-form", ctx
-        )
+        return e_sena(U, B), e_sena_explicit(U, B)
 
-    def senary_transported(cfg, ctx):
+    @items.identity("senary-relation-on-transported-bialternal")
+    def senary_transported(cfg):
         U = _unit(cfg)
         A = _profile(cfg, "al_al_seed", 620)
         T = adari(ess(U), A)
-        return check_identity(
-            senary_defect(U, T), zero(), cfg.plan(), "senary-relation-on-transported-bialternal", ctx
-        )
+        return senary_defect(U, T), zero()
 
-    def senary_al_ol(cfg, ctx):
+    @items.identity("senary-relation-on-al-ol")
+    def senary_al_ol(cfg):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 621, unit=U)
-        return check_identity(
-            senary_defect(U, A), zero(), cfg.plan(), "senary-relation-on-al-ol", ctx
-        )
+        return senary_defect(U, A), zero()
 
-    def mantar_involution(cfg, ctx):
+    @items.identity("mantar-involution")
+    def mantar_involution(cfg):
         A = _digest(cfg, 622, "a")
-        return check_identity(mantar(mantar(A)), A, cfg.plan(), "mantar-involution", ctx)
+        return mantar(mantar(A)), A
 
-    def senary_generic(cfg, ctx):
+    @items.identity("senary-relation-generic", cap=3, expect="fail")
+    def senary_generic(cfg):
         U = _unit(cfg)
         A = _digest(cfg, 623, "a")
-        return check_identity(senary_defect(U, A), zero(), cfg.plan(cap=3), "senary-relation-generic", ctx)
+        return senary_defect(U, A), zero()
 
+    @items.run("push-twist-fixes-generic (control)", expect="fail")
     def push_generic(cfg, ctx):
         U = _unit(cfg)
         A = _digest(cfg, 624, "a")
@@ -1618,37 +1438,14 @@ def _suite_senary() -> Suite:
         name="senary",
         anchor="Theorem 1.1",
         description="The senary relation and the six subsymmetry operators with their inverses.",
-        items=(
-            Item("o-mantar-fixes-To", o_mantar_fixes_to),
-            Item("o-mantar-involution", o_mantar_involution),
-            Item("o-mantar-gaxit-route", o_mantar_gaxit_route),
-            Item("negpush-fixes-al-ol", negpush_fixes_al_ol),
-            Item("push-twist-fixes-al-ol", push_fixes_al_ol),
-            Item("negpush-roundtrip", negpush_roundtrip),
-            Item("neg-twist-conjugates-ess", neg_conj_ess),
-            Item("neg-twist-conjugates-eess", neg_conj_eess),
-            Item("neg-twist-roundtrip", neg_roundtrip),
-            Item("push-twist-roundtrip", push_roundtrip),
-            Item("push-twist-inverse-explicit", push_inv_explicit),
-            Item("push-twist-via-swap-twist", push_composition),
-            Item("swap-twist-roundtrip", swap_roundtrip),
-            Item("swap-twist-inverse-form-2", swap_inv_2),
-            Item("swap-twist-inverse-form-3", swap_inv_3),
-            Item("ter-fixes-length-1", ter_length1),
-            Item("ter-roundtrip", ter_roundtrip),
-            Item("ter-inverse-triple-sum", ter_inv_triple),
-            Item("ter-explicit-form", ter_explicit),
-            Item("sena-explicit-form", sena_explicit),
-            Item("senary-relation-on-transported-bialternal", senary_transported),
-            Item("senary-relation-on-al-ol", senary_al_ol),
-            Item("mantar-involution", mantar_involution),
-            Item("senary-relation-generic (control)", senary_generic, expect="fail"),
-            Item("push-twist-fixes-generic (control)", push_generic, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_push_sena() -> Suite:
+    items = _Items()
+
+    @items.run("transport-ess-lands-in-sena-invariants")
     def transport_ess(cfg, ctx):
         U = _unit(cfg)
         S = ess(U)
@@ -1661,6 +1458,7 @@ def _suite_push_sena() -> Suite:
             )
         return _merged("transport-ess-lands-in-sena-invariants", reports)
 
+    @items.run("transport-eess-lands-in-sena-invariants")
     def transport_eess(cfg, ctx):
         U = _unit(cfg)
         S = eess(U)
@@ -1673,41 +1471,47 @@ def _suite_push_sena() -> Suite:
             )
         return _merged("transport-eess-lands-in-sena-invariants", reports)
 
-    def roundtrip_ess(cfg, ctx):
+    @items.identity("transport-ess-roundtrip-push")
+    def roundtrip_ess(cfg):
         U = _unit(cfg)
         S = ess(U)
         A = pushsym(_digest(cfg, 655, "p"))
         back = adari(invgari(S), adari(S, A))
-        return check_identity(push(back), back, cfg.plan(), "transport-ess-roundtrip-push", ctx)
+        return push(back), back
 
-    def roundtrip_eess(cfg, ctx):
+    @items.identity("transport-eess-roundtrip-push")
+    def roundtrip_eess(cfg):
         U = _unit(cfg)
         S = eess(U)
         A = pushsym(_digest(cfg, 656, "q"))
         back = adari(invgari(S), adari(S, A))
-        return check_identity(push(back), back, cfg.plan(), "transport-eess-roundtrip-push", ctx)
+        return push(back), back
 
-    def swap_transport_corrected(cfg, ctx):
+    @items.identity("swap-transport-ess-via-oess", cap=3)
+    def swap_transport_corrected(cfg):
         U = _unit(cfg)
         A = pushsym(_digest(cfg, 657, "p"))
         lhs = swap(adari(ess(U), A))
         rhs = ganit(mould_oz(U), adari(oess(U), swap(A)))
-        return check_identity(lhs, rhs, cfg.plan(cap=3), "swap-transport-ess-via-oess", ctx)
+        return lhs, rhs
 
-    def swap_transport_verbatim(cfg, ctx):
+    @items.identity("swap-transport-eess-via-oss", cap=3)
+    def swap_transport_verbatim(cfg):
         U = _unit(cfg)
         A = pushsym(_digest(cfg, 658, "q"))
         lhs = swap(adari(eess(U), A))
         rhs = ganit(mould_oz(U), adari(oss(U), swap(A)))
-        return check_identity(lhs, rhs, cfg.plan(cap=3), "swap-transport-eess-via-oss", ctx)
+        return lhs, rhs
 
-    def swap_transport_displayed(cfg, ctx):
+    @items.identity("swap-transport-ess-via-eess", cap=3, expect="fail")
+    def swap_transport_displayed(cfg):
         U = _unit(cfg)
         A = pushsym(_digest(cfg, 659, "p"))
         lhs = swap(adari(ess(U), A))
         rhs = ganit(mould_oz(U), adari(eess(U), swap(A)))
-        return check_identity(lhs, rhs, cfg.plan(cap=3), "swap-transport-ess-via-eess", ctx)
+        return lhs, rhs
 
+    @items.run("sena-invariants-closed-under-ari")
     def lie_closure(cfg, ctx):
         U = _unit(cfg)
         S = ess(U)
@@ -1717,6 +1521,7 @@ def _suite_push_sena() -> Suite:
             "e-sena", ari(T1, T2), cfg.plan(cap=3), U, "sena-invariants-closed-under-ari", ctx
         )
 
+    @items.run("transported-generic-sena (control)", expect="fail")
     def transported_generic(cfg, ctx):
         U = _unit(cfg)
         T = adari(ess(U), _digest(cfg, 662, "a"))
@@ -1726,107 +1531,82 @@ def _suite_push_sena() -> Suite:
         name="push-sena",
         anchor="Theorem 1.2",
         description="The adjoint transports carry push-invariants onto the senary subspace.",
-        items=(
-            Item("transport-ess-lands-in-sena-invariants", transport_ess),
-            Item("transport-eess-lands-in-sena-invariants", transport_eess),
-            Item("transport-ess-roundtrip-push", roundtrip_ess),
-            Item("transport-eess-roundtrip-push", roundtrip_eess),
-            Item("swap-transport-ess-via-oess", swap_transport_corrected),
-            Item("swap-transport-eess-via-oss", swap_transport_verbatim),
-            Item("swap-transport-ess-via-eess (control)", swap_transport_displayed, expect="fail"),
-            Item("sena-invariants-closed-under-ari", lie_closure),
-            Item("transported-generic-sena (control)", transported_generic, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_lemmas_6() -> Suite:
-    def irat_mantar(cfg, ctx):
+    items = _Items()
+
+    @items.identity("irat-mantar-exchange")
+    def irat_mantar(cfg):
         X = _digest(cfg, 671, "x")
         A = _digest(cfg, 672, "a")
-        return check_identity(
-            irat(mantar(X), mantar(A)),
-            mantar(irat(push_inv(X), A)),
-            cfg.plan(),
-            "irat-mantar-exchange",
-            ctx,
-        )
+        return irat(mantar(X), mantar(A)), mantar(irat(push_inv(X), A))
 
-    def axit_mantar(cfg, ctx):
+    @items.identity("axit-mantar-sandwich")
+    def axit_mantar(cfg):
         U = _unit(cfg)
         osm = mould_os(U)
         A, B = _digest(cfg, 673, "a"), _digest(cfg, 674, "b")
-        return check_identity(
-            axit(A, B, osm),
-            mu(osm, axit(A, B, mantar(osm)), osm),
-            cfg.plan(),
-            "axit-mantar-sandwich",
-            ctx,
-        )
+        return axit(A, B, osm), mu(osm, axit(A, B, mantar(osm)), osm)
 
-    def garit_anti(cfg, ctx):
+    @items.identity("garit-anti-conjugation")
+    def garit_anti(cfg):
         Y = _group(cfg, 675, "y")
         A = _digest(cfg, 676, "a")
-        return check_identity(
-            anti(garit(anti(Y), anti(A))), garit(invmu(Y), A), cfg.plan(), "garit-anti-conjugation", ctx
-        )
+        return anti(garit(anti(Y), anti(A))), garit(invmu(Y), A)
 
-    def garit_pari(cfg, ctx):
+    @items.identity("garit-pari-conjugation")
+    def garit_pari(cfg):
         Y = _group(cfg, 677, "y")
         A = _digest(cfg, 678, "a")
-        return check_identity(
-            pari(garit(pari(Y), pari(A))), garit(Y, A), cfg.plan(), "garit-pari-conjugation", ctx
-        )
+        return pari(garit(pari(Y), pari(A))), garit(Y, A)
 
-    def garit_mantar(cfg, ctx):
+    @items.identity("garit-mantar-commutes")
+    def garit_mantar(cfg):
         U = _unit(cfg)
         osm = mould_os(U)
         A = _digest(cfg, 679, "a")
-        return check_identity(
-            garit(osm, mantar(A)), mantar(garit(osm, A)), cfg.plan(), "garit-mantar-commutes", ctx
-        )
+        return garit(osm, mantar(A)), mantar(garit(osm, A))
 
-    def garit_mantar_generic(cfg, ctx):
+    @items.identity("garit-mantar-generic", cap=3, expect="fail")
+    def garit_mantar_generic(cfg):
         Y = _group(cfg, 680, "y")
         A = _digest(cfg, 681, "a")
-        return check_identity(
-            garit(Y, mantar(A)), mantar(garit(Y, A)), cfg.plan(cap=3), "garit-mantar-generic", ctx
-        )
+        return garit(Y, mantar(A)), mantar(garit(Y, A))
 
-    def garit_pil_1(cfg, ctx):
+    @items.identity("garit-oss-of-inverse", cap=3)
+    def garit_pil_1(cfg):
         U = _unit(cfg)
         S = oss(U)
-        return check_identity(
-            garit(S, invgari(S)), invmu(S), cfg.plan(cap=3), "garit-oss-of-inverse", ctx
-        )
+        return garit(S, invgari(S)), invmu(S)
 
-    def garit_pil_2(cfg, ctx):
+    @items.identity("garit-oss-of-mantar-inverse", cap=3)
+    def garit_pil_2(cfg):
         U = _unit(cfg)
         S = oss(U)
-        return check_identity(
-            garit(S, mantar(invgari(S))),
-            SMul(Fraction(-1), S),
-            cfg.plan(cap=3),
-            "garit-oss-of-mantar-inverse",
-            ctx,
-        )
+        return garit(S, mantar(invgari(S))), SMul(Fraction(-1), S)
 
-    def corollary_first(cfg, ctx):
+    @items.identity("swap-transport-fragari-form", cap=3)
+    def corollary_first(cfg):
         U = _unit(cfg)
         A = _digest(cfg, 682, "a")
         lhs = ganit_oz_inv(U, swap(adari(eess(U), A)))
         rhs = fragari(preira(oss(U), swap(A)), oss(U))
-        return check_identity(lhs, rhs, cfg.plan(cap=3), "swap-transport-fragari-form", ctx)
+        return lhs, rhs
 
-    def komiyamanote(cfg, ctx):
+    @items.identity("push-defect-transport", cap=3)
+    def komiyamanote(cfg):
         U = _unit(cfg)
         S = eess(U)
         B = _digest(cfg, 683, "b")
         X = adari_inv(S, B)
         lhs = swamu(S, X - push_inv(X))
         rhs = gari(B - e_push_inv(U, B), S)
-        return check_identity(lhs, rhs, cfg.plan(cap=3), "push-defect-transport", ctx)
+        return lhs, rhs
 
+    @items.run("swap-fragari-exchange")
     def swap_fragari_exchange(cfg, ctx):
         U = _unit(cfg)
         oz = mould_oz(U)
@@ -1845,18 +1625,14 @@ def _suite_lemmas_6() -> Suite:
             )
         return _merged("swap-fragari-exchange", reports)
 
-    def garit_os_corrected(cfg, ctx):
+    @items.identity("garit-os-composite [polar]")
+    def garit_os_corrected(cfg):
         P = _polar()
         osm, ozm = mould_os(P), mould_oz(P)
         A = _digest(cfg, 684, "a")
-        return check_identity(
-            ganit(osm, gamit(pari(ozm), A)),
-            garit(invmu(osm), A),
-            cfg.plan(),
-            "garit-os-composite [polar]",
-            ctx,
-        )
+        return ganit(osm, gamit(pari(ozm), A)), garit(invmu(osm), A)
 
+    @items.run("garit-os-preserves-symmetrality [polar]")
     def garit_os_symmetral(cfg, ctx):
         P = _polar()
         S = _profile(cfg, "symmetral", 685)
@@ -1864,42 +1640,25 @@ def _suite_lemmas_6() -> Suite:
             garit(invmu(mould_os(P)), S), cfg.plan(), "garit-os-preserves-symmetrality [polar]", ctx
         )
 
-    def garit_os_displayed(cfg, ctx):
+    @items.identity("gamit-pari-oz-vs-gamit-inverse-os", cap=3, expect="fail")
+    def garit_os_displayed(cfg):
         P = _polar()
         osm, ozm = mould_os(P), mould_oz(P)
         A = _digest(cfg, 686, "a")
-        return check_identity(
-            gamit(pari(ozm), A), gamit_inv(osm, A), cfg.plan(cap=3), "gamit-pari-oz-vs-gamit-inverse-os", ctx
-        )
+        return gamit(pari(ozm), A), gamit_inv(osm, A)
 
     return Suite(
         name="lemmas-6",
         anchor="Sections 2 & 6",
         description="Auxiliary operator lemmas: mantar transport, garit conjugations, dimorphy bridge.",
-        items=(
-            Item("irat-mantar-exchange", irat_mantar),
-            Item("axit-mantar-sandwich", axit_mantar),
-            Item("garit-anti-conjugation", garit_anti),
-            Item("garit-pari-conjugation", garit_pari),
-            Item("garit-mantar-commutes", garit_mantar),
-            Item("garit-mantar-generic (control)", garit_mantar_generic, expect="fail"),
-            Item("garit-oss-of-inverse", garit_pil_1),
-            Item("garit-oss-of-mantar-inverse", garit_pil_2),
-            Item("swap-transport-fragari-form", corollary_first),
-            Item("push-defect-transport", komiyamanote),
-            Item("swap-fragari-exchange", swap_fragari_exchange),
-            Item("garit-os-composite [polar]", garit_os_corrected),
-            Item("garit-os-preserves-symmetrality [polar]", garit_os_symmetral),
-            Item(
-                "gamit-pari-oz-vs-gamit-inverse-os (control)",
-                garit_os_displayed,
-                expect="fail",
-            ),
-        ),
+        items=tuple(items),
     )
 
 
 def _suite_negelon() -> Suite:
+    items = _Items()
+
+    @items.run("vanishing-spot-values")
     def spot_small(cfg, ctx):
         return _value_report(
             "vanishing-spot-values",
@@ -1909,26 +1668,33 @@ def _suite_negelon() -> Suite:
             ],
         )
 
+    @items.run("boundary-value-r2")
     def base_value(cfg, ctx):
         return _value_report(
             "boundary-value-r2", [(EMPTY, negelon_f(2, 0, 0, 0), Fraction(1, 2))]
         )
 
+    @items.run("full-scan-r12")
     def scan_full(cfg, ctx):
         return negelon_scan(12)
 
+    @items.run("minimal-scan-r2")
     def scan_minimal(cfg, ctx):
         return negelon_scan(2)
 
+    @items.run("binomial-auxiliaries")
     def aux(cfg, ctx):
         return aux_identities(12)
 
+    @items.run("mu-factor-cube")
     def mu_factor_3(cfg, ctx):
         return mu_factor_check(cfg.plan(), N=3, name="mu-factor-cube", ctx=ctx)
 
+    @items.run("mu-factor-identity")
     def mu_factor_1(cfg, ctx):
         return mu_factor_check(cfg.plan(cap=3), N=1, name="mu-factor-identity", ctx=ctx)
 
+    @items.run("h0-scan (control)", expect="fail")
     def h0_scan(cfg, ctx):
         return negelon_scan(6, h_min=0)
 
@@ -1936,16 +1702,7 @@ def _suite_negelon() -> Suite:
         name="negelon",
         anchor="Appendix A (Lemma negelon)",
         description="The vanishing rational sums F(r,k,l,h) and auxiliary binomial identities.",
-        items=(
-            Item("vanishing-spot-values", spot_small),
-            Item("boundary-value-r2", base_value),
-            Item("full-scan-r12", scan_full),
-            Item("minimal-scan-r2", scan_minimal),
-            Item("binomial-auxiliaries", aux),
-            Item("mu-factor-cube", mu_factor_3),
-            Item("mu-factor-identity", mu_factor_1),
-            Item("h0-scan (control)", h0_scan, expect="fail"),
-        ),
+        items=tuple(items),
     )
 
 

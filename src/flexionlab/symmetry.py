@@ -2,10 +2,10 @@
 
 The generators here produce bimoulds with a prescribed structure (alternal,
 symmetral, push-invariant, ...) from nothing but a seed, so every suite run
-can replay the exact same objects.  The checkers mirror
-``engine.check_identity``: exact rational comparison at seeded random words,
-with division-by-zero points resampled up to the retry cap and recorded as
-skipped when exhausted.
+can replay the exact same objects.  The checkers are built on
+``engine.sample_points``, like ``engine.check_identity``: exact rational
+comparison at seeded random words, with division-by-zero points resampled up
+to the retry cap and recorded as skipped, with the error, when exhausted.
 
 Alternality and symmetrality are shuffle-sum conditions: for every splitting
 of a word into two nonempty halves ``a`` and ``b``,
@@ -33,16 +33,16 @@ from .engine import (
     Report,
     SamplePlan,
     check_identity,
-    derived_rng,
     gantar,
     leng_r,
     mantar,
     neg,
     push,
+    sample_points,
 )
 from .flexion import adari, ari, expari, gamit_inv
 from .senary import e_negpush, e_push, e_sena, o_mantar
-from .words import DivByZero, sample_word, shuffles
+from .words import shuffles
 
 __all__ = [
     "PROFILE_KINDS",
@@ -205,12 +205,6 @@ def gen_bimould(profile: Profile, unit: Optional[FlexionUnit] = None) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-def _shape_pairs(max_length: int):
-    for total in range(2, max_length + 1):
-        for p in range(1, total // 2 + 1):
-            yield p, total - p
-
-
 def _check_shuffle(
     A: Mould,
     plan: SamplePlan,
@@ -219,28 +213,20 @@ def _check_shuffle(
     symmetral: bool,
 ) -> Report:
     ctx = ctx if ctx is not None else EvalContext()
-    report = Report(identity=name)
-    for p, q in _shape_pairs(plan.max_length):
-        for i in range(plan.samples_per_length):
-            rec = None
-            for attempt in range(ctx.retry_cap + 1):
-                rng = derived_rng(plan.seed, name, p, q, i, attempt)
-                a = sample_word(rng, p, plan.bounds)
-                b = sample_word(rng, q, plan.bounds)
-                try:
-                    lhs = Fraction(0)
-                    for s in shuffles(a, b):
-                        lhs += ctx.eval(A, s)
-                    rhs = ctx.eval(A, a) * ctx.eval(A, b) if symmetral else Fraction(0)
-                except DivByZero:
-                    continue
-                status = "pass" if lhs == rhs else "fail"
-                rec = PointRecord(name, p + q, a + b, lhs, rhs, status, split=p)
-                break
-            if rec is None:
-                rec = PointRecord(name, p + q, a + b, None, None, "skipped", split=p)
-            report.points.append(rec)
-    return report
+    shapes = (
+        ((p, total - p), (p, total - p))
+        for total in range(2, plan.max_length + 1)
+        for p in range(1, total // 2 + 1)
+    )
+
+    def evaluate(a, b):
+        lhs = Fraction(0)
+        for s in shuffles(a, b):
+            lhs += ctx.eval(A, s)
+        rhs = ctx.eval(A, a) * ctx.eval(A, b) if symmetral else Fraction(0)
+        return lhs, rhs
+
+    return sample_points(ctx, plan, name, shapes, evaluate)
 
 
 def check_alternal(
@@ -365,25 +351,10 @@ def check_push_order(
 ) -> Report:
     """push^(r+1) restores every bimould on length-r words."""
     ctx = ctx if ctx is not None else EvalContext()
-    report = Report(identity=name)
     iters = [A]
-    for r in range(plan.max_length + 1):
-        while len(iters) <= r + 1:
-            iters.append(push(iters[-1]))
-        n_samples = 1 if r == 0 else plan.samples_per_length
-        for i in range(n_samples):
-            rec = None
-            for attempt in range(ctx.retry_cap + 1):
-                rng = derived_rng(plan.seed, name, r, i, attempt)
-                w = sample_word(rng, r, plan.bounds)
-                try:
-                    lhs = ctx.eval(iters[r + 1], w)
-                    rhs = ctx.eval(A, w)
-                except DivByZero:
-                    continue
-                rec = PointRecord(name, r, w, lhs, rhs, "pass" if lhs == rhs else "fail")
-                break
-            if rec is None:
-                rec = PointRecord(name, r, w, None, None, "skipped")
-            report.points.append(rec)
-    return report
+    for _ in range(plan.max_length + 1):
+        iters.append(push(iters[-1]))
+    shapes = (((r,), (r,)) for r in range(plan.max_length + 1))
+    return sample_points(
+        ctx, plan, name, shapes, lambda w: (ctx.eval(iters[len(w) + 1], w), ctx.eval(A, w))
+    )

@@ -6,6 +6,8 @@ import itertools
 import re
 import time
 
+import pytest
+
 from flexionlab.cli import main
 
 ARGS = ["verify", "--suite", "unit-axioms", "--max-length", "2", "--samples", "1", "--jobs", "1"]
@@ -33,3 +35,13 @@ def test_json_report_bytes_do_not_depend_on_time(tmp_path, monkeypatch):
     fast = _verify(tmp_path, monkeypatch, "json", tick=0.5)
     assert slow == fast
     assert b"seconds" not in slow
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--max-length", "-1"), ("--samples", "0"), ("--retry-cap", "-1")]
+)
+def test_verify_rejects_out_of_range_counts(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(ARGS + [flag, value])
+    assert exc.value.code == 2
+    assert f"{flag} must be >= " in capsys.readouterr().err

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,12 +19,14 @@ from flexionlab.engine import (
     EvalContext,
     FuncMould,
     LetterMould,
+    Mu,
     Report,
     SamplePlan,
     Scalar,
     anti,
     check_identity,
     der,
+    derived_rng,
     gantar,
     invmu,
     leng_r,
@@ -34,6 +38,7 @@ from flexionlab.engine import (
     pari,
     push,
     push_inv,
+    sample_points,
     swap,
     zero,
 )
@@ -45,6 +50,7 @@ from flexionlab.words import (
     ful,
     negate,
     reverse,
+    sample_word,
     swap_pullback,
     word,
 )
@@ -412,3 +418,74 @@ def test_check_identity_resamples_on_div_by_zero(ctx):
     passed_words = [pt.word for pt in rep.points if pt.length == 1]
     assert first_bad["word"] is not None
     assert first_bad["word"] not in passed_words
+
+
+def test_eval_context_rejects_negative_retry_cap():
+    with pytest.raises(ValueError):
+        EvalContext(retry_cap=-1)
+    assert EvalContext(retry_cap=0).retry_cap == 0
+
+
+# -- the sampler ----------------------------------------------------------------
+
+def test_sample_points_shapes_words_and_split(ctx):
+    p = SamplePlan(max_length=0, samples_per_length=2, seed=7)
+    shapes = [(("pair", 2, 1), (2, 1)), (("empty",), (0,)), (("one",), (3,))]
+    seen = []
+
+    def evaluate(*parts):
+        seen.append(parts)
+        return Fraction(0), Fraction(0)
+
+    rep = sample_points(ctx, p, "shapes", shapes, evaluate)
+    # a shape of total length 0 gets one sample, every other shape N
+    assert [pt.length for pt in rep.points] == [3, 3, 0, 3, 3]
+    assert all(pt.status == "pass" for pt in rep.points)
+    for i, pt in enumerate(rep.points[:2]):
+        rng = derived_rng(7, "shapes", "pair", 2, 1, i, 0)
+        a, b = sample_word(rng, 2, p.bounds), sample_word(rng, 1, p.bounds)
+        assert seen[i] == (a, b)
+        assert pt.word == a + b and pt.split == 2
+    assert seen[2] == (EMPTY,)
+    assert rep.points[2].word == EMPTY and rep.points[2].split is None
+    for i, pt in enumerate(rep.points[3:]):
+        w = sample_word(derived_rng(7, "shapes", "one", i, 0), 3, p.bounds)
+        assert seen[3 + i] == (w,)
+        assert pt.word == w and pt.split is None
+
+
+
+def test_sampler_frees_its_context_without_the_cyclic_collector():
+    # a skipped point must not leave the context in a reference cycle (for
+    # instance through a kept exception's traceback), or each item's memo
+    # outlives its item until the cyclic collector happens to run
+    class Tracked(EvalContext):
+        pass
+
+    def singular(w):
+        raise DivByZero("always singular")
+
+    S = FuncMould("always-singular", singular, LIE)
+    p = SamplePlan(max_length=1, samples_per_length=2, seed=5)
+    ctx = Tracked(retry_cap=1)
+    ref = weakref.ref(ctx)
+    gc.disable()
+    try:
+        rep = check_identity(S, zero(), p, "free", ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert [pt.status for pt in rep.points] == ["skipped"] * 3
+
+@pytest.mark.parametrize("w", [W1, W2, W3])
+def test_proper_mu_drops_its_end_terms(ev, w):
+    A, B = one() + DigestMould(81), one() + DigestMould(82)
+    full = ev(Mu(A, B), w)
+    first = ev(A, EMPTY) * ev(B, w)  # the cut with an empty left block
+    last = ev(A, w) * ev(B, EMPTY)  # the cut with an empty right block
+    assert first != 0 and last != 0
+    assert ev(Mu(A, B, proper=1), w) == full - first
+    assert ev(Mu(A, B, proper=2), w) == full - first - last
+    assert ev(Mu(A, B, proper=1), EMPTY) == ev(Mu(A, B, proper=2), EMPTY) == 0
+    assert [Mu(A, B, k).name for k in (0, 1, 2)] == ["mu", "mu'", "mu''"]

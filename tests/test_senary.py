@@ -10,7 +10,6 @@ from conftest import plan, words_of_length
 from flexionlab.engine import (
     DigestMould,
     check_identity,
-    eval_mould,
     leng_r,
     mantar,
     mu,

@@ -9,7 +9,7 @@ import weakref
 import pytest
 
 from flexionlab import suites
-from flexionlab.engine import LIE, EvalContext, FuncMould
+from flexionlab.engine import LIE, EvalContext, FuncMould, check_identity, zero
 from flexionlab.suites import (
     ALL_SUITE,
     Config,
@@ -18,6 +18,7 @@ from flexionlab.suites import (
     run_item,
     run_suites,
 )
+from flexionlab.symmetry import check_alternal, check_push_order, check_symmetral
 from flexionlab.words import DivByZero
 
 SMALL = Config(max_length=3, samples=2)
@@ -215,18 +216,35 @@ def test_item_time_is_kept_out_of_json_and_equality():
     assert "seconds" not in result.to_json()
 
 
-def test_fk_expansion_skip_records_the_sampled_word(monkeypatch):
-    def singular(w):
-        raise DivByZero("forced singular value")
+def _singular(w):
+    raise DivByZero("forced singular value")
 
-    monkeypatch.setattr(
-        suites, "_digest", lambda cfg, salt, tag="gen": FuncMould("singular", singular, LIE)
-    )
+
+# every randomized checker, run on a mould that is singular at every word
+SKIP_CHECKERS = {
+    "check_identity": lambda M, cfg, ctx: check_identity(M, zero(), cfg.plan(), "s", ctx),
+    "check_alternal": lambda M, cfg, ctx: check_alternal(M, cfg.plan(), "s", ctx),
+    "check_symmetral": lambda M, cfg, ctx: check_symmetral(M, cfg.plan(), "s", ctx),
+    "check_push_order": lambda M, cfg, ctx: check_push_order(M, cfg.plan(), "s", ctx),
+    # builds its own moulds through the patched suites._digest
+    "_fk_expansion_report": lambda M, cfg, ctx: suites._fk_expansion_report(cfg, ctx),
+}
+TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_report"}
+
+
+@pytest.mark.parametrize("checker", sorted(SKIP_CHECKERS))
+def test_skipped_points_keep_word_split_and_detail(checker, monkeypatch):
+    singular = FuncMould("singular", _singular, LIE)
+    monkeypatch.setattr(suites, "_digest", lambda cfg, salt, tag="gen": singular)
     cfg = Config(max_length=3, samples=1, retry_cap=2)
-    report = suites._fk_expansion_report(cfg, EvalContext(retry_cap=cfg.retry_cap))
+    report = SKIP_CHECKERS[checker](singular, cfg, EvalContext(retry_cap=cfg.retry_cap))
     assert report.points and report.status == "fail"
     for point in report.points:
         assert point.status == "skipped"
+        assert point.lhs is None and point.rhs is None
         assert len(point.word) == point.length
-        assert 1 <= point.split < point.length
+        if checker in TWO_PART:
+            assert 1 <= point.split < point.length
+        else:
+            assert point.split is None
         assert "forced singular value" in point.detail
