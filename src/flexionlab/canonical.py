@@ -229,10 +229,10 @@ class RoComponent(Mould):
         total = Fraction(0)
         for j in range(1, r + 1):
             p, m, q = w[: j - 1], w[j - 1 : j], w[j:]
-            left = ctx.eval(self.oz, flr(p, m))
+            left = ctx.at(self.oz, flr(p, m))
             mid_letter = ful(p, fur(m, q))[0]
-            mid = self.unit.O(mid_letter)
-            right = ctx.eval(self.oz, fll(m, q))
+            mid = self.unit.O(ctx.letter(mid_letter))
+            right = ctx.at(self.oz, fll(m, q))
             total += (r + 1 - j) * left * mid * right
         return total
 
@@ -254,7 +254,7 @@ class ToSeries(Mould):
         r = len(w)
         if r == 0:
             return Fraction(0)
-        return Fraction(1, r * (r + 1)) * ctx.eval(ro_component(self.unit, r), w)
+        return Fraction(1, r * (r + 1)) * ctx.at(ro_component(self.unit, r), w)
 
 
 def To_series(U: FlexionUnit) -> Mould:
@@ -307,9 +307,9 @@ class DilatorFlow(Mould):
         r = len(w)
         if r == 0:
             return Fraction(1)
-        total = ctx.eval(self.inner, w)
+        total = ctx.at(self.inner, w)
         for i in range(r):
-            total += ctx.eval(self, w[:i]) * ctx.eval(self.D, w[i:])
+            total += ctx.at(self, w[:i]) * ctx.at(self.D, w[i:])
         return total / r
 
 

@@ -80,6 +80,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("--max-length", args.max_length, 0),
         ("--samples", args.samples, 1),
         ("--retry-cap", args.retry_cap, 0),
+        ("--jobs", args.jobs, 0),
     ):
         if value < low:
             args.parser.error(f"{flag} must be >= {low}, got {value}")

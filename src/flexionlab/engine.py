@@ -1,11 +1,18 @@
 """Bimould expression graphs with exact memoized evaluation.
 
 A mould is an immutable node in an expression DAG; evaluating (node, word)
-through an EvalContext yields an exact rational.  The context memoizes each
-result on the node's uid plus the word's exact integer encoding (lowest-terms
-numerator and denominator of every coordinate), so a memo probe hashes and
-compares plain ints, never ``Fraction``s.  Every node carries an empty-word
-class: group (value 1 at the empty word), lie (value 0) or free.
+through an EvalContext yields an exact rational.  Every node carries an
+empty-word class: group (value 1 at the empty word), lie (value 0) or free.
+
+Words run through the engine on an integer lattice.  ``ctx.eval(A, w)``
+takes a word of ``Fraction`` coordinates and converts it once: coordinate x
+becomes the int x*D, with D the context's scale, ``words.BASE`` = 2520 for
+every sampled word.  Nodes recurse through ``ctx.at(A, w)`` on lattice words,
+whose flexions and transforms are int additions, and the memo key is the
+flat tuple ``(uid, u1, v1, u2, v2, ...)`` of lattice ints.  Leaves that read
+coordinates convert letters back with ``ctx.letter``.  Values stay exact
+``Fraction``s; ``sum_of_products`` forms the sums of products behind mu and
+the flexion operators on raw numerators and denominators and reduces once.
 
 ``Mu(A, B, proper)`` is the two-block product; ``proper`` 1 drops the cut
 with an empty left block and 2 drops both end cuts, so a solver's
@@ -24,20 +31,25 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Iterable, Optional
 
 from .words import (
+    BASE,
     Biletter,
     Bounds,
     DivByZero,
     Rat,
     Word,
     EMPTY,
+    from_lattice,
+    lattice_scale,
     negate,
     rat_str,
     reverse,
     sample_word,
     swap_pullback,
+    to_lattice,
     word_to_json,
 )
 
@@ -100,13 +112,21 @@ class Mould:
 class EvalContext:
     """Memo table plus counters; build one per checked item.
 
-    ``memo`` maps ``(uid, u1.num, u1.den, v1.num, v1.den, u2.num, ...)`` to the
-    node's value at that word: the node's uid followed by four ints per
-    letter, each coordinate's numerator and denominator in lowest terms.  Two
-    words share an entry exactly when their coordinates are equal rationals.
-    Letters must hold ``Fraction`` coordinates; anything else raises
-    ``TypeError``.  The memo lives as long as the context, so a context per
-    item frees it when the item ends.
+    ``eval(A, w)`` is the public entry: ``w`` holds ``Fraction`` coordinates
+    (anything else raises ``TypeError``), and it is converted once to the
+    context's integer lattice, each coordinate x becoming the int x*scale.
+    ``scale`` starts at ``words.BASE`` (2520), a multiple of every sampled
+    denominator; a word with another denominator raises it to the lcm, and
+    then the memo is cleared, since equal ints on two lattices are different
+    rationals.  Nodes recurse through ``at(A, w)`` on lattice words, and
+    leaves that read coordinates get ``Fraction`` letters back from
+    ``letter``, which caches each int's ``Fraction``.
+
+    ``memo`` maps ``(uid, u1, v1, u2, v2, ...)``, the node's uid followed by
+    the lattice ints of the word, to the node's value there.  Two words share
+    an entry exactly when their coordinates are equal rationals.  The memo
+    lives as long as the context, so a context per item frees it when the
+    item ends.
     """
 
     def __init__(self, retry_cap: int = 8):
@@ -115,17 +135,31 @@ class EvalContext:
         self.memo: dict[tuple[int, ...], Rat] = {}
         self.retry_cap = retry_cap
         self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
+        self.scale = BASE
+        self._fractions: dict[int, Rat] = {}
 
     def eval(self, A: Mould, w: Word) -> Rat:
-        key = [A.uid]
-        try:
-            for u, v in w:
-                # Fraction keeps its lowest-terms parts in these slots; the
-                # public properties cost a call each on this hot path
-                key += (u._numerator, u._denominator, v._numerator, v._denominator)
-        except AttributeError:
-            raise TypeError(f"word coordinates must be Fractions: {w!r}") from None
-        key = tuple(key)
+        scale = lattice_scale(w, self.scale)
+        if scale != self.scale:
+            self.scale = scale
+            self.memo.clear()
+            self._fractions.clear()
+        return self.at(A, to_lattice(w, scale))
+
+    def letter(self, x: Biletter) -> Biletter:
+        """The ``Fraction`` letter of the lattice letter ``x``."""
+        fractions = self._fractions
+        u = fractions.get(x.u)
+        if u is None:
+            u = fractions[x.u] = Fraction(x.u, self.scale)
+        v = fractions.get(x.v)
+        if v is None:
+            v = fractions[x.v] = Fraction(x.v, self.scale)
+        return Biletter(u, v)
+
+    def at(self, A: Mould, w: Word) -> Rat:
+        """The value of ``A`` at the lattice word ``w``, memoized."""
+        key = sum(w, (A.uid,))
         hit = self.memo.get(key)
         if hit is not None:
             self.stats["memo_hits"] += 1
@@ -135,7 +169,7 @@ class EvalContext:
             val = A._eval(self, w)
         except DivByZero as exc:
             self.stats["div_by_zero"] += 1
-            exc.trail.append((A.name, w))
+            exc.trail.append((A.name, from_lattice(w, self.scale)))
             raise
         if not w:
             if A.empty_class == GROUP and val != 1:
@@ -144,6 +178,33 @@ class EvalContext:
                 raise RuntimeError(f"lie mould {A.name} evaluated to {val} at the empty word")
         self.memo[key] = val
         return val
+
+
+def sum_of_products(terms: Iterable[Iterable[Rat]], sign: int = 1) -> Rat:
+    """``sign`` times the sum over ``terms`` of the product of each term's factors.
+
+    The factors are ``Fraction``s; the sum runs on their raw numerators and
+    denominators.  Each product stays an unreduced n/d, the running total
+    keeps the lcm of the denominators so far, and only the result is reduced
+    to lowest terms.  Every factor of every term is consumed in order, so a
+    caller that evaluates factors lazily in ``terms`` meets the same first
+    ``DivByZero`` as a plain ``Fraction`` loop.
+    """
+    num, den = 0, 1
+    for factors in terms:
+        n = d = 1
+        for f in factors:
+            n *= f._numerator
+            d *= f._denominator
+        if not n:
+            continue
+        if d == den:
+            num += n
+        else:
+            g = gcd(den, d)
+            num = num * (d // g) + n * (den // g)
+            den = den // g * d
+    return Fraction(sign * num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +247,7 @@ class LetterMould(Mould):
     def _eval(self, ctx, w):
         if len(w) != 1:
             return Fraction(0)
-        return self.fn(w[0])
+        return self.fn(ctx.letter(w[0]))
 
 
 class FuncMould(Mould):
@@ -199,7 +260,7 @@ class FuncMould(Mould):
         self.fn = fn
 
     def _eval(self, ctx, w):
-        return self.fn(w)
+        return self.fn(tuple(map(ctx.letter, w)))
 
 
 class DigestMould(Mould):
@@ -220,7 +281,7 @@ class DigestMould(Mould):
             return Fraction(0)
         h = hashlib.blake2b(digest_size=16)
         h.update(repr(self.seed).encode())
-        for x in w:
+        for x in map(ctx.letter, w):
             h.update(f"{x.u.numerator}/{x.u.denominator};{x.v.numerator}/{x.v.denominator}|".encode())
         d = int.from_bytes(h.digest(), "big")
         num = d % 41 - 20
@@ -241,7 +302,7 @@ class Anti(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        return ctx.eval(self.A, reverse(w))
+        return ctx.at(self.A, reverse(w))
 
 
 class Neg(Mould):
@@ -252,7 +313,7 @@ class Neg(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        return ctx.eval(self.A, negate(w))
+        return ctx.at(self.A, negate(w))
 
 
 class Swap(Mould):
@@ -263,7 +324,7 @@ class Swap(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        return ctx.eval(self.A, swap_pullback(w))
+        return ctx.at(self.A, swap_pullback(w))
 
 
 class Pari(Mould):
@@ -275,7 +336,7 @@ class Pari(Mould):
 
     def _eval(self, ctx, w):
         s = -1 if len(w) % 2 else 1
-        return s * ctx.eval(self.A, w)
+        return s * ctx.at(self.A, w)
 
 
 class Der(Mould):
@@ -286,7 +347,7 @@ class Der(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        return len(w) * ctx.eval(self.A, w)
+        return len(w) * ctx.at(self.A, w)
 
 
 class LengR(Mould):
@@ -300,7 +361,7 @@ class LengR(Mould):
     def _eval(self, ctx, w):
         if len(w) != self.r:
             return Fraction(0)
-        return ctx.eval(self.A, w)
+        return ctx.at(self.A, w)
 
 
 class Mantar(Mould):
@@ -315,7 +376,7 @@ class Mantar(Mould):
 
     def _eval(self, ctx, w):
         s = 1 if len(w) % 2 else -1
-        return s * ctx.eval(self.A, reverse(w))
+        return s * ctx.at(self.A, reverse(w))
 
 
 def anti(A: Mould) -> Mould:
@@ -382,7 +443,7 @@ class Add(Mould):
         self.B = B
 
     def _eval(self, ctx, w):
-        return ctx.eval(self.A, w) + ctx.eval(self.B, w)
+        return ctx.at(self.A, w) + ctx.at(self.B, w)
 
 
 class Sub(Mould):
@@ -400,7 +461,7 @@ class Sub(Mould):
         self.B = B
 
     def _eval(self, ctx, w):
-        return ctx.eval(self.A, w) - ctx.eval(self.B, w)
+        return ctx.at(self.A, w) - ctx.at(self.B, w)
 
 
 class SMul(Mould):
@@ -418,7 +479,7 @@ class SMul(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        return self.c * ctx.eval(self.A, w)
+        return self.c * ctx.at(self.A, w)
 
 
 class Mu(Mould):
@@ -448,10 +509,9 @@ class Mu(Mould):
         self.dropped = 1 if proper == 2 else 0  # cuts dropped at the right end
 
     def _eval(self, ctx, w):
-        total = Fraction(0)
-        for i in range(self.first, len(w) + 1 - self.dropped):
-            total += ctx.eval(self.A, w[:i]) * ctx.eval(self.B, w[i:])
-        return total
+        A, B = self.A, self.B
+        cuts = range(self.first, len(w) + 1 - self.dropped)
+        return sum_of_products((ctx.at(A, w[:i]), ctx.at(B, w[i:])) for i in cuts)
 
 
 def mu(*ms) -> Mould:
@@ -481,10 +541,9 @@ class Invmu(Mould):
     def _eval(self, ctx, w):
         if not w:
             return Fraction(1)
-        total = Fraction(0)
-        for i in range(1, len(w) + 1):
-            total += ctx.eval(self.A, w[:i]) * ctx.eval(self, w[i:])
-        return -total
+        A = self.A
+        cuts = range(1, len(w) + 1)
+        return sum_of_products(((ctx.at(A, w[:i]), ctx.at(self, w[i:])) for i in cuts), -1)
 
 
 def invmu(A: Mould) -> Mould:

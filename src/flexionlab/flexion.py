@@ -33,6 +33,7 @@ from .engine import (
     lu,
     one,
     push,
+    sum_of_products,
     swap,
 )
 from .words import Word, fll, flr, ful, fur
@@ -54,13 +55,10 @@ class Amit(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        r = len(w)
-        total = Fraction(0)
-        for i in range(r):  # a = w[:i]
-            for j in range(i + 1, r):  # b = w[i:j] nonempty, c = w[j:] nonempty
-                a, b, c = w[:i], w[i:j], w[j:]
-                total += ctx.eval(self.A, a + ful(b, c)) * ctx.eval(self.X, flr(b, c))
-        return total
+        A, X, r = self.A, self.X, len(w)
+        # a = w[:i]; b = w[i:j] and c = w[j:] nonempty
+        cuts = ((w[:i], w[i:j], w[j:]) for i in range(r) for j in range(i + 1, r))
+        return sum_of_products((ctx.at(A, a + ful(b, c)), ctx.at(X, flr(b, c))) for a, b, c in cuts)
 
 
 class Anit(Mould):
@@ -74,13 +72,10 @@ class Anit(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        r = len(w)
-        total = Fraction(0)
-        for i in range(1, r):  # a = w[:i] nonempty
-            for j in range(i + 1, r + 1):  # b = w[i:j] nonempty
-                a, b, c = w[:i], w[i:j], w[j:]
-                total += ctx.eval(self.A, fur(a, b) + c) * ctx.eval(self.X, fll(a, b))
-        return total
+        A, X, r = self.A, self.X, len(w)
+        # a = w[:i] and b = w[i:j] nonempty; c = w[j:]
+        cuts = ((w[:i], w[i:j], w[j:]) for i in range(1, r) for j in range(i + 1, r + 1))
+        return sum_of_products((ctx.at(A, fur(a, b) + c), ctx.at(X, fll(a, b))) for a, b, c in cuts)
 
 
 def amit(X: Mould, A: Mould) -> Mould:
@@ -152,6 +147,20 @@ def _gaxit_decompositions(w: Word, skip_identity: bool = False):
             yield blocks, a_list, c_list
 
 
+def _gaxit_terms(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False):
+    """Yield the factors of every gaxit term at a nonempty word, in order:
+    T at the inner word, X at each left flexion, Y at each right flexion."""
+    for blocks, a_list, c_list in _gaxit_decompositions(w, skip_identity):
+        inner = ()
+        for a, b, c in zip(a_list, blocks, c_list):
+            inner += ful(a, fur(b, c))
+        yield (
+            ctx.at(T, inner),
+            *[ctx.at(X, flr(a, b)) for a, b in zip(a_list, blocks)],
+            *[ctx.at(Y, fll(b, c)) for b, c in zip(blocks, c_list)],
+        )
+
+
 class Gaxit(Mould):
     """gaxit(X,Y)(A): block/gap sum with X acting from the left gaps and Y
     from the right gaps; the blocks absorb their gaps' u-sums."""
@@ -169,19 +178,8 @@ class Gaxit(Mould):
 
     def _eval(self, ctx, w):
         if not w:
-            return ctx.eval(self.A, w)
-        total = Fraction(0)
-        for blocks, a_list, c_list in _gaxit_decompositions(w):
-            inner = ()
-            for a, b, c in zip(a_list, blocks, c_list):
-                inner += ful(a, fur(b, c))
-            term = ctx.eval(self.A, inner)
-            for a, b in zip(a_list, blocks):
-                term *= ctx.eval(self.X, flr(a, b))
-            for b, c in zip(blocks, c_list):
-                term *= ctx.eval(self.Y, fll(b, c))
-            total += term
-        return total
+            return ctx.at(self.A, w)
+        return sum_of_products(_gaxit_terms(ctx, self.A, self.X, self.Y, w))
 
 
 class GaxitInv(Mould):
@@ -204,20 +202,11 @@ class GaxitInv(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
+        total = ctx.at(self.A, w)
         if not w:
-            return ctx.eval(self.A, w)
-        total = ctx.eval(self.A, w)
-        for blocks, a_list, c_list in _gaxit_decompositions(w, skip_identity=True):
-            inner = ()
-            for a, b, c in zip(a_list, blocks, c_list):
-                inner += ful(a, fur(b, c))
-            term = ctx.eval(self, inner)
-            for a, b in zip(a_list, blocks):
-                term *= ctx.eval(self.X, flr(a, b))
-            for b, c in zip(blocks, c_list):
-                term *= ctx.eval(self.Y, fll(b, c))
-            total -= term
-        return total
+            return total
+        terms = _gaxit_terms(ctx, self, self.X, self.Y, w, skip_identity=True)
+        return total - sum_of_products(terms)
 
 
 def gaxit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -277,10 +266,9 @@ class Invgari(Mould):
     def _eval(self, ctx, w):
         if not w:
             return Fraction(1)
-        total = Fraction(0)
-        for i in range(1, len(w) + 1):
-            total += ctx.eval(self.inner, w[:i]) * ctx.eval(self, w[i:])
-        return -total
+        inner = self.inner
+        cuts = range(1, len(w) + 1)
+        return sum_of_products(((ctx.at(inner, w[:i]), ctx.at(self, w[i:])) for i in cuts), -1)
 
 
 def invgari(A: Mould) -> Mould:
@@ -320,7 +308,7 @@ class Expari(Mould):
             return Fraction(1)
         total = Fraction(0)
         for n in range(1, r + 1):
-            total += Fraction(1, factorial(n)) * ctx.eval(self.power(n), w)
+            total += Fraction(1, factorial(n)) * ctx.at(self.power(n), w)
         return total
 
 
@@ -351,9 +339,9 @@ class Logari(Mould):
         r = len(w)
         if r == 0:
             return Fraction(0)
-        total = ctx.eval(self.M, w)
+        total = ctx.at(self.M, w)
         for n in range(2, r + 1):
-            total -= Fraction(1, factorial(n)) * ctx.eval(self._power(n), w)
+            total -= Fraction(1, factorial(n)) * ctx.at(self._power(n), w)
         return total
 
 
@@ -392,7 +380,7 @@ class AdariSeries(Mould):
         r = len(w)
         total = Fraction(0)
         for n in range(r + 1):
-            total += Fraction(1, factorial(n)) * ctx.eval(self._term(n), w)
+            total += Fraction(1, factorial(n)) * ctx.at(self._term(n), w)
         return total
 
 
@@ -428,12 +416,9 @@ class Swamu(Mould):
         self.fb = fb
 
     def _eval(self, ctx, w):
-        fa, fb = self.fa, self.fb
-        total = Fraction(0)
-        for i in range(len(w) + 1):
-            a, b = w[:i], w[i:]
-            total += ctx.eval(self.A, fa(a, b)) * ctx.eval(self.B, fb(a, b))
-        return total
+        A, B, fa, fb = self.A, self.B, self.fa, self.fb
+        cuts = ((w[:i], w[i:]) for i in range(len(w) + 1))
+        return sum_of_products((ctx.at(A, fa(a, b)), ctx.at(B, fb(a, b))) for a, b in cuts)
 
 
 def swamu(A: Mould, B: Mould) -> Mould:
@@ -480,7 +465,7 @@ class DilatorOf(Mould):
     def _eval(self, ctx, w):
         if not w:
             return Fraction(0)
-        return len(w) * ctx.eval(self.S, w) - ctx.eval(self.inner, w)
+        return len(w) * ctx.at(self.S, w) - ctx.at(self.inner, w)
 
 
 def dilator_of(S: Mould) -> Mould:

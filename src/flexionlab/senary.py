@@ -171,11 +171,11 @@ class ETer(Mould):
 
     def _eval(self, ctx, w):
         if not w:
-            return ctx.eval(self.B, w)
+            return ctx.at(self.B, w)
         head, last = w[:-1], w[-1:]
-        total = ctx.eval(self.B, w)
-        total -= ctx.eval(self.B, head) * self.E(last[0])
-        total += ctx.eval(self.B, fur(head, last)) * self.E(fll(head, last)[0])
+        total = ctx.at(self.B, w)
+        total -= ctx.at(self.B, head) * self.E(ctx.letter(last[0]))
+        total += ctx.at(self.B, fur(head, last)) * self.E(ctx.letter(fll(head, last)[0]))
         return total
 
 
@@ -216,9 +216,9 @@ class TerInvTriple(Mould):
             for j in range(i, r + 1):
                 a, b, c = w[:i], w[i:j], w[j:]
                 total += (
-                    ctx.eval(self.B, fur(a, b))
-                    * ctx.eval(self.ies, fll(a, b))
-                    * ctx.eval(self.es, c)
+                    ctx.at(self.B, fur(a, b))
+                    * ctx.at(self.ies, fll(a, b))
+                    * ctx.at(self.es, c)
                 )
         return total
 

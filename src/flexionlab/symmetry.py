@@ -87,7 +87,7 @@ class PushSym(Mould):
             self._iters.append(push(self._iters[-1]))
         total = Fraction(0)
         for k in range(r + 1):
-            total += ctx.eval(self._iters[k], w)
+            total += ctx.at(self._iters[k], w)
         return total / (r + 1)
 
 

@@ -4,6 +4,12 @@ Scalars are `fractions.Fraction` (exact, lowest terms, positive denominator).
 A word is a tuple of bi-letters (u; v); the empty word is ().  The four
 flexions ful/fur/fll/flr modify one neighbor of a factorization w = a·b and
 are the building blocks of every flexion operator downstream.
+
+The flexions and word transforms only add, subtract and negate coordinates,
+so they work alike on ``Fraction`` coordinates and on lattice words, whose
+coordinates are the ints x*D for a scale D that every denominator divides.
+``to_lattice``/``from_lattice`` convert between the two, ``lattice_scale``
+finds D, and ``BASE`` = lcm(1..10) = 2520 is the scale of every sampled word.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ def word(pairs: Iterable[tuple[RatLike, RatLike]]) -> Word:
 
 
 def usum(w: Word) -> Rat:
-    return sum((x.u for x in w), Fraction(0))
+    return sum(x.u for x in w)
 
 
 def word_to_json(w: Word) -> list[list[str]]:
@@ -152,12 +158,12 @@ def swap_pullback(w: Word) -> Word:
     r = len(w)
     if r == 0:
         return EMPTY
-    prefix = [Fraction(0)]
+    prefix = [0]
     for x in w:
         prefix.append(prefix[-1] + x.u)
     out = []
     for i in range(r, 0, -1):
-        v_next = w[i].v if i < r else Fraction(0)
+        v_next = w[i].v if i < r else 0
         out.append(Biletter(w[i - 1].v - v_next, prefix[i]))
     return tuple(out)
 
@@ -223,3 +229,35 @@ def binom(n: int, k: int) -> int:
     if k < 0 or n < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+# ---------------------------------------------------------------------------
+# Integer lattice
+# ---------------------------------------------------------------------------
+
+
+BASE = math.lcm(*range(1, Bounds().max_den + 1))  # 2520
+
+
+def lattice_scale(w: Word, scale: int = BASE) -> int:
+    """The lcm of ``scale`` and every coordinate denominator of ``w``.
+
+    Coordinates must be ``Fraction``s; anything else raises ``TypeError``.
+    """
+    try:
+        return math.lcm(scale, *[c._denominator for x in w for c in x])
+    except AttributeError:
+        raise TypeError(f"word coordinates must be Fractions: {w!r}") from None
+
+
+def to_lattice(w: Word, scale: int) -> Word:
+    """The word of ints x*scale; ``scale`` must be a multiple of every denominator."""
+    return tuple(
+        Biletter(u._numerator * (scale // u._denominator), v._numerator * (scale // v._denominator))
+        for u, v in w
+    )
+
+
+def from_lattice(w: Word, scale: int) -> Word:
+    """The word of ``Fraction``s x/scale: the inverse of ``to_lattice``."""
+    return tuple(Biletter(Fraction(u, scale), Fraction(v, scale)) for u, v in w)

@@ -38,7 +38,8 @@ def test_json_report_bytes_do_not_depend_on_time(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--max-length", "-1"), ("--samples", "0"), ("--retry-cap", "-1")]
+    "flag, value",
+    [("--max-length", "-1"), ("--samples", "0"), ("--retry-cap", "-1"), ("--jobs", "-3")],
 )
 def test_verify_rejects_out_of_range_counts(flag, value, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import gc
-import random
 import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from conftest import plan, words_of_length
-from oracles import mu2_value, mu3_value, push_image_r1
+from oracles import mu2_value, mu3_value, push_image_r1, swap_image
 from flexionlab.engine import (
     FREE,
     GROUP,
@@ -39,10 +39,12 @@ from flexionlab.engine import (
     push,
     push_inv,
     sample_points,
+    sum_of_products,
     swap,
     zero,
 )
 from flexionlab.words import (
+    BASE,
     EMPTY,
     Biletter,
     DivByZero,
@@ -52,6 +54,7 @@ from flexionlab.words import (
     reverse,
     sample_word,
     swap_pullback,
+    to_lattice,
     word,
 )
 
@@ -109,7 +112,7 @@ def _counts(ctx):
     return ctx.stats["evals"], ctx.stats["memo_hits"]
 
 
-def test_memo_key_is_uid_plus_lowest_terms_ints():
+def test_memo_key_is_uid_plus_lattice_ints():
     ctx = EvalContext()
     A = DigestMould(4)
     direct = (Biletter(Fraction(5, 2), Fraction(3)), Biletter(Fraction(1, 2), Fraction(-7, 3)))
@@ -118,7 +121,9 @@ def test_memo_key_is_uid_plus_lowest_terms_ints():
     assert _counts(ctx) == (1, 0)
     assert ctx.eval(A, reduced) == value
     assert _counts(ctx) == (1, 1)
-    assert list(ctx.memo) == [(A.uid, 5, 2, 3, 1, 1, 2, -7, 3)]
+    # every coordinate times the base lattice scale 2520 = lcm(1..10)
+    assert ctx.scale == BASE == 2520
+    assert list(ctx.memo) == [(A.uid, 6300, 7560, 1260, -5880)]
 
 
 def test_flexed_word_shares_the_entry_of_the_direct_word():
@@ -130,7 +135,7 @@ def test_flexed_word_shares_the_entry_of_the_direct_word():
     ctx.eval(A, direct)
     ctx.eval(A, flexed)
     assert _counts(ctx) == (1, 1)
-    assert list(ctx.memo) == [(A.uid, 1, 2, 5, 1, 4, 1, -1, 1)]
+    assert list(ctx.memo) == [(A.uid, 1260, 12600, 10080, -2520)]
 
 
 def test_memo_separates_sign_swap_and_reciprocal():
@@ -147,11 +152,11 @@ def test_memo_separates_sign_swap_and_reciprocal():
         ctx.eval(A, w)
     assert _counts(ctx) == (len(variants), 0)
     assert set(ctx.memo) == {
-        (A.uid, 1, 2, 3, 1),
-        (A.uid, -1, 2, 3, 1),
-        (A.uid, 3, 1, 1, 2),
-        (A.uid, 2, 1, 3, 1),
-        (A.uid, 1, 2, 1, 3),
+        (A.uid, 1260, 7560),
+        (A.uid, -1260, 7560),
+        (A.uid, 7560, 1260),
+        (A.uid, 5040, 7560),
+        (A.uid, 1260, 840),
     }
 
 
@@ -164,6 +169,84 @@ def test_non_fraction_coordinates_raise_instead_of_taking_an_entry(letter):
         ctx.eval(A, (letter,))
     assert _counts(ctx) == (1, 0)
     assert len(ctx.memo) == 1
+
+
+def _coords(w):
+    """A word function that reads every coordinate (an independent oracle)."""
+    return sum(((i + 1) * x.u - x.u * x.v for i, x in enumerate(w)), Fraction(1))
+
+
+OFF_LATTICE = word([("1/11", "2/13"), ("-3/13", "5/11"), ("7", "-1/2")])
+
+
+def test_off_lattice_word_gives_the_oracle_values(ctx, ev):
+    A, B = DigestMould(91), DigestMould(92)
+    F = FuncMould("coords", _coords, FREE)
+    assert ev(Mu(A, B), OFF_LATTICE) == mu2_value(ev, A, B, OFF_LATTICE)
+    assert ev(swap(F), OFF_LATTICE) == _coords(swap_image(OFF_LATTICE))
+    assert ev(neg(F), OFF_LATTICE) == _coords(negate(OFF_LATTICE))
+    assert ev(LetterMould("v", lambda x: x.v), OFF_LATTICE[:1]) == Fraction(2, 13)
+    assert ctx.scale == 2520 * 11 * 13
+    assert tuple(map(ctx.letter, to_lattice(OFF_LATTICE, ctx.scale))) == OFF_LATTICE
+
+
+def test_div_by_zero_trail_keeps_fraction_words(ctx):
+    def singular(w):
+        raise DivByZero("always singular")
+
+    w = word([("1/2", "3"), ("1/11", "-1")])
+    with pytest.raises(DivByZero) as exc:
+        ctx.eval(Mu(one(), FuncMould("always-singular", singular, LIE)), w)
+    assert exc.value.trail == [("always-singular", w), ("mu", w)]
+
+
+def test_two_lattices_in_one_context_give_the_oracle_values():
+    ctx = EvalContext()
+    S = swap(FuncMould("coords", _coords, FREE))
+    on = word([("1/2", "3"), ("5", "-1/4")])
+    value = ctx.eval(S, on)
+    assert value == _coords(swap_image(on))
+    assert ctx.scale == BASE and _counts(ctx) == (2, 0)
+    # a new denominator raises the scale and clears the memo: equal ints on
+    # two lattices are different rationals
+    assert ctx.eval(S, OFF_LATTICE) == _coords(swap_image(OFF_LATTICE))
+    assert ctx.scale == 2520 * 11 * 13 and len(ctx.memo) == 2
+    # a base-lattice word lies on the larger lattice too: no second clear
+    assert ctx.eval(S, on) == value
+    assert ctx.scale == 2520 * 11 * 13 and len(ctx.memo) == 4
+    assert _counts(ctx) == (6, 0)
+
+
+@given(
+    st.lists(st.lists(st.fractions(max_denominator=30), max_size=4), max_size=6),
+    st.sampled_from([1, -1]),
+)
+@example([], 1)
+@example([[]], -1)
+@example([[Fraction(0), Fraction(3, 7)], [Fraction(2, 5)]], 1)
+@example([[Fraction(1, 6), Fraction(-4, 9)], [Fraction(1, 10)], [Fraction(7, 4)]], -1)
+def test_sum_of_products_equals_the_fraction_sum(terms, sign):
+    expected = Fraction(0)
+    for factors in terms:
+        product = Fraction(1)
+        for f in factors:
+            product *= f
+        expected += product
+    got = sum_of_products(terms, sign)
+    assert type(got) is Fraction
+    assert got == sign * expected
+
+
+def test_sum_of_products_consumes_every_factor_in_order():
+    seen = []
+
+    def factor(name, value):
+        seen.append(name)
+        return Fraction(value)
+
+    terms = ((factor(f"a{i}", i), factor(f"b{i}", 1)) for i in range(3))
+    assert sum_of_products(terms) == 3
+    assert seen == ["a0", "b0", "a1", "b1", "a2", "b2"]
 
 
 def test_arithmetic_sugar(ev):

@@ -12,6 +12,9 @@ from flexionlab.engine import (
     GROUP,
     LIE,
     DigestMould,
+    EvalContext,
+    FuncMould,
+    Mu,
     anti,
     check_identity,
     der,
@@ -64,7 +67,7 @@ from flexionlab.canonical import (
     mould_oz,
     oss,
 )
-from flexionlab.words import EMPTY, bl, flr, ful, fur, fll, shuffles, word
+from flexionlab.words import EMPTY, DivByZero, bl, flr, ful, fur, fll, shuffles, word
 
 POLAR = get_unit("polar")
 
@@ -491,3 +494,36 @@ def test_arit_shuffle_expansion(ev, ctx):
                     assert lhs == _fk_right_side(ev, A, B, wa, wb)
                     checked += 1
     assert checked == 16
+
+
+def _singular_off_empty(name):
+    """Group-class mould: 1 at the empty word, singular at every other word."""
+
+    def fn(w):
+        if w:
+            raise DivByZero(f"{name} is singular")
+        return Fraction(1)
+
+    return FuncMould(name, fn, GROUP)
+
+
+@pytest.mark.parametrize(
+    "build, detail",
+    [
+        # cut 0 evaluates left at the empty word, then right at the whole word
+        (lambda left, right: Mu(left, right), "right is singular [at right <- mu]"),
+        # the term keeping the first letter only meets left at the empty word
+        # (its first flexion) before right at the second letter
+        (
+            lambda left, right: gaxit(left, right, DigestMould(93)),
+            "right is singular [at right <- gaxit]",
+        ),
+    ],
+    ids=["mu", "gaxit"],
+)
+def test_a_skip_names_the_first_singular_factor_in_evaluation_order(build, detail):
+    M = build(_singular_off_empty("left"), _singular_off_empty("right"))
+    rep = check_identity(M, one(), plan(L=2, N=2), "two-singular", EvalContext(retry_cap=1))
+    skipped = [p for p in rep.points if p.status == "skipped"]
+    assert {p.length for p in skipped} >= {2}
+    assert all(p.detail == detail for p in skipped)

@@ -24,7 +24,6 @@ from flexionlab.canonical import (
     To_series,
     ess,
     get_unit,
-    mould_E,
     mould_O,
     mould_es,
     mould_oz,
@@ -57,7 +56,7 @@ from flexionlab.senary import (
     senary_defect,
 )
 from flexionlab.symmetry import Profile, gen_bimould
-from flexionlab.words import bl, word
+from flexionlab.words import word
 
 POLAR = get_unit("polar")
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import pascal_binom, shuffle_rec, swap_image
 from flexionlab.words import (
+    BASE,
     EMPTY,
     Biletter,
     Bounds,
@@ -22,6 +23,8 @@ from flexionlab.words import (
     flr,
     ful,
     fur,
+    from_lattice,
+    lattice_scale,
     negate,
     rat,
     rat_str,
@@ -29,6 +32,7 @@ from flexionlab.words import (
     sample_word,
     shuffles,
     swap_pullback,
+    to_lattice,
     usum,
     word,
     word_from_json,
@@ -180,6 +184,57 @@ def test_word_transform_dispatch():
     assert word_transform("reverse", w) == reverse(w)
     assert word_transform("negate", w) == negate(w)
     assert word_transform("swap_pullback", w) == swap_pullback(w)
+
+
+# -- the integer lattice --------------------------------------------------------
+
+def _is_lattice(w):
+    return all(type(c) is int for x in w for c in x)
+
+
+@given(a=words, b=words)
+@settings(max_examples=60, deadline=None)
+def test_flexions_on_lattice_ints_equal_the_scaled_fraction_result(a, b):
+    la, lb = to_lattice(a, BASE), to_lattice(b, BASE)
+    assert _is_lattice(la) and _is_lattice(lb)
+    for f in (ful, fur, fll, flr):
+        out = f(la, lb)
+        assert _is_lattice(out)
+        assert out == to_lattice(f(a, b), BASE)
+
+
+@given(w=words)
+@settings(max_examples=60, deadline=None)
+def test_transforms_on_lattice_ints_equal_the_scaled_fraction_result(w):
+    lw = to_lattice(w, BASE)
+    for f in (swap_pullback, negate, reverse):
+        out = f(lw)
+        assert _is_lattice(out)
+        assert out == to_lattice(f(w), BASE)
+
+
+# any denominator up to 30, so the scale often grows past BASE
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=30)
+wide_words = st.lists(st.builds(Biletter, wide_rationals, wide_rationals), max_size=4).map(tuple)
+
+
+@given(w=wide_words)
+@settings(max_examples=60, deadline=None)
+def test_lattice_roundtrip_gives_the_same_word(w):
+    scale = lattice_scale(w)
+    assert scale % BASE == 0
+    assert all(scale % c.denominator == 0 for x in w for c in x)
+    assert from_lattice(to_lattice(w, scale), scale) == w
+
+
+def test_lattice_scale_is_base_on_sampled_words_and_rejects_ints():
+    assert BASE == 2520
+    rng = random.Random(4)
+    assert all(lattice_scale(sample_word(rng, 4)) == BASE for _ in range(50))
+    assert lattice_scale(word([("1/11", "2/13")])) == BASE * 11 * 13
+    assert lattice_scale(word([("1/11", 2)]), scale=BASE * 11) == BASE * 11
+    with pytest.raises(TypeError, match="Fractions"):
+        lattice_scale((Biletter(1, 2),))
 
 
 # -- shuffles -------------------------------------------------------------------
