@@ -6,6 +6,13 @@ its inverse and quotient, the exponential/logarithm pair expari/logari, the
 inner action adari, the twisted products swamu/answamu (one node, told
 apart by its flexion pair), and the swap conjugates gira/preira/girat.
 
+The gaxit sum at a word of length r depends on the word only through its
+u prefix sums and v coordinates, so it is compiled once per length into
+index tables (``_gaxit_plan``).  ``Gaxit`` and ``GaxitInv`` evaluate each
+distinct factor of a call once, in first-use order (T, then X1..Xs, then
+Y1..Ys, term after term), so a skip names the same first singular factor
+as a term-by-term sum, and add the products with one reduction.
+
 Solvable inverses (invgari, logari, gaxit_inv, dilator extraction) are
 length recursions: at word length r the unknown enters linearly with unit
 coefficient through terms that only consume values at shorter lengths, so a
@@ -17,6 +24,7 @@ at the full word.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -26,6 +34,7 @@ from .engine import (
     GROUP,
     LIE,
     Add,
+    Invmu,
     Mould,
     Mu,
     Sub,
@@ -36,7 +45,7 @@ from .engine import (
     sum_of_products,
     swap,
 )
-from .words import Word, fll, flr, ful, fur
+from .words import Biletter, Word, fll, flr, ful, fur
 
 
 # ---------------------------------------------------------------------------
@@ -113,52 +122,81 @@ def ari(A: Mould, B: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-def _gaxit_decompositions(w: Word, skip_identity: bool = False):
-    """Yield (blocks, a_list, c_list) for every gaxit term at a nonempty word.
+@functools.cache
+def _gaxit_plan(r: int, skip_identity: bool = False):
+    """The gaxit sum at word length ``r``, compiled once: ``(letters, words, terms)``.
 
     Kept positions form a nonempty subset; its maximal runs are the blocks.
     The gap before the first block is a1, the gap after the last is cs, and
-    each interior gap is split every way into c_i . a_{i+1}.
+    each interior gap is split every way into c_i . a_{i+1}.  A term is
+    T(inner) X(flr(a1, b1))...X(flr(as, bs)) Y(fll(b1, c1))...Y(fll(bs, cs)),
+    where the inner word concatenates ful(a_i, fur(b_i, c_i)).  At r = 0 the
+    one term is T at the empty word, the identity term.
+
+    Letter i < r is the word's own letter i; ``letters`` lists the others,
+    numbered from r, each ``(lo, hi, k, s)`` the letter
+    ``(U[hi] - U[lo], V[k] - V[s])`` over the prefix u-sums U and the v
+    coordinates V of the word, with ``V[r] = 0``.  So T's letters sum the u
+    of their absorbed gaps, X's word is a_i shifted by its block's first v,
+    and Y's word is c_i shifted by its block's last v.  ``words`` lists
+    every distinct factor once as ``(role, letter indices)``, role 0, 1 or 2
+    picking T, X or Y.  ``terms`` holds each term as a tuple of indices into
+    ``words``, which are numbered in first use (T, then X1..Xs, then
+    Y1..Ys, term after term), so evaluating ``words`` in order meets the
+    first singular factor of the term-by-term sum.
     """
-    r = len(w)
+    if r == 0:
+        return ((), (), ()) if skip_identity else ((), ((0, ()),), ((0,),))
+    letters: dict = {}  # recipe -> letter index, from r up
+    words: dict = {}  # (role, letter indices) -> word index, in first use
+    terms = []
+
+    def letter(lo, hi, k, s):
+        if (lo, hi, s) == (k, k + 1, r):
+            return k
+        return letters.setdefault((lo, hi, k, s), r + len(letters))
+
+    def use(role, indices):
+        return words.setdefault((role, tuple(indices)), len(words))
+
     full = (1 << r) - 1
     for mask in range(1, full + 1):
         if skip_identity and mask == full:
             continue
-        runs = []
-        i = 0
-        while i < r:
+        runs = []  # [p, q) per block
+        for i in range(r):
             if mask >> i & 1:
-                j = i
-                while j < r and mask >> j & 1:
-                    j += 1
-                runs.append((i, j))
-                i = j
-            else:
-                i += 1
-        s = len(runs)
-        blocks = [w[i:j] for i, j in runs]
-        lead = w[: runs[0][0]]
-        trail = w[runs[-1][1]:]
-        gaps = [w[runs[t][1]: runs[t + 1][0]] for t in range(s - 1)]
-        for cuts in itertools.product(*[range(len(g) + 1) for g in gaps]):
-            a_list = [lead] + [g[c:] for g, c in zip(gaps, cuts)]
-            c_list = [g[:c] for g, c in zip(gaps, cuts)] + [trail]
-            yield blocks, a_list, c_list
+                if runs and runs[-1][1] == i:
+                    runs[-1][1] = i + 1
+                else:
+                    runs.append([i, i + 1])
+        gaps = [range(q, p + 1) for (_, q), (p, _) in zip(runs, runs[1:])]
+        for cuts in itertools.product(*gaps):
+            starts = (0, *cuts)  # a_i spans starts[i]..p_i
+            ends = (*cuts, r)  # c_i spans q_i..ends[i]
+            inner = []
+            for (p, q), lo, hi in zip(runs, starts, ends):
+                inner += [letter(lo if k == p else k, hi if k == q - 1 else k + 1, k, r) for k in range(p, q)]
+            xs = [[letter(j, j + 1, j, p) for j in range(lo, p)] for (p, _), lo in zip(runs, starts)]
+            ys = [[letter(j, j + 1, j, q - 1) for j in range(q, hi)] for (_, q), hi in zip(runs, ends)]
+            terms.append((use(0, inner), *[use(1, x) for x in xs], *[use(2, y) for y in ys]))
+    return tuple(letters), tuple(words), tuple(terms)
 
 
-def _gaxit_terms(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False):
-    """Yield the factors of every gaxit term at a nonempty word, in order:
-    T at the inner word, X at each left flexion, Y at each right flexion."""
-    for blocks, a_list, c_list in _gaxit_decompositions(w, skip_identity):
-        inner = ()
-        for a, b, c in zip(a_list, blocks, c_list):
-            inner += ful(a, fur(b, c))
-        yield (
-            ctx.at(T, inner),
-            *[ctx.at(X, flr(a, b)) for a, b in zip(a_list, blocks)],
-            *[ctx.at(Y, fll(b, c)) for b, c in zip(blocks, c_list)],
-        )
+def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False) -> Fraction:
+    """The gaxit sum at the lattice word ``w``: each distinct letter and each
+    distinct factor of the plan is built once, the factors are evaluated in
+    plan order, and the products are summed with one reduction."""
+    letters, words, terms = _gaxit_plan(len(w), skip_identity)
+    U = [0]
+    for x in w:
+        U.append(U[-1] + x.u)
+    V = [x.v for x in w]
+    V.append(0)
+    table = [*w, *[Biletter(U[hi] - U[lo], V[k] - V[s]) for lo, hi, k, s in letters]]
+    moulds = (T, X, Y)
+    values = [ctx.at(moulds[role], tuple([table[i] for i in indices])) for role, indices in words]
+    return sum_of_products(map(values.__getitem__, term) for term in terms)
 
 
 class Gaxit(Mould):
@@ -177,9 +215,7 @@ class Gaxit(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        if not w:
-            return ctx.at(self.A, w)
-        return sum_of_products(_gaxit_terms(ctx, self.A, self.X, self.Y, w))
+        return _gaxit_sum(ctx, self.A, self.X, self.Y, w)
 
 
 class GaxitInv(Mould):
@@ -202,11 +238,7 @@ class GaxitInv(Mould):
         self.A = A
 
     def _eval(self, ctx, w):
-        total = ctx.at(self.A, w)
-        if not w:
-            return total
-        terms = _gaxit_terms(ctx, self, self.X, self.Y, w, skip_identity=True)
-        return total - sum_of_products(terms)
+        return ctx.at(self.A, w) - _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
 
 
 def gaxit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -246,29 +278,21 @@ def gari(A: Mould, B: Mould) -> Mould:
     return Mu(garit(B, A), B)
 
 
-class Invgari(Mould):
+class Invgari(Invmu):
     """gari-inverse: the unique group-class X with gari(A, X) = 1.
 
-    gari(A,X) = mu(garit(X)(A), X) = 1 means X = invmu(garit(X)(A)); the
-    right side consumes X only at strictly shorter words, so the invmu
-    recursion through a self-referential garit graph terminates.
+    gari(A,X) = mu(garit(X)(A), X) = 1 means X = invmu(garit(X)(A)), so this
+    is ``Invmu`` of the self-referential garit graph; the right side consumes
+    X only at strictly shorter words, so the recursion terminates.
     """
 
-    __slots__ = ("A", "inner")
+    __slots__ = ()
 
     def __init__(self, A: Mould):
         if A.empty_class != GROUP:
             raise ValueError(f"invgari needs a group-class mould, got {A.empty_class} ({A.name})")
-        super().__init__("invgari", GROUP)
-        self.A = A
-        self.inner = garit(self, A)
-
-    def _eval(self, ctx, w):
-        if not w:
-            return Fraction(1)
-        inner = self.inner
-        cuts = range(1, len(w) + 1)
-        return sum_of_products(((ctx.at(inner, w[:i]), ctx.at(self, w[i:])) for i in cuts), -1)
+        Mould.__init__(self, "invgari", GROUP)
+        self.A = garit(self, A)
 
 
 def invgari(A: Mould) -> Mould:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from flexionlab.words import Biletter, Word
+from flexionlab.words import Biletter, Word, fll, flr, ful, fur
 
 
 def pascal_binom(n: int, k: int) -> int:
@@ -58,6 +58,64 @@ def mu3_value(ev, A, B, C, w: Word) -> Fraction:
         (ev(A, a) * ev(B, b) * ev(C, c) for a, b, c in splits3(w)),
         Fraction(0),
     )
+
+
+def gaxit_terms(w: Word, skip_identity: bool = False) -> list[list[tuple[str, Word]]]:
+    """Every term of gaxit(X, Y)(T) at w as its factors, by brute force.
+
+    A term keeps a nonempty set of positions; its maximal runs are the
+    blocks b_1..b_s.  The gap before b_1 is a_1, the gap after b_s is c_s,
+    and each interior gap is cut every way into c_i . a_{i+1}.  The factors
+    are ("T", ful(a_1, fur(b_1, c_1)) ... ful(a_s, fur(b_s, c_s))), then
+    ("X", flr(a_i, b_i)) and then ("Y", fll(b_i, c_i)) for i = 1..s.  At the
+    empty word the one term is T there.  ``skip_identity`` drops the term
+    that keeps every position.
+    """
+    r = len(w)
+    if r == 0:
+        return [] if skip_identity else [[("T", ())]]
+    out = []
+    for kept in range(1, 2**r):
+        if skip_identity and kept == 2**r - 1:
+            continue
+        blocks: list[list[int]] = []
+        for i in range(r):
+            if kept >> i & 1:
+                if blocks and blocks[-1][-1] == i - 1:
+                    blocks[-1].append(i)
+                else:
+                    blocks.append([i])
+        # one cut per interior gap: where c_i ends and a_{i+1} starts
+        choices = [()]
+        for left, right in zip(blocks, blocks[1:]):
+            choices = [c + (cut,) for c in choices for cut in range(left[-1] + 1, right[0] + 1)]
+        for splits in choices:
+            starts = (0,) + splits
+            ends = splits + (r,)
+            a = [w[s:b[0]] for s, b in zip(starts, blocks)]
+            c = [w[b[-1] + 1:e] for b, e in zip(blocks, ends)]
+            b = [w[blk[0]:blk[-1] + 1] for blk in blocks]
+            inner: Word = ()
+            for ai, bi, ci in zip(a, b, c):
+                inner += ful(ai, fur(bi, ci))
+            out.append(
+                [("T", inner)]
+                + [("X", flr(ai, bi)) for ai, bi in zip(a, b)]
+                + [("Y", fll(bi, ci)) for bi, ci in zip(b, c)]
+            )
+    return out
+
+
+def gaxit_value(ev, T, X, Y, w: Word, skip_identity: bool = False) -> Fraction:
+    """The sum of the products of the ``gaxit_terms`` factors at w."""
+    moulds = {"T": T, "X": X, "Y": Y}
+    total = Fraction(0)
+    for term in gaxit_terms(w, skip_identity):
+        product = Fraction(1)
+        for role, u in term:
+            product *= ev(moulds[role], u)
+        total += product
+    return total
 
 
 def swap_image(w: Word) -> Word:

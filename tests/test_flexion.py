@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import plan, words_of_length
+from oracles import gaxit_terms, gaxit_value
 from flexionlab.engine import (
     GROUP,
     LIE,
@@ -19,11 +20,8 @@ from flexionlab.engine import (
     check_identity,
     der,
     invmu,
-    leng_r,
-    lu,
     mantar,
     mu,
-    neg,
     one,
     pari,
     push,
@@ -32,6 +30,8 @@ from flexionlab.engine import (
     zero,
 )
 from flexionlab.flexion import (
+    _gaxit_plan,
+    _gaxit_sum,
     adari,
     adari_inv,
     adari_series,
@@ -49,6 +49,7 @@ from flexionlab.flexion import (
     gari,
     garit,
     gaxit,
+    gaxit_inv,
     girat,
     invgari,
     irat,
@@ -60,14 +61,13 @@ from flexionlab.flexion import (
 from flexionlab.canonical import (
     ess,
     get_unit,
-    mould_E,
     mould_O,
     mould_es,
     mould_os,
     mould_oz,
     oss,
 )
-from flexionlab.words import EMPTY, DivByZero, bl, flr, ful, fur, fll, shuffles, word
+from flexionlab.words import EMPTY, DivByZero, flr, ful, fur, fll, shuffles, word
 
 POLAR = get_unit("polar")
 
@@ -213,6 +213,61 @@ def test_gaxit_separation(ctx):
     lhs = gaxit(X, Y, A)
     rhs = gamit(X, ganit(gamit_inv(X, Y), A))
     assert check_identity(lhs, rhs, plan(L=3, N=2), "gaxit-separation", ctx).status == "pass"
+
+
+def test_gaxit_matches_the_brute_force_oracle(ev):
+    X, Y, A = group(84), group(85), digest(86)
+    G, B = gaxit(X, Y, A), gaxit_inv(X, Y, A)
+    for r in range(7):
+        for w in words_of_length(r, 2 if r < 6 else 1, seed=40 + r):
+            assert ev(G, w) == gaxit_value(ev, A, X, Y, w)
+            # the inverse is the identity term solved for B
+            assert ev(B, w) == ev(A, w) - gaxit_value(ev, B, X, Y, w, skip_identity=True)
+
+
+def test_gaxit_undoes_gaxit_inv(ctx):
+    X, Y, A = group(87), group(88), digest(89)
+    rep = check_identity(gaxit(X, Y, gaxit_inv(X, Y, A)), A, plan(L=6, N=1), "gaxit-inv", ctx)
+    assert rep.status == "pass"
+    assert {p.length for p in rep.points} == set(range(7))
+
+
+def test_gaxit_plan_has_a_fibonacci_number_of_terms():
+    fib = [0, 1]
+    while len(fib) < 13:
+        fib.append(fib[-1] + fib[-2])
+    for r in range(1, 7):
+        w = words_of_length(r, 1, seed=r)[0]
+        assert len(_gaxit_plan(r)[-1]) == len(gaxit_terms(w)) == fib[2 * r]
+        assert len(_gaxit_plan(r, True)[-1]) == len(gaxit_terms(w, True)) == fib[2 * r] - 1
+
+
+class _Recorder:
+    """A stand-in context that records each factor lookup and returns 1."""
+
+    def __init__(self):
+        self.calls = []
+
+    def at(self, mould, w):
+        self.calls.append((mould, w))
+        return Fraction(1)
+
+
+@pytest.mark.parametrize("skip_identity", [False, True])
+def test_gaxit_evaluates_each_distinct_factor_once_in_first_use_order(skip_identity):
+    T, X, Y = digest(90), group(91), group(92)
+    moulds = {"T": T, "X": X, "Y": Y}
+    for r in range(6):
+        w = words_of_length(r, 1, seed=50 + r)[0]
+        terms = gaxit_terms(w, skip_identity)
+        expected = []
+        for term in terms:
+            for role, u in term:
+                if (moulds[role], u) not in expected:
+                    expected.append((moulds[role], u))
+        ctx = _Recorder()
+        assert _gaxit_sum(ctx, T, X, Y, w, skip_identity) == len(terms)
+        assert ctx.calls == expected
 
 
 def test_gamit_ganit_inverses_roundtrip(ctx):
@@ -496,15 +551,15 @@ def test_arit_shuffle_expansion(ev, ctx):
     assert checked == 16
 
 
-def _singular_off_empty(name):
-    """Group-class mould: 1 at the empty word, singular at every other word."""
+def _singular_off_empty(name, empty_class=GROUP):
+    """Mould of the given class, singular at every nonempty word."""
 
     def fn(w):
         if w:
             raise DivByZero(f"{name} is singular")
-        return Fraction(1)
+        return Fraction(1 if empty_class == GROUP else 0)
 
-    return FuncMould(name, fn, GROUP)
+    return FuncMould(name, fn, empty_class)
 
 
 @pytest.mark.parametrize(
@@ -518,8 +573,13 @@ def _singular_off_empty(name):
             lambda left, right: gaxit(left, right, DigestMould(93)),
             "right is singular [at right <- gaxit]",
         ),
+        # the same term meets the inner word (A) before its right flexion
+        (
+            lambda left, right: gaxit(one(), right, _singular_off_empty("arg", LIE)),
+            "arg is singular [at arg <- gaxit]",
+        ),
     ],
-    ids=["mu", "gaxit"],
+    ids=["mu", "gaxit", "gaxit-inner-first"],
 )
 def test_a_skip_names_the_first_singular_factor_in_evaluation_order(build, detail):
     M = build(_singular_off_empty("left"), _singular_off_empty("right"))
