@@ -14,7 +14,6 @@ are shared across identities in a run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -53,7 +52,6 @@ class FlexionUnit:
         self.O = O
         self._conjugate: FlexionUnit | None = None
         self._moulds: dict[str, Mould] = {}
-        self._pair: SecondaryPair | None = None
 
     def __repr__(self):
         return f"FlexionUnit({self.name!r})"
@@ -107,15 +105,6 @@ def register_unit(U: FlexionUnit) -> FlexionUnit:
         raise ValueError(f"unit {U.name} fails the tripartite relation")
     _REGISTRY[U.name] = U
     return U
-
-
-def unit_polar() -> FlexionUnit:
-    """The polar unit: E(u;v) = 1/u with conjugate O(u;v) = 1/v."""
-    return get_unit("polar")
-
-
-def unit_conjugate(U: FlexionUnit) -> FlexionUnit:
-    return U.conjugate()
 
 
 def get_unit(name: str) -> FlexionUnit:
@@ -322,37 +311,22 @@ def solve_dilator_ode(D: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SecondaryPair:
-    unit: FlexionUnit
-    dotted: Mould  # invgari of the dilator-flow solution
-    plain: Mould  # swap of dotted
-
-
-def secondary_pair(U: FlexionUnit) -> SecondaryPair:
-    if U._pair is None:
-        flow = U._cached("flow", lambda: solve_dilator_ode(dilator_D(U)))
-        dotted = U._cached("dotted", lambda: invgari(flow))
-        plain = U._cached("plain", lambda: swap(dotted))
-        U._pair = SecondaryPair(U, dotted, plain)
-    return U._pair
-
-
 def oess(U: FlexionUnit) -> Mould:
-    """The dotted secondary mould of the base unit (swap of ess)."""
-    return secondary_pair(U).dotted
+    """The dotted secondary mould: invgari of the dilator flow (swap of ess)."""
+    flow = U._cached("flow", lambda: solve_dilator_ode(dilator_D(U)))
+    return U._cached("dotted", lambda: invgari(flow))
 
 
 def ess(U: FlexionUnit) -> Mould:
     """The plain secondary mould: bisymmetral, drives the twisted transport."""
-    return secondary_pair(U).plain
+    return U._cached("plain", lambda: swap(oess(U)))
 
 
 def eess(U: FlexionUnit) -> Mould:
     """Mirror dotted mould: the dilator chain applied to the conjugate unit."""
-    return secondary_pair(U.conjugate()).dotted
+    return oess(U.conjugate())
 
 
 def oss(U: FlexionUnit) -> Mould:
     """Mirror plain mould: swap of eess."""
-    return secondary_pair(U.conjugate()).plain
+    return ess(U.conjugate())

@@ -14,6 +14,10 @@ coordinates convert letters back with ``ctx.letter``.  Values stay exact
 ``Fraction``s; ``sum_of_products`` forms the sums of products behind mu and
 the flexion operators on raw numerators and denominators and reduces once.
 
+``anti``, ``neg`` and ``swap`` are one ``Transform`` node that evaluates its
+operand at ``reverse(w)``, ``negate(w)`` or ``swap_pullback(w)``; ``push``,
+``push_inv`` and ``gantar`` are composed from them.
+
 ``Mu(A, B, proper)`` is the two-block product; ``proper`` 1 drops the cut
 with an empty left block and 2 drops both end cuts, so a solver's
 self-referential recursion never reaches the full word.
@@ -294,37 +298,18 @@ class DigestMould(Mould):
 # ---------------------------------------------------------------------------
 
 
-class Anti(Mould):
-    __slots__ = ("A",)
+class Transform(Mould):
+    """``A`` evaluated at ``f(w)`` for a word transform ``f``: anti, neg, swap."""
 
-    def __init__(self, A: Mould):
-        super().__init__("anti", A.empty_class)
+    __slots__ = ("A", "f")
+
+    def __init__(self, name: str, f: Callable[[Word], Word], A: Mould):
+        super().__init__(name, A.empty_class)
         self.A = A
+        self.f = f
 
     def _eval(self, ctx, w):
-        return ctx.at(self.A, reverse(w))
-
-
-class Neg(Mould):
-    __slots__ = ("A",)
-
-    def __init__(self, A: Mould):
-        super().__init__("neg", A.empty_class)
-        self.A = A
-
-    def _eval(self, ctx, w):
-        return ctx.at(self.A, negate(w))
-
-
-class Swap(Mould):
-    __slots__ = ("A",)
-
-    def __init__(self, A: Mould):
-        super().__init__("swap", A.empty_class)
-        self.A = A
-
-    def _eval(self, ctx, w):
-        return ctx.at(self.A, swap_pullback(w))
+        return ctx.at(self.A, self.f(w))
 
 
 class Pari(Mould):
@@ -380,7 +365,7 @@ class Mantar(Mould):
 
 
 def anti(A: Mould) -> Mould:
-    return Anti(A)
+    return Transform("anti", reverse, A)
 
 
 def pari(A: Mould) -> Mould:
@@ -388,11 +373,11 @@ def pari(A: Mould) -> Mould:
 
 
 def neg(A: Mould) -> Mould:
-    return Neg(A)
+    return Transform("neg", negate, A)
 
 
 def swap(A: Mould) -> Mould:
-    return Swap(A)
+    return Transform("swap", swap_pullback, A)
 
 
 def der(A: Mould) -> Mould:
@@ -409,16 +394,16 @@ def mantar(A: Mould) -> Mould:
 
 def push(A: Mould) -> Mould:
     """push := neg o anti o swap o anti o swap (the defining conjugation)."""
-    return Neg(Anti(Swap(Anti(Swap(A)))))
+    return neg(anti(swap(anti(swap(A)))))
 
 
 def push_inv(A: Mould) -> Mould:
-    return Swap(Anti(Swap(Anti(Neg(A)))))
+    return swap(anti(swap(anti(neg(A)))))
 
 
 def gantar(A: Mould) -> Mould:
     """gantar := anti o pari o invmu; defined on group-class moulds."""
-    return Anti(Pari(invmu(A)))
+    return anti(pari(invmu(A)))
 
 
 # ---------------------------------------------------------------------------

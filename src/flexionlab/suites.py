@@ -5,10 +5,14 @@ that must *fail*) for one slice of the flexion-algebra surface.  Every item
 is a pure function of the run configuration, so reports are deterministic
 and safe to compute in parallel worker processes.
 
-Each ``_suite_*`` function declares its items in registry order.  An item
-that is one ``check_identity`` call is a row: ``@items.identity(name, cap,
-expect)`` on a ``cfg -> (lhs, rhs)`` function.  Every other item is a
-``(cfg, ctx) -> Report`` runner added by ``@items.run(name, expect)``.
+Each ``_suite_*`` function declares its items in registry order, and
+``@items.run(item, expect)`` is the one way to add one.  It wraps a
+``(cfg, ctx, name) -> Report`` runner, where ``name`` is the report identity:
+the item name without a trailing ``" (control)"``.  An item made only of
+``check_identity`` calls is a row: ``@items.identity(name, cap, expect)`` on
+a ``cfg -> (lhs, rhs)`` function, or on one that returns named pairs
+``{check name: (lhs, rhs)}`` whose reports are merged under the item name.
+A negative control's row is named ``"<name> (control)"``.
 
 Conventions used by the items:
 
@@ -26,7 +30,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from .canonical import (
     FlexionUnit,
@@ -63,6 +67,7 @@ from .engine import (
     anti,
     check_identity,
     der,
+    gantar,
     invmu,
     leng_r,
     mantar,
@@ -136,7 +141,6 @@ from .senary import (
 from .symmetry import (
     Profile,
     check_alternal,
-    check_invariant,
     check_o_alternal,
     check_push_order,
     check_symmetral,
@@ -156,7 +160,6 @@ __all__ = [
     "SUITES",
     "suite_names",
     "list_suites",
-    "run_suite",
     "run_suites",
 ]
 
@@ -293,9 +296,7 @@ def _fk_half(ctx: EvalContext, A: Mould, B: Mould, a, b) -> Fraction:
     return total
 
 
-def _fk_expansion_report(
-    cfg: Config, ctx: EvalContext, name: str = "arit-shuffle-expansion"
-) -> Report:
+def _fk_expansion_report(cfg: Config, ctx: EvalContext, name: str) -> Report:
     """arit(B)(A) summed over shuffles of (a, b) equals the four-part
     flexion expansion, for alternal B and nonempty a, b."""
     A = _digest(cfg, 701, tag="fk-subject")
@@ -320,6 +321,7 @@ def _fk_expansion_report(
 # ---------------------------------------------------------------------------
 
 Runner = Callable[[Config, EvalContext], Report]
+Pairs = Union[tuple[Mould, Mould], dict[str, tuple[Mould, Mould]]]
 
 
 @dataclass(frozen=True)
@@ -332,27 +334,32 @@ class Item:
 class _Items(list):
     """A suite's items in definition order, added by decorating functions."""
 
-    def run(self, name: str, expect: str = "pass"):
-        """Add the decorated ``(cfg, ctx) -> Report`` runner as item ``name``."""
+    def run(self, item: str, expect: str = "pass"):
+        """Add the decorated ``(cfg, ctx, name) -> Report`` runner as ``item``;
+        ``name`` is ``item`` without a trailing ``" (control)"``."""
+        name = item.removesuffix(" (control)")
 
-        def add(run: Runner) -> Runner:
-            self.append(Item(name, run, expect))
+        def add(run: Callable[[Config, EvalContext, str], Report]):
+            self.append(Item(item, lambda cfg, ctx: run(cfg, ctx, name), expect))
             return run
 
         return add
 
     def identity(self, name: str, cap: Optional[int] = None, expect: str = "pass"):
-        """Add a row: ``check_identity`` of the decorated ``cfg -> (lhs, rhs)``
-        at ``cfg.plan(cap=cap)``, reported as ``name``.  A negative control's
-        item is named ``"<name> (control)"``."""
+        """Add a row: ``check_identity`` at ``cfg.plan(cap=cap)`` of the
+        ``(lhs, rhs)`` the decorated function builds from ``cfg``, or of each
+        of its named pairs, merged under ``name``."""
 
-        def add(build: Callable[[Config], tuple[Mould, Mould]]):
-            def run(cfg: Config, ctx: EvalContext) -> Report:
-                lhs, rhs = build(cfg)
-                return check_identity(lhs, rhs, cfg.plan(cap=cap), name, ctx)
+        def add(build: Callable[[Config], Pairs]):
+            def run(cfg: Config, ctx: EvalContext, name: str) -> Report:
+                pairs = build(cfg)
+                if isinstance(pairs, tuple):
+                    pairs = {name: pairs}
+                plan = cfg.plan(cap=cap)
+                checks = [check_identity(*pair, plan, key, ctx) for key, pair in pairs.items()]
+                return _merged(name, checks)
 
-            item = name if expect == "pass" else f"{name} (control)"
-            self.append(Item(item, run, expect))
+            self.run(name if expect == "pass" else f"{name} (control)", expect)(run)
             return build
 
         return add
@@ -448,26 +455,23 @@ def _suite_unit_axioms() -> Suite:
     items = _Items()
 
     @items.run("tripartite-polar")
-    def tripartite_polar(cfg, ctx):
-        return _bool_report("tripartite-polar", check_tripartite(_polar(), seed=cfg.seed))
+    def tripartite_polar(cfg, ctx, name):
+        return _bool_report(name, check_tripartite(_polar(), seed=cfg.seed))
 
     @items.run("tripartite-polar-conjugate")
-    def tripartite_conj(cfg, ctx):
-        return _bool_report(
-            "tripartite-polar-conjugate",
-            check_tripartite(get_unit("polar-conjugate"), seed=cfg.seed),
-        )
+    def tripartite_conj(cfg, ctx, name):
+        return _bool_report(name, check_tripartite(get_unit("polar-conjugate"), seed=cfg.seed))
 
     @items.run("tripartite-bipolar")
-    def tripartite_bipolar(cfg, ctx):
+    def tripartite_bipolar(cfg, ctx, name):
         return _bool_report(
-            "tripartite-bipolar",
+            name,
             check_tripartite(_bipolar(), seed=cfg.seed),
             note="self-conjugate unit mixing u and v; valid unit, excluded from v-only closed forms",
         )
 
     @items.run("tripartite-spot-values")
-    def tripartite_spots(cfg, ctx):
+    def tripartite_spots(cfg, ctx, name):
         w_polar = word([(2, 7), (3, 11)])
         w_conj = word([(5, 1), (7, 3)])
         rows = [
@@ -491,15 +495,15 @@ def _suite_unit_axioms() -> Suite:
             # pin the arithmetic itself, not just lhs == rhs
             checked.append((w, lhs, want_lhs))
             checked.append((w, rhs, want_rhs))
-        return _value_report("tripartite-spot-values", checked)
+        return _value_report(name, checked)
 
     @items.run("conjugate-swaps-letters")
-    def conjugate_swaps_letters(cfg, ctx):
+    def conjugate_swaps_letters(cfg, ctx, name):
         U = _unit(cfg)
         C = U.conjugate()
         plan = cfg.plan(cap=1)
         return _merged(
-            "conjugate-swaps-letters",
+            name,
             [
                 check_identity(mould_E(C), mould_O(U), plan, "conjugate-E", ctx),
                 check_identity(mould_O(C), mould_E(U), plan, "conjugate-O", ctx),
@@ -508,10 +512,8 @@ def _suite_unit_axioms() -> Suite:
         )
 
     @items.run("tripartite-inv-square (control)", expect="fail")
-    def tripartite_inv_square(cfg, ctx):
-        return _bool_report(
-            "tripartite-inv-square", check_tripartite(_inv_square(), seed=cfg.seed)
-        )
+    def tripartite_inv_square(cfg, ctx, name):
+        return _bool_report(name, check_tripartite(_inv_square(), seed=cfg.seed))
 
     return Suite(
         name="unit-axioms",
@@ -529,34 +531,20 @@ def _suite_algebra_core() -> Suite:
         A, B, C = _digest(cfg, 11, "a"), _digest(cfg, 12, "b"), _group(cfg, 13, "c")
         return mu(A, mu(B, C)), mu(mu(A, B), C)
 
-    @items.run("mu-unit")
-    def mu_unit(cfg, ctx):
+    @items.identity("mu-unit")
+    def mu_unit(cfg):
         A = _digest(cfg, 14, "a")
-        plan = cfg.plan()
-        return _merged(
-            "mu-unit",
-            [
-                check_identity(mu(one(), A), A, plan, "mu-unit-left", ctx),
-                check_identity(mu(A, one()), A, plan, "mu-unit-right", ctx),
-            ],
-        )
+        return {"mu-unit-left": (mu(one(), A), A), "mu-unit-right": (mu(A, one()), A)}
 
     @items.identity("anti-mu-reversal")
     def anti_mu_reversal(cfg):
         A, B = _digest(cfg, 15, "a"), _group(cfg, 16, "b")
         return anti(mu(A, B)), mu(anti(B), anti(A))
 
-    @items.run("invmu-roundtrip")
-    def invmu_roundtrip(cfg, ctx):
+    @items.identity("invmu-roundtrip")
+    def invmu_roundtrip(cfg):
         S = _group(cfg, 17, "s")
-        plan = cfg.plan()
-        return _merged(
-            "invmu-roundtrip",
-            [
-                check_identity(mu(S, invmu(S)), one(), plan, "invmu-right", ctx),
-                check_identity(mu(invmu(S), S), one(), plan, "invmu-left", ctx),
-            ],
-        )
+        return {"invmu-right": (mu(S, invmu(S)), one()), "invmu-left": (mu(invmu(S), S), one())}
 
     @items.identity("arit-mu-derivation")
     def arit_derivation(cfg):
@@ -632,29 +620,18 @@ def _suite_algebra_core() -> Suite:
         A, B = _digest(cfg, 49, "a"), _group(cfg, 50, "b")
         return ganit(Y, mu(A, B)), mu(ganit(Y, A), ganit(Y, B))
 
-    @items.run("gari-unit")
-    def gari_unit(cfg, ctx):
+    @items.identity("gari-unit")
+    def gari_unit(cfg):
         S = _group(cfg, 51, "s")
-        plan = cfg.plan()
-        return _merged(
-            "gari-unit",
-            [
-                check_identity(gari(S, one()), S, plan, "gari-unit-right", ctx),
-                check_identity(gari(one(), S), S, plan, "gari-unit-left", ctx),
-            ],
-        )
+        return {"gari-unit-right": (gari(S, one()), S), "gari-unit-left": (gari(one(), S), S)}
 
-    @items.run("gari-inverse")
-    def gari_inverse(cfg, ctx):
+    @items.identity("gari-inverse")
+    def gari_inverse(cfg):
         S = _group(cfg, 52, "s")
-        plan = cfg.plan()
-        return _merged(
-            "gari-inverse",
-            [
-                check_identity(gari(S, invgari(S)), one(), plan, "gari-inverse-right", ctx),
-                check_identity(gari(invgari(S), S), one(), plan, "gari-inverse-left", ctx),
-            ],
-        )
+        return {
+            "gari-inverse-right": (gari(S, invgari(S)), one()),
+            "gari-inverse-left": (gari(invgari(S), S), one()),
+        }
 
     @items.identity("gari-associative", cap=3)
     def gari_assoc(cfg):
@@ -674,18 +651,11 @@ def _suite_algebra_core() -> Suite:
     def logari_one(cfg):
         return logari(one()), zero()
 
-    @items.run("expari-logari-roundtrip")
-    def exp_log_roundtrip(cfg, ctx):
+    @items.identity("expari-logari-roundtrip")
+    def exp_log_roundtrip(cfg):
         A = _digest(cfg, 58, "a")
         S = _group(cfg, 59, "s")
-        plan = cfg.plan()
-        return _merged(
-            "expari-logari-roundtrip",
-            [
-                check_identity(logari(expari(A)), A, plan, "log-exp", ctx),
-                check_identity(expari(logari(S)), S, plan, "exp-log", ctx),
-            ],
-        )
+        return {"log-exp": (logari(expari(A)), A), "exp-log": (expari(logari(S)), S)}
 
     @items.identity("adari-of-unit")
     def adari_identity(cfg):
@@ -815,21 +785,21 @@ def _suite_symmetry() -> Suite:
     items = _Items()
 
     @items.run("alternal-profile")
-    def alternal_profile(cfg, ctx):
+    def alternal_profile(cfg, ctx, name):
         A = _profile(cfg, "alternal", 201)
-        return check_alternal(A, cfg.plan(), "alternal-profile", ctx)
+        return check_alternal(A, cfg.plan(), name, ctx)
 
     @items.run("symmetral-profile")
-    def symmetral_profile(cfg, ctx):
+    def symmetral_profile(cfg, ctx, name):
         S = _profile(cfg, "symmetral", 202)
-        return check_symmetral(S, cfg.plan(), "symmetral-profile", ctx)
+        return check_symmetral(S, cfg.plan(), name, ctx)
 
     @items.run("bialternal-profile")
-    def al_al_profile(cfg, ctx):
+    def al_al_profile(cfg, ctx, name):
         A = _profile(cfg, "al_al_seed", 203)
         plan = cfg.plan()
         return _merged(
-            "bialternal-profile",
+            name,
             [
                 check_alternal(A, plan, "bialternal-direct", ctx),
                 check_alternal(swap(A), plan, "bialternal-swapped", ctx),
@@ -837,34 +807,27 @@ def _suite_symmetry() -> Suite:
         )
 
     @items.run("al-ol-profile")
-    def al_ol_profile(cfg, ctx):
+    def al_ol_profile(cfg, ctx, name):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 204, unit=U)
         plan = cfg.plan()
         return _merged(
-            "al-ol-profile",
+            name,
             [
                 check_alternal(A, plan, "al-ol-direct", ctx),
                 check_o_alternal(U, swap(A), plan, "al-ol-swapped", ctx, both_routes=True),
             ],
         )
 
-    @items.run("even-length-1-profile")
-    def even_length1(cfg, ctx):
+    @items.identity("even-length-1-profile", cap=2)
+    def even_length1(cfg):
         A = _profile(cfg, "even_length1", 205)
-        plan = cfg.plan(cap=2)
-        return _merged(
-            "even-length-1-profile",
-            [
-                check_identity(neg(A), A, plan, "even-under-negation", ctx),
-                check_identity(leng_r(A, 1), A, plan, "supported-at-length-1", ctx),
-            ],
-        )
+        return {"even-under-negation": (neg(A), A), "supported-at-length-1": (leng_r(A, 1), A)}
 
     @items.run("length-1-is-alternal")
-    def length1_alternal(cfg, ctx):
+    def length1_alternal(cfg, ctx, name):
         A = leng_r(_digest(cfg, 206, "a"), 1)
-        return check_alternal(A, cfg.plan(cap=2), "length-1-is-alternal", ctx)
+        return check_alternal(A, cfg.plan(cap=2), name, ctx)
 
     @items.identity("pushsym-is-push-invariant", cap=3)
     def pushsym_invariant(cfg):
@@ -883,14 +846,14 @@ def _suite_symmetry() -> Suite:
         return pushsym(A), avg
 
     @items.run("push-order")
-    def push_order(cfg, ctx):
+    def push_order(cfg, ctx, name):
         A = _digest(cfg, 210, "a")
-        return check_push_order(A, cfg.plan(), "push-order", ctx)
+        return check_push_order(A, cfg.plan(), name, ctx)
 
-    @items.run("alternal-is-mantar-invariant")
-    def alternal_mantar(cfg, ctx):
+    @items.identity("alternal-is-mantar-invariant")
+    def alternal_mantar(cfg):
         A = _profile(cfg, "alternal", 211)
-        return check_invariant("mantar", A, cfg.plan(), None, "alternal-is-mantar-invariant", ctx)
+        return mantar(A), A
 
     @items.identity("anti-mantar-is-minus-pari")
     def mantar_vs_pari(cfg):
@@ -898,40 +861,33 @@ def _suite_symmetry() -> Suite:
         return anti(mantar(A)), SMul(Fraction(-1), pari(A))
 
     @items.run("ari-preserves-bialternality")
-    def ari_preserves_bialternal(cfg, ctx):
+    def ari_preserves_bialternal(cfg, ctx, name):
         A = _profile(cfg, "al_al_seed", 213)
         B = _profile(cfg, "al_al_seed", 214)
         C = ari(A, B)
         plan = cfg.plan(cap=3)
         return _merged(
-            "ari-preserves-bialternality",
+            name,
             [
                 check_alternal(C, plan, "bracket-direct", ctx),
                 check_alternal(swap(C), plan, "bracket-swapped", ctx),
             ],
         )
 
-    @items.run("bialternal-neg-and-push-invariant")
-    def bialternal_neg_push(cfg, ctx):
+    @items.identity("bialternal-neg-and-push-invariant")
+    def bialternal_neg_push(cfg):
         A = _profile(cfg, "al_al_seed", 215)
-        plan = cfg.plan()
-        return _merged(
-            "bialternal-neg-and-push-invariant",
-            [
-                check_invariant("neg", A, plan, None, "bialternal-neg", ctx),
-                check_invariant("push", A, plan, None, "bialternal-push", ctx),
-            ],
-        )
+        return {"bialternal-neg": (neg(A), A), "bialternal-push": (push(A), A)}
 
     @items.run("o-alternality-routes-agree")
-    def routes_agree(cfg, ctx):
+    def routes_agree(cfg, ctx, name):
         U = _unit(cfg)
         A = _digest(cfg, 216, "a")
-        return o_alternal_routes_agree(U, A, cfg.plan(cap=3), "o-alternality-routes-agree", ctx)
+        return o_alternal_routes_agree(U, A, cfg.plan(cap=3), name, ctx)
 
     @items.run("generic-alternal (control)", expect="fail")
-    def generic_not_alternal(cfg, ctx):
-        return check_alternal(_digest(cfg, 217, "a"), cfg.plan(), "generic-alternal", ctx)
+    def generic_not_alternal(cfg, ctx, name):
+        return check_alternal(_digest(cfg, 217, "a"), cfg.plan(), name, ctx)
 
     @items.identity("generic-push-invariant", expect="fail")
     def generic_not_push(cfg):
@@ -939,9 +895,9 @@ def _suite_symmetry() -> Suite:
         return push(A), A
 
     @items.run("alternal-symmetral (control)", expect="fail")
-    def alternal_not_symmetral(cfg, ctx):
+    def alternal_not_symmetral(cfg, ctx, name):
         A = _profile(cfg, "alternal", 219)
-        return check_symmetral(A, cfg.plan(), "alternal-symmetral", ctx)
+        return check_symmetral(A, cfg.plan(), name, ctx)
 
     return Suite(
         name="symmetry",
@@ -985,10 +941,10 @@ def _suite_mould_constants() -> Suite:
         es = mould_es(U)
         return invmu(es), push(es)
 
-    @items.run("os-gantar-invariant")
-    def os_gantar(cfg, ctx):
-        U = _unit(cfg)
-        return check_invariant("gantar", mould_os(U), cfg.plan(), None, "os-gantar-invariant", ctx)
+    @items.identity("os-gantar-invariant")
+    def os_gantar(cfg):
+        osm = mould_os(_unit(cfg))
+        return gantar(osm), osm
 
     @items.identity("mantar-os-is-minus-invmu-os")
     def mantar_os(cfg):
@@ -1007,18 +963,14 @@ def _suite_mould_constants() -> Suite:
         return leng_r(To_series(U), 1), SMul(Fraction(1, 2), mould_O(U))
 
     @items.run("To-is-O-alternal")
-    def to_o_alternal(cfg, ctx):
+    def to_o_alternal(cfg, ctx, name):
         U = _unit(cfg)
-        return check_o_alternal(
-            U, To_series(U), cfg.plan(), "To-is-O-alternal", ctx, both_routes=True
-        )
+        return check_o_alternal(U, To_series(U), cfg.plan(), name, ctx, both_routes=True)
 
     @items.run("To-is-O-alternal (conjugate unit)")
-    def to_o_alternal_conjugate(cfg, ctx):
+    def to_o_alternal_conjugate(cfg, ctx, name):
         C = get_unit("polar-conjugate")
-        return check_o_alternal(
-            C, To_series(C), cfg.plan(), "To-is-O-alternal (conjugate unit)", ctx
-        )
+        return check_o_alternal(C, To_series(C), cfg.plan(), name, ctx)
 
     @items.identity("ganit-os-of-O [polar]")
     def eq_ganit_os(cfg):
@@ -1079,17 +1031,17 @@ def _suite_mould_constants() -> Suite:
 
     # a runner, not a row: its identity is not named after the item
     @items.run("ganit-os-of-O (bipolar control)", expect="fail")
-    def bipolar_breaks_closed(cfg, ctx):
+    def bipolar_breaks_closed(cfg, ctx, name):
         B = _bipolar()
         osm = mould_os(B)
         return check_identity(
             ganit(osm, mould_O(B)), osm - one(), cfg.plan(cap=2), "ganit-os-of-O (bipolar unit)", ctx
         )
 
-    @items.run("oz-gantar-invariant (control)", expect="fail")
-    def gantar_oz(cfg, ctx):
-        U = _unit(cfg)
-        return check_invariant("gantar", mould_oz(U), cfg.plan(), None, "oz-gantar-invariant", ctx)
+    @items.identity("oz-gantar-invariant", expect="fail")
+    def gantar_oz(cfg):
+        ozm = mould_oz(_unit(cfg))
+        return gantar(ozm), ozm
 
     return Suite(
         name="mould-constants",
@@ -1108,9 +1060,8 @@ def _suite_dilator() -> Suite:
         return leng_r(dilator_D(U), 1), SMul(Fraction(1, 2), mould_O(U))
 
     @items.run("dilator-alternal")
-    def d_alternal(cfg, ctx):
-        U = _unit(cfg)
-        return check_alternal(dilator_D(U), cfg.plan(), "dilator-alternal", ctx)
+    def d_alternal(cfg, ctx, name):
+        return check_alternal(dilator_D(_unit(cfg)), cfg.plan(), name, ctx)
 
     @items.identity("flow-satisfies-dilation-ode")
     def flow_ode(cfg):
@@ -1118,53 +1069,46 @@ def _suite_dilator() -> Suite:
         S = solve_dilator_ode(D)
         return der(S), preari(S, D)
 
-    @items.run("secondary-pair-normalized")
-    def pair_empty(cfg, ctx):
+    @items.identity("secondary-pair-normalized", cap=0)
+    def pair_empty(cfg):
         U = _unit(cfg)
-        plan = cfg.plan(cap=0)
-        return _merged(
-            "secondary-pair-normalized",
-            [
-                check_identity(ess(U), one(), plan, "ess-empty-value", ctx),
-                check_identity(oess(U), one(), plan, "oess-empty-value", ctx),
-            ],
-        )
+        return {"ess-empty-value": (ess(U), one()), "oess-empty-value": (oess(U), one())}
 
     @items.run("ess-symmetral")
-    def ess_symmetral(cfg, ctx):
-        return check_symmetral(ess(_unit(cfg)), cfg.plan(), "ess-symmetral", ctx)
+    def ess_symmetral(cfg, ctx, name):
+        return check_symmetral(ess(_unit(cfg)), cfg.plan(), name, ctx)
 
     @items.run("oess-symmetral")
-    def oess_symmetral(cfg, ctx):
-        return check_symmetral(oess(_unit(cfg)), cfg.plan(), "oess-symmetral", ctx)
+    def oess_symmetral(cfg, ctx, name):
+        return check_symmetral(oess(_unit(cfg)), cfg.plan(), name, ctx)
 
     @items.run("eess-symmetral")
-    def eess_symmetral(cfg, ctx):
-        return check_symmetral(eess(_unit(cfg)), cfg.plan(), "eess-symmetral", ctx)
+    def eess_symmetral(cfg, ctx, name):
+        return check_symmetral(eess(_unit(cfg)), cfg.plan(), name, ctx)
 
     @items.run("oss-symmetral")
-    def oss_symmetral(cfg, ctx):
-        return check_symmetral(oss(_unit(cfg)), cfg.plan(), "oss-symmetral", ctx)
+    def oss_symmetral(cfg, ctx, name):
+        return check_symmetral(oss(_unit(cfg)), cfg.plan(), name, ctx)
 
     @items.run("alternal-dilator-gives-symmetral-flow")
-    def alternal_to_symmetral(cfg, ctx):
+    def alternal_to_symmetral(cfg, ctx, name):
         plan = cfg.plan()
         reports = []
         for j in range(3):
             D = _profile(cfg, "alternal", 402 + j)
             S = solve_dilator_ode(D)
             reports.append(check_symmetral(S, plan, f"flow-of-alternal-{j}", ctx))
-        return _merged("alternal-dilator-gives-symmetral-flow", reports)
+        return _merged(name, reports)
 
     @items.run("symmetral-flow-gives-alternal-dilator")
-    def symmetral_to_alternal(cfg, ctx):
+    def symmetral_to_alternal(cfg, ctx, name):
         plan = cfg.plan()
         reports = []
         for j in range(3):
             S = _profile(cfg, "symmetral", 405 + j)
             D = dilator_of(S)
             reports.append(check_alternal(D, plan, f"dilator-of-symmetral-{j}", ctx))
-        return _merged("symmetral-flow-gives-alternal-dilator", reports)
+        return _merged(name, reports)
 
     @items.identity("dilator-of-flow-roundtrip", cap=3)
     def roundtrip_d(cfg):
@@ -1177,8 +1121,8 @@ def _suite_dilator() -> Suite:
         return solve_dilator_ode(dilator_of(S)), S
 
     @items.run("arit-shuffle-expansion")
-    def fk_expansion(cfg, ctx):
-        return _fk_expansion_report(cfg, ctx)
+    def fk_expansion(cfg, ctx, name):
+        return _fk_expansion_report(cfg, ctx, name)
 
     @items.identity("negated-flow-fragari-gives-es", cap=3)
     def neg_flow_fragari(cfg):
@@ -1186,9 +1130,9 @@ def _suite_dilator() -> Suite:
         return fragari(neg(ess(U)), ess(U)), mould_es(U)
 
     @items.run("generic-flow-symmetral (control)", expect="fail")
-    def generic_flow(cfg, ctx):
+    def generic_flow(cfg, ctx, name):
         D = _digest(cfg, 410, "d")
-        return check_symmetral(solve_dilator_ode(D), cfg.plan(), "generic-flow-symmetral", ctx)
+        return check_symmetral(solve_dilator_ode(D), cfg.plan(), name, ctx)
 
     return Suite(
         name="dilator",
@@ -1201,24 +1145,15 @@ def _suite_dilator() -> Suite:
 def _suite_fundamental() -> Suite:
     items = _Items()
 
-    @items.run("sena-push-swamu-identity")
-    def main_identity(cfg, ctx):
+    @items.identity("sena-push-swamu-identity")
+    def main_identity(cfg):
         U = _unit(cfg)
         es = mould_es(U)
-        plan = cfg.plan()
-        reports = []
+        pairs = {}
         for j in range(3):
             B = _digest(cfg, 501 + j, tag=f"b{j}")
-            reports.append(
-                check_identity(
-                    B - e_sena(U, B),
-                    swamu(es, B - e_push(U, B)),
-                    plan,
-                    f"universal-identity-{j}",
-                    ctx,
-                )
-            )
-        return _merged("sena-push-swamu-identity", reports)
+            pairs[f"universal-identity-{j}"] = B - e_sena(U, B), swamu(es, B - e_push(U, B))
+        return pairs
 
     @items.identity("rush-rephrasing")
     def rephrase_collapse(cfg):
@@ -1283,10 +1218,11 @@ def _suite_fundamental() -> Suite:
 def _suite_senary() -> Suite:
     items = _Items()
 
-    @items.run("o-mantar-fixes-To")
-    def o_mantar_fixes_to(cfg, ctx):
+    @items.identity("o-mantar-fixes-To")
+    def o_mantar_fixes_to(cfg):
         U = _unit(cfg)
-        return check_invariant("o-mantar", To_series(U), cfg.plan(), U, "o-mantar-fixes-To", ctx)
+        To = To_series(U)
+        return o_mantar(U, To), To
 
     @items.identity("o-mantar-involution", cap=3)
     def o_mantar_involution(cfg):
@@ -1300,17 +1236,17 @@ def _suite_senary() -> Suite:
         A = _digest(cfg, 602, "a")
         return o_mantar(U, A), o_mantar_gaxit(U, A)
 
-    @items.run("negpush-fixes-al-ol")
-    def negpush_fixes_al_ol(cfg, ctx):
+    @items.identity("negpush-fixes-al-ol", cap=3)
+    def negpush_fixes_al_ol(cfg):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 603, unit=U)
-        return check_invariant("e-negpush", A, cfg.plan(cap=3), U, "negpush-fixes-al-ol", ctx)
+        return e_negpush(U, A), A
 
-    @items.run("push-twist-fixes-al-ol")
-    def push_fixes_al_ol(cfg, ctx):
+    @items.identity("push-twist-fixes-al-ol", cap=3)
+    def push_fixes_al_ol(cfg):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 604, unit=U)
-        return check_invariant("e-push", A, cfg.plan(cap=3), U, "push-twist-fixes-al-ol", ctx)
+        return e_push(U, A), A
 
     @items.identity("negpush-roundtrip")
     def negpush_roundtrip(cfg):
@@ -1428,11 +1364,11 @@ def _suite_senary() -> Suite:
         A = _digest(cfg, 623, "a")
         return senary_defect(U, A), zero()
 
-    @items.run("push-twist-fixes-generic (control)", expect="fail")
-    def push_generic(cfg, ctx):
+    @items.identity("push-twist-fixes-generic", cap=3, expect="fail")
+    def push_generic(cfg):
         U = _unit(cfg)
         A = _digest(cfg, 624, "a")
-        return check_invariant("e-push", A, cfg.plan(cap=3), U, "push-twist-fixes-generic", ctx)
+        return e_push(U, A), A
 
     return Suite(
         name="senary",
@@ -1445,31 +1381,22 @@ def _suite_senary() -> Suite:
 def _suite_push_sena() -> Suite:
     items = _Items()
 
-    @items.run("transport-ess-lands-in-sena-invariants")
-    def transport_ess(cfg, ctx):
+    def _transported(cfg, S, salt, tag, label):
+        # e_sena(T) = T for T = adari(S(U), pushsym(digest)) at two digests
         U = _unit(cfg)
-        S = ess(U)
-        plan = cfg.plan()
-        reports = []
+        pairs = {}
         for j in range(2):
-            A = pushsym(_digest(cfg, 651 + j, tag=f"p{j}"))
-            reports.append(
-                check_invariant("e-sena", adari(S, A), plan, U, f"transported-ess-{j}", ctx)
-            )
-        return _merged("transport-ess-lands-in-sena-invariants", reports)
+            T = adari(S(U), pushsym(_digest(cfg, salt + j, tag=f"{tag}{j}")))
+            pairs[f"transported-{label}-{j}"] = e_sena(U, T), T
+        return pairs
 
-    @items.run("transport-eess-lands-in-sena-invariants")
-    def transport_eess(cfg, ctx):
-        U = _unit(cfg)
-        S = eess(U)
-        plan = cfg.plan()
-        reports = []
-        for j in range(2):
-            A = pushsym(_digest(cfg, 653 + j, tag=f"q{j}"))
-            reports.append(
-                check_invariant("e-sena", adari(S, A), plan, U, f"transported-eess-{j}", ctx)
-            )
-        return _merged("transport-eess-lands-in-sena-invariants", reports)
+    @items.identity("transport-ess-lands-in-sena-invariants")
+    def transport_ess(cfg):
+        return _transported(cfg, ess, 651, "p", "ess")
+
+    @items.identity("transport-eess-lands-in-sena-invariants")
+    def transport_eess(cfg):
+        return _transported(cfg, eess, 653, "q", "eess")
 
     @items.identity("transport-ess-roundtrip-push")
     def roundtrip_ess(cfg):
@@ -1511,21 +1438,20 @@ def _suite_push_sena() -> Suite:
         rhs = ganit(mould_oz(U), adari(eess(U), swap(A)))
         return lhs, rhs
 
-    @items.run("sena-invariants-closed-under-ari")
-    def lie_closure(cfg, ctx):
+    @items.identity("sena-invariants-closed-under-ari", cap=3)
+    def lie_closure(cfg):
         U = _unit(cfg)
         S = ess(U)
         T1 = adari(S, pushsym(_digest(cfg, 660, "p")))
         T2 = adari(S, pushsym(_digest(cfg, 661, "q")))
-        return check_invariant(
-            "e-sena", ari(T1, T2), cfg.plan(cap=3), U, "sena-invariants-closed-under-ari", ctx
-        )
+        C = ari(T1, T2)
+        return e_sena(U, C), C
 
-    @items.run("transported-generic-sena (control)", expect="fail")
-    def transported_generic(cfg, ctx):
+    @items.identity("transported-generic-sena", cap=3, expect="fail")
+    def transported_generic(cfg):
         U = _unit(cfg)
         T = adari(ess(U), _digest(cfg, 662, "a"))
-        return check_invariant("e-sena", T, cfg.plan(cap=3), U, "transported-generic-sena", ctx)
+        return e_sena(U, T), T
 
     return Suite(
         name="push-sena",
@@ -1606,24 +1532,18 @@ def _suite_lemmas_6() -> Suite:
         rhs = gari(B - e_push_inv(U, B), S)
         return lhs, rhs
 
-    @items.run("swap-fragari-exchange")
-    def swap_fragari_exchange(cfg, ctx):
+    @items.identity("swap-fragari-exchange", cap=3)
+    def swap_fragari_exchange(cfg):
         U = _unit(cfg)
         oz = mould_oz(U)
         A = one() + _digest(cfg, 684, "a")
-        plan = cfg.plan(cap=3)
-        reports = []
-        for label, B in (("oess", oess(U)), ("oss", oss(U))):
-            reports.append(
-                check_identity(
-                    swap(fragari(swap(A), swap(B))),
-                    ganit(oz, fragari(A, B)),
-                    plan,
-                    f"swap-fragari-exchange-{label}",
-                    ctx,
-                )
+        return {
+            f"swap-fragari-exchange-{label}": (
+                swap(fragari(swap(A), swap(B))),
+                ganit(oz, fragari(A, B)),
             )
-        return _merged("swap-fragari-exchange", reports)
+            for label, B in (("oess", oess(U)), ("oss", oss(U)))
+        }
 
     @items.identity("garit-os-composite [polar]")
     def garit_os_corrected(cfg):
@@ -1633,12 +1553,9 @@ def _suite_lemmas_6() -> Suite:
         return ganit(osm, gamit(pari(ozm), A)), garit(invmu(osm), A)
 
     @items.run("garit-os-preserves-symmetrality [polar]")
-    def garit_os_symmetral(cfg, ctx):
-        P = _polar()
+    def garit_os_symmetral(cfg, ctx, name):
         S = _profile(cfg, "symmetral", 685)
-        return check_symmetral(
-            garit(invmu(mould_os(P)), S), cfg.plan(), "garit-os-preserves-symmetrality [polar]", ctx
-        )
+        return check_symmetral(garit(invmu(mould_os(_polar())), S), cfg.plan(), name, ctx)
 
     @items.identity("gamit-pari-oz-vs-gamit-inverse-os", cap=3, expect="fail")
     def garit_os_displayed(cfg):
@@ -1659,9 +1576,9 @@ def _suite_negelon() -> Suite:
     items = _Items()
 
     @items.run("vanishing-spot-values")
-    def spot_small(cfg, ctx):
+    def spot_small(cfg, ctx, name):
         return _value_report(
-            "vanishing-spot-values",
+            name,
             [
                 (EMPTY, negelon_f(2, 0, 0, 1), Fraction(0)),
                 (EMPTY, negelon_f(12, 3, 4, 4), Fraction(0)),
@@ -1669,33 +1586,31 @@ def _suite_negelon() -> Suite:
         )
 
     @items.run("boundary-value-r2")
-    def base_value(cfg, ctx):
-        return _value_report(
-            "boundary-value-r2", [(EMPTY, negelon_f(2, 0, 0, 0), Fraction(1, 2))]
-        )
+    def base_value(cfg, ctx, name):
+        return _value_report(name, [(EMPTY, negelon_f(2, 0, 0, 0), Fraction(1, 2))])
 
     @items.run("full-scan-r12")
-    def scan_full(cfg, ctx):
+    def scan_full(cfg, ctx, name):
         return negelon_scan(12)
 
     @items.run("minimal-scan-r2")
-    def scan_minimal(cfg, ctx):
+    def scan_minimal(cfg, ctx, name):
         return negelon_scan(2)
 
     @items.run("binomial-auxiliaries")
-    def aux(cfg, ctx):
+    def aux(cfg, ctx, name):
         return aux_identities(12)
 
     @items.run("mu-factor-cube")
-    def mu_factor_3(cfg, ctx):
-        return mu_factor_check(cfg.plan(), N=3, name="mu-factor-cube", ctx=ctx)
+    def mu_factor_3(cfg, ctx, name):
+        return mu_factor_check(cfg.plan(), N=3, name=name, ctx=ctx)
 
     @items.run("mu-factor-identity")
-    def mu_factor_1(cfg, ctx):
-        return mu_factor_check(cfg.plan(cap=3), N=1, name="mu-factor-identity", ctx=ctx)
+    def mu_factor_1(cfg, ctx, name):
+        return mu_factor_check(cfg.plan(cap=3), N=1, name=name, ctx=ctx)
 
     @items.run("h0-scan (control)", expect="fail")
-    def h0_scan(cfg, ctx):
+    def h0_scan(cfg, ctx, name):
         return negelon_scan(6, h_min=0)
 
     return Suite(
@@ -1826,11 +1741,3 @@ def run_suites(names, cfg: Config = Config()) -> RunReport:
     ]
     return RunReport(config=cfg, suites=suite_reports)
 
-
-def run_suite(name: str, cfg: Config = Config()):
-    """Run one registered suite ('all' returns the combined RunReport)."""
-    if name == ALL_SUITE:
-        return run_suites([ALL_SUITE], cfg)
-    if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; registered: {', '.join(suite_names())}")
-    return run_suites([name], cfg).suites[0]

@@ -1,11 +1,16 @@
 """Seeded structured bimoulds and exact symmetry checkers.
 
-The generators here produce bimoulds with a prescribed structure (alternal,
-symmetral, push-invariant, ...) from nothing but a seed, so every suite run
-can replay the exact same objects.  The checkers are built on
-``engine.sample_points``, like ``engine.check_identity``: exact rational
-comparison at seeded random words, with division-by-zero points resampled up
-to the retry cap and recorded as skipped, with the error, when exhausted.
+``gen_bimould(Profile(kind, seed))`` builds a bimould with a prescribed
+structure (even and concentrated in length 1, alternal, symmetral,
+bialternal, or al/ol for a unit) from nothing but a seed, so every suite run
+can replay the exact same objects; ``pushsym`` makes any lie-class bimould
+push-invariant.  An invariance ``op(A) = A`` needs no checker of its own: it
+is ``check_identity(op(A), A)`` with one object ``A`` on both sides.
+
+The shuffle and push-order checkers are built on ``engine.sample_points``,
+like ``engine.check_identity``: exact rational comparison at seeded random
+words, with division-by-zero points resampled up to the retry cap and
+recorded as skipped, with the error, when exhausted.
 
 Alternality and symmetrality are shuffle-sum conditions: for every splitting
 of a word into two nonempty halves ``a`` and ``b``,
@@ -32,16 +37,12 @@ from .engine import (
     PointRecord,
     Report,
     SamplePlan,
-    check_identity,
-    gantar,
     leng_r,
-    mantar,
     neg,
     push,
     sample_points,
 )
 from .flexion import adari, ari, expari, gamit_inv
-from .senary import e_negpush, e_push, e_sena, o_mantar
 from .words import shuffles
 
 __all__ = [
@@ -54,8 +55,6 @@ __all__ = [
     "check_symmetral",
     "check_o_alternal",
     "o_alternal_routes_agree",
-    "INVARIANT_OPS",
-    "check_invariant",
     "check_push_order",
 ]
 
@@ -99,15 +98,7 @@ def pushsym(A: Mould) -> Mould:
 # Structured generators
 # ---------------------------------------------------------------------------
 
-PROFILE_KINDS = (
-    "generic",
-    "even_length1",
-    "alternal",
-    "symmetral",
-    "push_invariant",
-    "al_al_seed",
-    "al_ol",
-)
+PROFILE_KINDS = ("even_length1", "alternal", "symmetral", "al_al_seed", "al_ol")
 
 
 @dataclass(frozen=True)
@@ -134,70 +125,31 @@ def _even_length1_gen(seed: int, tag: str) -> Mould:
     return leng_r(D + neg(D), 1)
 
 
-def _iterated_ari(gens: list[Mould]) -> Mould:
+def _iterated_ari(profile: Profile, gen: Callable[[int, str], Mould], prefix: str) -> Mould:
     # g0 + ari(g0,g1) + ari(ari(g0,g1),g2) + ...  Length-1 bimoulds are
     # alternal for free (shuffle sums land in length >= 2), and ari preserves
-    # alternality, so the total is alternal with support up to len(gens).
-    acc = gens[0]
-    total = gens[0]
-    for g in gens[1:]:
-        acc = ari(acc, g)
+    # alternality, so the total is alternal with support up to depth + 1.
+    acc = total = gen(profile.seed, f"{prefix}-0")
+    for i in range(1, profile.depth + 1):
+        acc = ari(acc, gen(profile.seed, f"{prefix}-{i}"))
         total = total + acc
     return total
 
 
-def _gen_generic(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
-    return DigestMould(profile.seed, tag="generic")
-
-
-def _gen_even_length1(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
-    return _even_length1_gen(profile.seed, "even-1")
-
-
-def _gen_alternal(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
-    gens = [_length1_gen(profile.seed, f"alternal-{i}") for i in range(profile.depth + 1)]
-    return _iterated_ari(gens)
-
-
-def _gen_symmetral(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
-    gens = [_length1_gen(profile.seed, f"symmetral-{i}") for i in range(profile.depth + 1)]
-    return expari(_iterated_ari(gens))
-
-
-def _gen_push_invariant(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
-    return pushsym(DigestMould(profile.seed, tag="push-invariant"))
-
-
-def _al_al(profile: Profile, tag_prefix: str) -> Mould:
-    gens = [
-        _even_length1_gen(profile.seed, f"{tag_prefix}-{i}") for i in range(profile.depth + 1)
-    ]
-    return _iterated_ari(gens)
-
-
-def _gen_al_al_seed(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
-    return _al_al(profile, "al-al")
-
-
-def _gen_al_ol(profile: Profile, unit: Optional[FlexionUnit]) -> Mould:
+def gen_bimould(profile: Profile, unit: Optional[FlexionUnit] = None) -> Mould:
+    """The seeded bimould of ``profile``; kind ``al_ol`` needs ``unit``."""
+    kind = profile.kind
+    if kind == "even_length1":
+        return _even_length1_gen(profile.seed, "even-1")
+    if kind == "alternal":
+        return _iterated_ari(profile, _length1_gen, "alternal")
+    if kind == "symmetral":
+        return expari(_iterated_ari(profile, _length1_gen, "symmetral"))
+    if kind == "al_al_seed":
+        return _iterated_ari(profile, _even_length1_gen, "al-al")
     if unit is None:
         raise ValueError("profile 'al_ol' needs a flexion unit")
-    return adari(ess(unit), _al_al(profile, "al-ol"))
-
-
-_GENERATORS: dict[str, Callable[[Profile, Optional[FlexionUnit]], Mould]] = {
-    "generic": _gen_generic,
-    "even_length1": _gen_even_length1,
-    "alternal": _gen_alternal,
-    "symmetral": _gen_symmetral,
-    "push_invariant": _gen_push_invariant,
-    "al_al_seed": _gen_al_al_seed,
-    "al_ol": _gen_al_ol,
-}
-
-
-def gen_bimould(profile: Profile, unit: Optional[FlexionUnit] = None) -> Mould:
-    return _GENERATORS[profile.kind](profile, unit)
+    return adari(ess(unit), _iterated_ari(profile, _even_length1_gen, "al-ol"))
 
 
 # ---------------------------------------------------------------------------
@@ -304,43 +256,6 @@ def o_alternal_routes_agree(
         points=[point],
         note=f"ganit-route={verdicts[0]}, gamit-route={verdicts[1]}",
     )
-
-
-# ---------------------------------------------------------------------------
-# Invariance checks
-# ---------------------------------------------------------------------------
-
-INVARIANT_OPS: dict[str, Callable[[Optional[FlexionUnit], Mould], Mould]] = {
-    "push": lambda unit, A: push(A),
-    "neg": lambda unit, A: neg(A),
-    "mantar": lambda unit, A: mantar(A),
-    "gantar": lambda unit, A: gantar(A),
-    "o-mantar": o_mantar,
-    "e-negpush": e_negpush,
-    "e-push": e_push,
-    "e-sena": e_sena,
-}
-
-_UNIT_OPS = frozenset({"o-mantar", "e-negpush", "e-push", "e-sena"})
-
-
-def check_invariant(
-    op_name: str,
-    A: Mould,
-    plan: SamplePlan,
-    unit: Optional[FlexionUnit] = None,
-    name: Optional[str] = None,
-    ctx: Optional[EvalContext] = None,
-) -> Report:
-    """Check op(A) = A pointwise for a named operator."""
-    if op_name not in INVARIANT_OPS:
-        raise ValueError(f"unknown invariance {op_name!r}; known: {sorted(INVARIANT_OPS)}")
-    if op_name in _UNIT_OPS and unit is None:
-        raise ValueError(f"invariance {op_name!r} needs a flexion unit")
-    if name is None:
-        name = f"{op_name}-invariance"
-    transformed = INVARIANT_OPS[op_name](unit, A)
-    return check_identity(transformed, A, plan, name=name, ctx=ctx)
 
 
 def check_push_order(

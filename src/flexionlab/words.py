@@ -28,14 +28,15 @@ class DivByZero(ZeroDivisionError):
     """Division by an exactly-zero rational during mould evaluation.
 
     Carries a trail of (node name, word) frames identifying the offending
-    sub-expression; the outermost frame is appended last.
+    sub-expression; the outermost frame is appended last.  Its text is the
+    ``detail`` of every skipped point, so it is part of the report bytes.
     """
 
     def __init__(self, message: str):
         super().__init__(message)
         self.trail: list[tuple[str, "Word"]] = []
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
         base = super().__str__()
         if self.trail:
             path = " <- ".join(name for name, _ in self.trail)
@@ -129,13 +130,6 @@ def flr(a: Word, b: Word) -> Word:
     return tuple(Biletter(x.u, x.v - shift) for x in a)
 
 
-_FLEXIONS = {"ful": ful, "fur": fur, "fll": fll, "flr": flr}
-
-
-def flexion(kind: str, a: Word, b: Word) -> Word:
-    return _FLEXIONS[kind](a, b)
-
-
 # ---------------------------------------------------------------------------
 # Word transforms
 # ---------------------------------------------------------------------------
@@ -166,13 +160,6 @@ def swap_pullback(w: Word) -> Word:
         v_next = w[i].v if i < r else 0
         out.append(Biletter(w[i - 1].v - v_next, prefix[i]))
     return tuple(out)
-
-
-_TRANSFORMS = {"reverse": reverse, "negate": negate, "swap_pullback": swap_pullback}
-
-
-def word_transform(kind: str, w: Word) -> Word:
-    return _TRANSFORMS[kind](w)
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,7 @@ from flexionlab.canonical import (
     oz_closed,
     recip,
     ro_component,
-    secondary_pair,
     solve_dilator_ode,
-    unit_conjugate,
 )
 from flexionlab.engine import (
     DigestMould,
@@ -118,8 +116,8 @@ def test_check_tripartite_rejects_non_unit():
 
 
 def test_conjugate_is_an_involution():
-    assert unit_conjugate(POLAR) is CONJ
-    assert unit_conjugate(CONJ) is POLAR
+    assert POLAR.conjugate() is CONJ
+    assert CONJ.conjugate() is POLAR
 
 
 def test_get_unit_unknown_name():
@@ -309,12 +307,10 @@ def test_secondary_pair_normalization(ev):
 
 
 def test_secondary_pair_structure():
-    pair = secondary_pair(POLAR)
-    assert pair.dotted is oess(POLAR)
-    assert pair.plain is ess(POLAR)
-    conj_pair = secondary_pair(CONJ)
-    assert conj_pair.dotted is eess(POLAR)
-    assert conj_pair.plain is oss(POLAR)
+    # one cached mould per unit, shared with the conjugate unit's mirror pair
+    assert oess(POLAR) is oess(POLAR) and ess(POLAR) is ess(POLAR)
+    assert oess(CONJ) is eess(POLAR)
+    assert ess(CONJ) is oss(POLAR)
 
 
 def test_plain_is_swap_of_dotted(ctx):

@@ -77,6 +77,26 @@ def test_item_names_unique_within_suite():
         assert len(set(names)) == len(names), s.name
 
 
+# items whose report identity is not their name without " (control)"
+OWN_IDENTITIES = {
+    ("mould-constants", "ganit-os-of-O (bipolar control)"): "ganit-os-of-O (bipolar unit)",
+    ("negelon", "full-scan-r12"): "negelon-scan(r_max=12,h_min=1)",
+    ("negelon", "minimal-scan-r2"): "negelon-scan(r_max=2,h_min=1)",
+    ("negelon", "binomial-auxiliaries"): "binomial-aux(n_max=12)",
+    ("negelon", "h0-scan (control)"): "negelon-scan(r_max=6,h_min=0)",
+}
+
+
+def test_every_item_reports_under_its_own_name():
+    cfg = Config(max_length=1, samples=1, jobs=1)
+    for suite_name, suite in SUITES.items():
+        for index, item in enumerate(suite.items):
+            want = OWN_IDENTITIES.get(
+                (suite_name, item.name), item.name.removesuffix(" (control)")
+            )
+            assert run_item(suite_name, index, cfg).report.identity == want
+
+
 def test_list_suites_rows():
     rows = list_suites()
     assert [row["suite"] for row in rows] == list(SUITES) + [ALL_SUITE]
@@ -227,7 +247,7 @@ SKIP_CHECKERS = {
     "check_symmetral": lambda M, cfg, ctx: check_symmetral(M, cfg.plan(), "s", ctx),
     "check_push_order": lambda M, cfg, ctx: check_push_order(M, cfg.plan(), "s", ctx),
     # builds its own moulds through the patched suites._digest
-    "_fk_expansion_report": lambda M, cfg, ctx: suites._fk_expansion_report(cfg, ctx),
+    "_fk_expansion_report": lambda M, cfg, ctx: suites._fk_expansion_report(cfg, ctx, "s"),
 }
 TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_report"}
 

@@ -11,18 +11,18 @@ from flexionlab.engine import (
     DigestMould,
     check_identity,
     leng_r,
+    mantar,
     neg,
     push,
     swap,
 )
 from flexionlab.flexion import adari, ari, ganit, invgari
 from flexionlab.canonical import ess, get_unit, mould_oz, oess
+from flexionlab.senary import e_sena
 from flexionlab.symmetry import (
-    INVARIANT_OPS,
     PROFILE_KINDS,
     Profile,
     check_alternal,
-    check_invariant,
     check_o_alternal,
     check_push_order,
     check_symmetral,
@@ -45,33 +45,25 @@ def digest(seed: int) -> DigestMould:
 
 
 def test_profile_kinds_registry():
-    assert PROFILE_KINDS == (
-        "generic",
-        "even_length1",
-        "alternal",
-        "symmetral",
-        "push_invariant",
-        "al_al_seed",
-        "al_ol",
-    )
+    assert PROFILE_KINDS == ("even_length1", "alternal", "symmetral", "al_al_seed", "al_ol")
 
 
 def test_profile_defaults():
-    p = Profile(kind="generic")
+    p = Profile(kind="alternal")
     assert (p.seed, p.depth) == (0, 3)
 
 
 def test_gen_bimould_is_deterministic(ctx, ev):
-    a = gen_bimould(Profile(kind="generic", seed=5))
-    b = gen_bimould(Profile(kind="generic", seed=5))
+    a = gen_bimould(Profile(kind="alternal", seed=5))
+    b = gen_bimould(Profile(kind="alternal", seed=5))
     for r in (1, 2, 3):
         for w in words_of_length(r, 4):
             assert ev(a, w) == ev(b, w)
 
 
 def test_gen_bimould_seed_changes_values(ctx, ev):
-    a = gen_bimould(Profile(kind="generic", seed=5))
-    b = gen_bimould(Profile(kind="generic", seed=6))
+    a = gen_bimould(Profile(kind="alternal", seed=5))
+    b = gen_bimould(Profile(kind="alternal", seed=6))
     ws = [w for r in (1, 2) for w in words_of_length(r, 4)]
     assert any(ev(a, w) != ev(b, w) for w in ws)
 
@@ -114,8 +106,8 @@ def test_symmetral_profile_checks_symmetral(ctx):
 
 
 def test_push_invariant_profile(ctx):
-    A = gen_bimould(Profile(kind="push_invariant", seed=5))
-    assert check_invariant("push", A, plan(L=3, N=3)).status == "pass"
+    A = pushsym(digest(5))
+    assert check_identity(push(A), A, plan(L=3, N=3)).status == "pass"
 
 
 def test_bialternal_profile_both_components(ctx):
@@ -128,8 +120,8 @@ def test_bialternal_profile_both_components(ctx):
 def test_bialternal_is_neg_and_push_invariant(ctx):
     A = gen_bimould(Profile(kind="al_al_seed", seed=7))
     p = plan(L=3, N=3)
-    assert check_invariant("neg", A, p, None, "neg", ctx).status == "pass"
-    assert check_invariant("push", A, p, None, "push", ctx).status == "pass"
+    assert check_identity(neg(A), A, p, "neg", ctx).status == "pass"
+    assert check_identity(push(A), A, p, "push", ctx).status == "pass"
 
 
 def test_al_ol_profile_is_twisted_dimorphic(ctx):
@@ -156,7 +148,7 @@ def test_ari_preserves_bialternality(ctx):
 
 def test_alternal_is_mantar_invariant(ctx):
     A = gen_bimould(Profile(kind="alternal", seed=12))
-    assert check_invariant("mantar", A, plan(), None, "mantar", ctx).status == "pass"
+    assert check_identity(mantar(A), A, plan(), "mantar", ctx).status == "pass"
 
 
 # ---------------------------------------------------------------------------
@@ -195,34 +187,6 @@ def test_push_order_harness(ctx):
     assert check_push_order(digest(17), plan(), "order", ctx).status == "pass"
 
 
-# ---------------------------------------------------------------------------
-# The invariance registry
-# ---------------------------------------------------------------------------
-
-
-def test_invariant_registry_keys():
-    assert set(INVARIANT_OPS) == {
-        "push",
-        "neg",
-        "mantar",
-        "gantar",
-        "o-mantar",
-        "e-negpush",
-        "e-push",
-        "e-sena",
-    }
-
-
-def test_check_invariant_unknown_op():
-    with pytest.raises(ValueError):
-        check_invariant("reverse", digest(18), plan())
-
-
-def test_unit_ops_require_unit():
-    with pytest.raises(ValueError):
-        check_invariant("e-sena", digest(19), plan())
-
-
 def test_o_alternality_routes_agree_on_generic(ctx):
     rep = o_alternal_routes_agree(POLAR, digest(20), plan(L=3, N=3), "routes", ctx)
     assert rep.status == "pass"
@@ -237,7 +201,7 @@ def test_transport_of_push_invariants_is_sena_invariant(ctx):
     S = ess(POLAR)
     A = pushsym(digest(21))
     T = adari(S, A)
-    rep = check_invariant("e-sena", T, plan(), POLAR, "transported", ctx)
+    rep = check_identity(e_sena(POLAR, T), T, plan(), "transported", ctx)
     assert rep.status == "pass"
 
 
@@ -251,7 +215,7 @@ def test_transport_roundtrip_restores_push_invariance(ctx):
 
 def test_transport_of_generic_is_not_sena_invariant(ctx):
     T = adari(ess(POLAR), digest(23))
-    rep = check_invariant("e-sena", T, plan(L=3, N=3), POLAR, "generic", ctx)
+    rep = check_identity(e_sena(POLAR, T), T, plan(L=3, N=3), "generic", ctx)
     assert rep.status == "fail"
 
 
@@ -273,7 +237,7 @@ def test_generic_fails_every_symmetry(ctx):
     assert check_alternal(A, p, "alternal", ctx).status == "fail"
     assert check_symmetral(A, p, "symmetral", ctx).status == "fail"
     assert check_o_alternal(POLAR, A, p, "o-alternal", ctx).status == "fail"
-    assert check_invariant("push", A, p, None, "push", ctx).status == "fail"
+    assert check_identity(push(A), A, p, "push", ctx).status == "fail"
 
 
 def test_alternal_is_not_symmetral(ctx):

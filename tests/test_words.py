@@ -18,7 +18,6 @@ from flexionlab.words import (
     DivByZero,
     binom,
     bl,
-    flexion,
     fll,
     flr,
     ful,
@@ -37,7 +36,6 @@ from flexionlab.words import (
     word,
     word_from_json,
     word_to_json,
-    word_transform,
 )
 
 # -- strategies --------------------------------------------------------------
@@ -109,15 +107,6 @@ def test_fll_subtracts_last_left_v_everywhere():
     assert fll(a, b) == word([(3, 2), (5, 4)])
 
 
-def test_flexion_dispatch_matches_direct_calls():
-    a = word([(1, 2), (3, 4)])
-    b = word([(5, 6), (7, 8)])
-    assert flexion("ful", a, b) == ful(a, b)
-    assert flexion("fur", a, b) == fur(a, b)
-    assert flexion("fll", a, b) == fll(a, b)
-    assert flexion("flr", a, b) == flr(a, b)
-
-
 @given(a=words, b=words)
 @settings(max_examples=60, deadline=None)
 def test_flexion_length_laws(a, b):
@@ -177,13 +166,6 @@ def test_swap_pullback_involution(w):
 def test_reverse_and_negate_are_involutions(w):
     assert reverse(reverse(w)) == w
     assert negate(negate(w)) == w
-
-
-def test_word_transform_dispatch():
-    w = word([(1, 2), (3, 4)])
-    assert word_transform("reverse", w) == reverse(w)
-    assert word_transform("negate", w) == negate(w)
-    assert word_transform("swap_pullback", w) == swap_pullback(w)
 
 
 # -- the integer lattice --------------------------------------------------------
