@@ -71,6 +71,14 @@ def _text_suite_report(rep: SuiteReport) -> str:
     return "\n".join(lines)
 
 
+def _emit(path: Optional[str], payload: str) -> None:
+    if path:
+        with open(path, "w") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         get_unit(args.unit)
@@ -93,7 +101,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         retry_cap=args.retry_cap,
     )
     started = time.perf_counter()
-    report = run_suites(args.suite, cfg)
+    report = run_suites(args.suite or ["all"], cfg)
     elapsed = time.perf_counter() - started
     if args.report == "json":
         payload = json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n"
@@ -103,11 +111,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         blocks = [_text_suite_report(s) for s in report.suites]
         blocks.append(f"overall: {report.status}  ({elapsed:.1f}s wall)")
         payload = "\n\n".join(blocks) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args.out, payload)
     return 0 if report.status == "pass" else 1
 
 
@@ -124,18 +128,8 @@ def _cmd_list_suites(args: argparse.Namespace) -> int:
             for r in rows
         ]
         payload = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(args.out, payload)
     return 0
-
-
-COMMANDS = {
-    "verify": _cmd_verify,
-    "list-suites": _cmd_list_suites,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,10 +158,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--report", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="write the report to this path")
+    verify.set_defaults(run=_cmd_verify)
 
     listing = sub.add_parser("list-suites", help="list registered suites with anchors")
     listing.add_argument("--report", choices=("text", "json"), default="text")
     listing.add_argument("--out", default=None, help="write the listing to this path")
+    listing.set_defaults(run=_cmd_list_suites)
 
     return parser
 
@@ -176,9 +172,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args.parser = parser
-    if args.command == "verify" and not args.suite:
-        args.suite = ["all"]
-    return COMMANDS[args.command](args)
+    return args.run(args)
 
 
 if __name__ == "__main__":

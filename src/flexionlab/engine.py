@@ -563,11 +563,16 @@ class PointRecord:
     identity: str
     length: int
     word: Word
-    lhs: Optional[Rat]
+    lhs: Optional[Rat]  # None on a skipped point, and rhs with it
     rhs: Optional[Rat]
-    status: str  # pass | fail | skipped
     split: Optional[int] = None  # prefix length, for paired-word checks
     detail: Optional[str] = None  # e.g. the division-by-zero path on a skip
+
+    @property
+    def status(self) -> str:
+        if self.lhs is None:
+            return "skipped"
+        return "pass" if self.lhs == self.rhs else "fail"
 
     def to_json(self) -> dict:
         rec = {
@@ -602,14 +607,11 @@ class Report:
     def status(self) -> str:
         if any(p.status == "fail" for p in self.points):
             return "fail"
-        # a length whose every point was skipped means the identity was
-        # never actually exercised there: treat as failure of the check
-        by_length: dict[int, list[str]] = {}
-        for p in self.points:
-            by_length.setdefault(p.length, []).append(p.status)
-        for r, statuses in by_length.items():
-            if statuses and all(s == "skipped" for s in statuses):
-                return "fail"
+        # a report with no point, or a length whose every point was skipped,
+        # never exercised the identity there: the check fails
+        checked = {p.length for p in self.points if p.status == "pass"}
+        if not checked or any(p.length not in checked for p in self.points):
+            return "fail"
         return "pass"
 
     def to_json(self) -> dict:
@@ -657,11 +659,10 @@ def sample_points(
                     # past the item until the cyclic collector runs
                     detail = str(exc)
                     continue
-                status = "pass" if lhs == rhs else "fail"
-                rec = PointRecord(name, length, w, lhs, rhs, status, split=split)
+                rec = PointRecord(name, length, w, lhs, rhs, split=split)
                 break
             else:
-                rec = PointRecord(name, length, w, None, None, "skipped", split=split, detail=detail)
+                rec = PointRecord(name, length, w, None, None, split=split, detail=detail)
             report.points.append(rec)
     return report
 

@@ -73,36 +73,17 @@ def negelon_tuples(r_max: int, h_min: int = 1):
                     yield r, k, l, h
 
 
+def _point(identity: str, length: int, lhs, rhs) -> PointRecord:
+    return PointRecord(identity, length, EMPTY, Fraction(lhs), Fraction(rhs))
+
+
 def negelon_scan(r_max: int = 12, h_min: int = 1) -> Report:
     """Evaluate F at every admissible tuple and require exact zero."""
     name = f"negelon-scan(r_max={r_max},h_min={h_min})"
     report = Report(identity=name)
     for r, k, l, h in negelon_tuples(r_max, h_min):
-        val = negelon_f(r, k, l, h)
-        report.points.append(
-            PointRecord(
-                identity=f"F(r={r},k={k},l={l},h={h})",
-                length=r,
-                word=EMPTY,
-                lhs=val,
-                rhs=Fraction(0),
-                status="pass" if val == 0 else "fail",
-            )
-        )
+        report.points.append(_point(f"F(r={r},k={k},l={l},h={h})", r, negelon_f(r, k, l, h), 0))
     return report
-
-
-def _point(identity: str, length: int, lhs, rhs) -> PointRecord:
-    lhs = Fraction(lhs)
-    rhs = Fraction(rhs)
-    return PointRecord(
-        identity=identity,
-        length=length,
-        word=EMPTY,
-        lhs=lhs,
-        rhs=rhs,
-        status="pass" if lhs == rhs else "fail",
-    )
 
 
 def aux_identities(n_max: int = 12) -> Report:

@@ -8,11 +8,19 @@ and safe to compute in parallel worker processes.
 Each ``_suite_*`` function declares its items in registry order, and
 ``@items.run(item, expect)`` is the one way to add one.  It wraps a
 ``(cfg, ctx, name) -> Report`` runner, where ``name`` is the report identity:
-the item name without a trailing ``" (control)"``.  An item made only of
-``check_identity`` calls is a row: ``@items.identity(name, cap, expect)`` on
-a ``cfg -> (lhs, rhs)`` function, or on one that returns named pairs
-``{check name: (lhs, rhs)}`` whose reports are merged under the item name.
-A negative control's row is named ``"<name> (control)"``.
+the item name without a trailing ``" (control)"``.
+
+Every sampled item is a row: ``@items.identity(name, cap, expect)`` on a
+function of ``cfg`` that returns a value, or a dict ``{check name: value}``
+whose reports are merged under the item name.  A value is an ``(lhs, rhs)``
+pair for ``check_identity`` or a checker, called as
+``check(plan=cfg.plan(cap), name=..., ctx=...)``, such as
+``partial(check_alternal, A)``; a single checker's report is kept as it is,
+note included.  A negative control's row is named ``"<name> (control)"``.
+The items left as runners cannot be rows: the unit-axioms items report
+exact booleans and spot values (``conjugate-swaps-letters`` mixes in a
+boolean), the negelon scans and spot values sample no words, and
+``ganit-os-of-O (bipolar control)`` reports under an identity of its own.
 
 Conventions used by the items:
 
@@ -28,8 +36,9 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Union
 
 from .canonical import (
@@ -190,14 +199,7 @@ class Config:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
     def to_json(self) -> dict:
-        return {
-            "unit": self.unit,
-            "max_length": self.max_length,
-            "samples": self.samples,
-            "seed": self.seed,
-            "jobs": self.jobs,
-            "retry_cap": self.retry_cap,
-        }
+        return asdict(self)
 
 
 # Seed salts are spaced out so distinct generators never collide even when
@@ -246,32 +248,14 @@ def _inv_square() -> FlexionUnit:
 # ---------------------------------------------------------------------------
 
 
-def _bool_report(name: str, ok: bool, note: str = "") -> Report:
-    point = PointRecord(
-        identity=name,
-        length=0,
-        word=EMPTY,
-        lhs=Fraction(1),
-        rhs=Fraction(1) if ok else Fraction(0),
-        status="pass" if ok else "fail",
-    )
-    return Report(identity=name, points=[point], note=note)
-
-
 def _value_report(name: str, rows, note: str = "") -> Report:
     """Exact spot checks; rows are (word, lhs_value, rhs_value) triples."""
-    points = [
-        PointRecord(
-            identity=name,
-            length=len(w),
-            word=w,
-            lhs=lhs,
-            rhs=rhs,
-            status="pass" if lhs == rhs else "fail",
-        )
-        for (w, lhs, rhs) in rows
-    ]
+    points = [PointRecord(name, len(w), w, lhs, rhs) for (w, lhs, rhs) in rows]
     return Report(identity=name, points=points, note=note)
+
+
+def _bool_report(name: str, ok: bool, note: str = "") -> Report:
+    return _value_report(name, [(EMPTY, Fraction(1), Fraction(int(ok)))], note)
 
 
 def _merged(name: str, reports, note: str = "") -> Report:
@@ -296,13 +280,12 @@ def _fk_half(ctx: EvalContext, A: Mould, B: Mould, a, b) -> Fraction:
     return total
 
 
-def _fk_expansion_report(cfg: Config, ctx: EvalContext, name: str) -> Report:
+def _fk_expansion_check(
+    A: Mould, B: Mould, plan: SamplePlan, name: str, ctx: EvalContext
+) -> Report:
     """arit(B)(A) summed over shuffles of (a, b) equals the four-part
     flexion expansion, for alternal B and nonempty a, b."""
-    A = _digest(cfg, 701, tag="fk-subject")
-    B = _profile(cfg, "alternal", 702)
     F = arit(B, A)
-    plan = cfg.plan()
     shapes = (
         ((total, la), (la, total - la))
         for total in range(2, plan.max_length + 1)
@@ -321,7 +304,8 @@ def _fk_expansion_report(cfg: Config, ctx: EvalContext, name: str) -> Report:
 # ---------------------------------------------------------------------------
 
 Runner = Callable[[Config, EvalContext], Report]
-Pairs = Union[tuple[Mould, Mould], dict[str, tuple[Mould, Mould]]]
+# a row value: an (lhs, rhs) pair, or a checker run as check(plan=, name=, ctx=)
+Check = Union[tuple[Mould, Mould], Callable[..., Report]]
 
 
 @dataclass(frozen=True)
@@ -346,18 +330,24 @@ class _Items(list):
         return add
 
     def identity(self, name: str, cap: Optional[int] = None, expect: str = "pass"):
-        """Add a row: ``check_identity`` at ``cfg.plan(cap=cap)`` of the
-        ``(lhs, rhs)`` the decorated function builds from ``cfg``, or of each
-        of its named pairs, merged under ``name``."""
+        """Add a row: the decorated function builds from ``cfg`` one value, or
+        a dict of named values whose reports are merged under ``name``.  A
+        value is an ``(lhs, rhs)`` pair for ``check_identity`` or a checker,
+        and each runs at ``cfg.plan(cap=cap)``."""
 
-        def add(build: Callable[[Config], Pairs]):
+        def add(build: Callable[[Config], Union[Check, dict[str, Check]]]):
             def run(cfg: Config, ctx: EvalContext, name: str) -> Report:
-                pairs = build(cfg)
-                if isinstance(pairs, tuple):
-                    pairs = {name: pairs}
                 plan = cfg.plan(cap=cap)
-                checks = [check_identity(*pair, plan, key, ctx) for key, pair in pairs.items()]
-                return _merged(name, checks)
+
+                def check(value: Check, key: str) -> Report:
+                    if isinstance(value, tuple):
+                        value = partial(check_identity, *value)
+                    return value(plan=plan, name=key, ctx=ctx)
+
+                value = build(cfg)
+                if not isinstance(value, dict):
+                    return check(value, name)
+                return _merged(name, [check(v, key) for key, v in value.items()])
 
             self.run(name if expect == "pass" else f"{name} (control)", expect)(run)
             return build
@@ -784,50 +774,39 @@ def _suite_swamu() -> Suite:
 def _suite_symmetry() -> Suite:
     items = _Items()
 
-    @items.run("alternal-profile")
-    def alternal_profile(cfg, ctx, name):
-        A = _profile(cfg, "alternal", 201)
-        return check_alternal(A, cfg.plan(), name, ctx)
+    @items.identity("alternal-profile")
+    def alternal_profile(cfg):
+        return partial(check_alternal, _profile(cfg, "alternal", 201))
 
-    @items.run("symmetral-profile")
-    def symmetral_profile(cfg, ctx, name):
-        S = _profile(cfg, "symmetral", 202)
-        return check_symmetral(S, cfg.plan(), name, ctx)
+    @items.identity("symmetral-profile")
+    def symmetral_profile(cfg):
+        return partial(check_symmetral, _profile(cfg, "symmetral", 202))
 
-    @items.run("bialternal-profile")
-    def al_al_profile(cfg, ctx, name):
+    @items.identity("bialternal-profile")
+    def al_al_profile(cfg):
         A = _profile(cfg, "al_al_seed", 203)
-        plan = cfg.plan()
-        return _merged(
-            name,
-            [
-                check_alternal(A, plan, "bialternal-direct", ctx),
-                check_alternal(swap(A), plan, "bialternal-swapped", ctx),
-            ],
-        )
+        return {
+            "bialternal-direct": partial(check_alternal, A),
+            "bialternal-swapped": partial(check_alternal, swap(A)),
+        }
 
-    @items.run("al-ol-profile")
-    def al_ol_profile(cfg, ctx, name):
+    @items.identity("al-ol-profile")
+    def al_ol_profile(cfg):
         U = _unit(cfg)
         A = _profile(cfg, "al_ol", 204, unit=U)
-        plan = cfg.plan()
-        return _merged(
-            name,
-            [
-                check_alternal(A, plan, "al-ol-direct", ctx),
-                check_o_alternal(U, swap(A), plan, "al-ol-swapped", ctx, both_routes=True),
-            ],
-        )
+        return {
+            "al-ol-direct": partial(check_alternal, A),
+            "al-ol-swapped": partial(check_o_alternal, U, swap(A), both_routes=True),
+        }
 
     @items.identity("even-length-1-profile", cap=2)
     def even_length1(cfg):
         A = _profile(cfg, "even_length1", 205)
         return {"even-under-negation": (neg(A), A), "supported-at-length-1": (leng_r(A, 1), A)}
 
-    @items.run("length-1-is-alternal")
-    def length1_alternal(cfg, ctx, name):
-        A = leng_r(_digest(cfg, 206, "a"), 1)
-        return check_alternal(A, cfg.plan(cap=2), name, ctx)
+    @items.identity("length-1-is-alternal", cap=2)
+    def length1_alternal(cfg):
+        return partial(check_alternal, leng_r(_digest(cfg, 206, "a"), 1))
 
     @items.identity("pushsym-is-push-invariant", cap=3)
     def pushsym_invariant(cfg):
@@ -845,10 +824,9 @@ def _suite_symmetry() -> Suite:
         avg = SMul(Fraction(1, 2), A + push(A))
         return pushsym(A), avg
 
-    @items.run("push-order")
-    def push_order(cfg, ctx, name):
-        A = _digest(cfg, 210, "a")
-        return check_push_order(A, cfg.plan(), name, ctx)
+    @items.identity("push-order")
+    def push_order(cfg):
+        return partial(check_push_order, _digest(cfg, 210, "a"))
 
     @items.identity("alternal-is-mantar-invariant")
     def alternal_mantar(cfg):
@@ -860,44 +838,37 @@ def _suite_symmetry() -> Suite:
         A = _digest(cfg, 212, "a")
         return anti(mantar(A)), SMul(Fraction(-1), pari(A))
 
-    @items.run("ari-preserves-bialternality")
-    def ari_preserves_bialternal(cfg, ctx, name):
+    @items.identity("ari-preserves-bialternality", cap=3)
+    def ari_preserves_bialternal(cfg):
         A = _profile(cfg, "al_al_seed", 213)
         B = _profile(cfg, "al_al_seed", 214)
         C = ari(A, B)
-        plan = cfg.plan(cap=3)
-        return _merged(
-            name,
-            [
-                check_alternal(C, plan, "bracket-direct", ctx),
-                check_alternal(swap(C), plan, "bracket-swapped", ctx),
-            ],
-        )
+        return {
+            "bracket-direct": partial(check_alternal, C),
+            "bracket-swapped": partial(check_alternal, swap(C)),
+        }
 
     @items.identity("bialternal-neg-and-push-invariant")
     def bialternal_neg_push(cfg):
         A = _profile(cfg, "al_al_seed", 215)
         return {"bialternal-neg": (neg(A), A), "bialternal-push": (push(A), A)}
 
-    @items.run("o-alternality-routes-agree")
-    def routes_agree(cfg, ctx, name):
-        U = _unit(cfg)
-        A = _digest(cfg, 216, "a")
-        return o_alternal_routes_agree(U, A, cfg.plan(cap=3), name, ctx)
+    @items.identity("o-alternality-routes-agree", cap=3)
+    def routes_agree(cfg):
+        return partial(o_alternal_routes_agree, _unit(cfg), _digest(cfg, 216, "a"))
 
-    @items.run("generic-alternal (control)", expect="fail")
-    def generic_not_alternal(cfg, ctx, name):
-        return check_alternal(_digest(cfg, 217, "a"), cfg.plan(), name, ctx)
+    @items.identity("generic-alternal", expect="fail")
+    def generic_not_alternal(cfg):
+        return partial(check_alternal, _digest(cfg, 217, "a"))
 
     @items.identity("generic-push-invariant", expect="fail")
     def generic_not_push(cfg):
         A = _digest(cfg, 218, "a")
         return push(A), A
 
-    @items.run("alternal-symmetral (control)", expect="fail")
-    def alternal_not_symmetral(cfg, ctx, name):
-        A = _profile(cfg, "alternal", 219)
-        return check_symmetral(A, cfg.plan(), name, ctx)
+    @items.identity("alternal-symmetral", expect="fail")
+    def alternal_not_symmetral(cfg):
+        return partial(check_symmetral, _profile(cfg, "alternal", 219))
 
     return Suite(
         name="symmetry",
@@ -962,15 +933,15 @@ def _suite_mould_constants() -> Suite:
         U = _unit(cfg)
         return leng_r(To_series(U), 1), SMul(Fraction(1, 2), mould_O(U))
 
-    @items.run("To-is-O-alternal")
-    def to_o_alternal(cfg, ctx, name):
+    @items.identity("To-is-O-alternal")
+    def to_o_alternal(cfg):
         U = _unit(cfg)
-        return check_o_alternal(U, To_series(U), cfg.plan(), name, ctx, both_routes=True)
+        return partial(check_o_alternal, U, To_series(U), both_routes=True)
 
-    @items.run("To-is-O-alternal (conjugate unit)")
-    def to_o_alternal_conjugate(cfg, ctx, name):
+    @items.identity("To-is-O-alternal (conjugate unit)")
+    def to_o_alternal_conjugate(cfg):
         C = get_unit("polar-conjugate")
-        return check_o_alternal(C, To_series(C), cfg.plan(), name, ctx)
+        return partial(check_o_alternal, C, To_series(C))
 
     @items.identity("ganit-os-of-O [polar]")
     def eq_ganit_os(cfg):
@@ -1059,9 +1030,9 @@ def _suite_dilator() -> Suite:
         U = _unit(cfg)
         return leng_r(dilator_D(U), 1), SMul(Fraction(1, 2), mould_O(U))
 
-    @items.run("dilator-alternal")
-    def d_alternal(cfg, ctx, name):
-        return check_alternal(dilator_D(_unit(cfg)), cfg.plan(), name, ctx)
+    @items.identity("dilator-alternal")
+    def d_alternal(cfg):
+        return partial(check_alternal, dilator_D(_unit(cfg)))
 
     @items.identity("flow-satisfies-dilation-ode")
     def flow_ode(cfg):
@@ -1074,41 +1045,39 @@ def _suite_dilator() -> Suite:
         U = _unit(cfg)
         return {"ess-empty-value": (ess(U), one()), "oess-empty-value": (oess(U), one())}
 
-    @items.run("ess-symmetral")
-    def ess_symmetral(cfg, ctx, name):
-        return check_symmetral(ess(_unit(cfg)), cfg.plan(), name, ctx)
+    @items.identity("ess-symmetral")
+    def ess_symmetral(cfg):
+        return partial(check_symmetral, ess(_unit(cfg)))
 
-    @items.run("oess-symmetral")
-    def oess_symmetral(cfg, ctx, name):
-        return check_symmetral(oess(_unit(cfg)), cfg.plan(), name, ctx)
+    @items.identity("oess-symmetral")
+    def oess_symmetral(cfg):
+        return partial(check_symmetral, oess(_unit(cfg)))
 
-    @items.run("eess-symmetral")
-    def eess_symmetral(cfg, ctx, name):
-        return check_symmetral(eess(_unit(cfg)), cfg.plan(), name, ctx)
+    @items.identity("eess-symmetral")
+    def eess_symmetral(cfg):
+        return partial(check_symmetral, eess(_unit(cfg)))
 
-    @items.run("oss-symmetral")
-    def oss_symmetral(cfg, ctx, name):
-        return check_symmetral(oss(_unit(cfg)), cfg.plan(), name, ctx)
+    @items.identity("oss-symmetral")
+    def oss_symmetral(cfg):
+        return partial(check_symmetral, oss(_unit(cfg)))
 
-    @items.run("alternal-dilator-gives-symmetral-flow")
-    def alternal_to_symmetral(cfg, ctx, name):
-        plan = cfg.plan()
-        reports = []
-        for j in range(3):
-            D = _profile(cfg, "alternal", 402 + j)
-            S = solve_dilator_ode(D)
-            reports.append(check_symmetral(S, plan, f"flow-of-alternal-{j}", ctx))
-        return _merged(name, reports)
+    @items.identity("alternal-dilator-gives-symmetral-flow")
+    def alternal_to_symmetral(cfg):
+        return {
+            f"flow-of-alternal-{j}": partial(
+                check_symmetral, solve_dilator_ode(_profile(cfg, "alternal", 402 + j))
+            )
+            for j in range(3)
+        }
 
-    @items.run("symmetral-flow-gives-alternal-dilator")
-    def symmetral_to_alternal(cfg, ctx, name):
-        plan = cfg.plan()
-        reports = []
-        for j in range(3):
-            S = _profile(cfg, "symmetral", 405 + j)
-            D = dilator_of(S)
-            reports.append(check_alternal(D, plan, f"dilator-of-symmetral-{j}", ctx))
-        return _merged(name, reports)
+    @items.identity("symmetral-flow-gives-alternal-dilator")
+    def symmetral_to_alternal(cfg):
+        return {
+            f"dilator-of-symmetral-{j}": partial(
+                check_alternal, dilator_of(_profile(cfg, "symmetral", 405 + j))
+            )
+            for j in range(3)
+        }
 
     @items.identity("dilator-of-flow-roundtrip", cap=3)
     def roundtrip_d(cfg):
@@ -1120,19 +1089,20 @@ def _suite_dilator() -> Suite:
         S = _profile(cfg, "symmetral", 409)
         return solve_dilator_ode(dilator_of(S)), S
 
-    @items.run("arit-shuffle-expansion")
-    def fk_expansion(cfg, ctx, name):
-        return _fk_expansion_report(cfg, ctx, name)
+    @items.identity("arit-shuffle-expansion")
+    def fk_expansion(cfg):
+        A = _digest(cfg, 701, tag="fk-subject")
+        B = _profile(cfg, "alternal", 702)
+        return partial(_fk_expansion_check, A, B)
 
     @items.identity("negated-flow-fragari-gives-es", cap=3)
     def neg_flow_fragari(cfg):
         U = _unit(cfg)
         return fragari(neg(ess(U)), ess(U)), mould_es(U)
 
-    @items.run("generic-flow-symmetral (control)", expect="fail")
-    def generic_flow(cfg, ctx, name):
-        D = _digest(cfg, 410, "d")
-        return check_symmetral(solve_dilator_ode(D), cfg.plan(), name, ctx)
+    @items.identity("generic-flow-symmetral", expect="fail")
+    def generic_flow(cfg):
+        return partial(check_symmetral, solve_dilator_ode(_digest(cfg, 410, "d")))
 
     return Suite(
         name="dilator",
@@ -1552,10 +1522,10 @@ def _suite_lemmas_6() -> Suite:
         A = _digest(cfg, 684, "a")
         return ganit(osm, gamit(pari(ozm), A)), garit(invmu(osm), A)
 
-    @items.run("garit-os-preserves-symmetrality [polar]")
-    def garit_os_symmetral(cfg, ctx, name):
+    @items.identity("garit-os-preserves-symmetrality [polar]")
+    def garit_os_symmetral(cfg):
         S = _profile(cfg, "symmetral", 685)
-        return check_symmetral(garit(invmu(mould_os(_polar())), S), cfg.plan(), name, ctx)
+        return partial(check_symmetral, garit(invmu(mould_os(_polar())), S))
 
     @items.identity("gamit-pari-oz-vs-gamit-inverse-os", cap=3, expect="fail")
     def garit_os_displayed(cfg):
@@ -1601,13 +1571,13 @@ def _suite_negelon() -> Suite:
     def aux(cfg, ctx, name):
         return aux_identities(12)
 
-    @items.run("mu-factor-cube")
-    def mu_factor_3(cfg, ctx, name):
-        return mu_factor_check(cfg.plan(), N=3, name=name, ctx=ctx)
+    @items.identity("mu-factor-cube")
+    def mu_factor_3(cfg):
+        return partial(mu_factor_check, N=3)
 
-    @items.run("mu-factor-identity")
-    def mu_factor_1(cfg, ctx, name):
-        return mu_factor_check(cfg.plan(cap=3), N=1, name=name, ctx=ctx)
+    @items.identity("mu-factor-identity", cap=3)
+    def mu_factor_1(cfg):
+        return partial(mu_factor_check, N=1)
 
     @items.run("h0-scan (control)", expect="fail")
     def h0_scan(cfg, ctx, name):

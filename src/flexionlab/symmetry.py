@@ -10,7 +10,9 @@ is ``check_identity(op(A), A)`` with one object ``A`` on both sides.
 The shuffle and push-order checkers are built on ``engine.sample_points``,
 like ``engine.check_identity``: exact rational comparison at seeded random
 words, with division-by-zero points resampled up to the retry cap and
-recorded as skipped, with the error, when exhausted.
+recorded as skipped, with the error, when exhausted.  They take the mould
+first and ``plan``, ``name`` and ``ctx`` after it, so a suite row uses one
+as its value bound to its mould, e.g. ``partial(check_alternal, A)``.
 
 Alternality and symmetrality are shuffle-sum conditions: for every splitting
 of a word into two nonempty halves ``a`` and ``b``,
@@ -249,7 +251,6 @@ def o_alternal_routes_agree(
         word=(),
         lhs=Fraction(1 if verdicts[0] == "pass" else 0),
         rhs=Fraction(1 if verdicts[1] == "pass" else 0),
-        status="pass" if verdicts[0] == verdicts[1] else "fail",
     )
     return Report(
         identity=name,

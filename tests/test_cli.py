@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
 import time
 
@@ -46,3 +47,14 @@ def test_verify_rejects_out_of_range_counts(flag, value, capsys):
         main(ARGS + [flag, value])
     assert exc.value.code == 2
     assert f"{flag} must be >= " in capsys.readouterr().err
+
+
+def test_list_suites_json_to_file(tmp_path, capsys):
+    out = tmp_path / "suites.json"
+    assert main(["list-suites", "--report", "json", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    rows = json.loads(out.read_text())
+    assert len(rows) == 12
+    assert rows[-1]["suite"] == "all"
+    assert rows[-1]["identities"] == 169
+    assert sum(row["identities"] for row in rows[:-1]) == 169

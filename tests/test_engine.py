@@ -475,12 +475,13 @@ def test_report_json_shape(ctx):
 def test_report_all_skipped_length_fails():
     # a report whose length-2 points are all skipped must fail overall
     pts = [
-        dict(identity="x", length=0, word=EMPTY, lhs=Fraction(0), rhs=Fraction(0), status="pass"),
-        dict(identity="x", length=2, word=W2, lhs=None, rhs=None, status="skipped"),
+        dict(identity="x", length=0, word=EMPTY, lhs=Fraction(0), rhs=Fraction(0)),
+        dict(identity="x", length=2, word=W2, lhs=None, rhs=None),
     ]
     from flexionlab.engine import PointRecord
 
     rep = Report("x", [PointRecord(**p) for p in pts])
+    assert [p.status for p in rep.points] == ["pass", "skipped"]
     assert rep.status == "fail"
 
 

@@ -97,6 +97,36 @@ def test_every_item_reports_under_its_own_name():
             assert run_item(suite_name, index, cfg).report.identity == want
 
 
+ROW_CFG = Config(max_length=2, samples=1, jobs=1)
+
+
+def _run_named(suite_name: str, item_name: str):
+    index = [it.name for it in SUITES[suite_name].items].index(item_name)
+    return run_item(suite_name, index, ROW_CFG)
+
+
+def test_checker_row_keeps_its_report_note():
+    result = _run_named("mould-constants", "To-is-O-alternal")
+    assert result.ok
+    assert result.report.identity == "To-is-O-alternal"
+    assert result.report.note == "ganit- and gamit-route points merged"
+    assert {p.identity for p in result.report.points} == {
+        "To-is-O-alternal",
+        "To-is-O-alternal#gamit",
+    }
+
+
+def test_named_checker_rows_are_merged_under_the_item():
+    result = _run_named("symmetry", "bialternal-profile")
+    assert result.ok
+    assert result.report.identity == "bialternal-profile"
+    assert result.report.note == ""
+    identities = [p.identity for p in result.report.points]
+    assert set(identities) == {"bialternal-direct", "bialternal-swapped"}
+    # checked in dict order, so the direct points come first
+    assert identities == sorted(identities)
+
+
 def test_list_suites_rows():
     rows = list_suites()
     assert [row["suite"] for row in rows] == list(SUITES) + [ALL_SUITE]
@@ -246,16 +276,16 @@ SKIP_CHECKERS = {
     "check_alternal": lambda M, cfg, ctx: check_alternal(M, cfg.plan(), "s", ctx),
     "check_symmetral": lambda M, cfg, ctx: check_symmetral(M, cfg.plan(), "s", ctx),
     "check_push_order": lambda M, cfg, ctx: check_push_order(M, cfg.plan(), "s", ctx),
-    # builds its own moulds through the patched suites._digest
-    "_fk_expansion_report": lambda M, cfg, ctx: suites._fk_expansion_report(cfg, ctx, "s"),
+    "_fk_expansion_check": lambda M, cfg, ctx: suites._fk_expansion_check(
+        M, suites._profile(cfg, "alternal", 702), cfg.plan(), "s", ctx
+    ),
 }
-TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_report"}
+TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_check"}
 
 
 @pytest.mark.parametrize("checker", sorted(SKIP_CHECKERS))
-def test_skipped_points_keep_word_split_and_detail(checker, monkeypatch):
+def test_skipped_points_keep_word_split_and_detail(checker):
     singular = FuncMould("singular", _singular, LIE)
-    monkeypatch.setattr(suites, "_digest", lambda cfg, salt, tag="gen": singular)
     cfg = Config(max_length=3, samples=1, retry_cap=2)
     report = SKIP_CHECKERS[checker](singular, cfg, EvalContext(retry_cap=cfg.retry_cap))
     assert report.points and report.status == "fail"

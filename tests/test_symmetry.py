@@ -137,6 +137,16 @@ def test_length_1_moulds_are_trivially_alternal(ctx):
     assert check_alternal(A, plan(L=2, N=3), "length-1", ctx).status == "pass"
 
 
+@pytest.mark.parametrize("L", [0, 1])
+def test_shuffle_check_below_length_2_has_no_points_and_fails(L, ctx):
+    # every split into two nonempty halves needs a word of length >= 2, so
+    # nothing is checked below it, and a report that checked nothing fails
+    A = gen_bimould(Profile(kind="alternal", seed=3))
+    rep = check_alternal(A, plan(L=L), "alternal", ctx)
+    assert rep.points == []
+    assert rep.status == "fail"
+
+
 def test_ari_preserves_bialternality(ctx):
     A = gen_bimould(Profile(kind="al_al_seed", seed=10))
     B = gen_bimould(Profile(kind="al_al_seed", seed=11))
