@@ -22,12 +22,13 @@ from .engine import (
     LIE,
     FuncMould,
     LetterMould,
+    Lin,
     Mould,
-    Sub,
     derived_rng,
     invmu,
     one,
     pari,
+    sum_of_products,
     swap,
 )
 from .flexion import arit, ganit, ganit_inv, invgari
@@ -135,11 +136,11 @@ def mould_O(U: FlexionUnit) -> Mould:
 
 def mould_oz(U: FlexionUnit) -> Mould:
     """oz := invmu(1 - O); equals the letterwise product of O over the word."""
-    return U._cached("oz", lambda: invmu(Sub(one(), mould_O(U))))
+    return U._cached("oz", lambda: invmu(one() - mould_O(U)))
 
 
 def mould_ez(U: FlexionUnit) -> Mould:
-    return U._cached("ez", lambda: invmu(Sub(one(), mould_E(U))))
+    return U._cached("ez", lambda: invmu(one() - mould_E(U)))
 
 
 def oz_closed(U: FlexionUnit) -> Mould:
@@ -212,42 +213,33 @@ class RoComponent(Mould):
         self.oz = mould_oz(U)
 
     def _eval(self, ctx, w):
-        if len(w) != self.r:
-            return Fraction(0)
         r = self.r
-        total = Fraction(0)
-        for j in range(1, r + 1):
-            p, m, q = w[: j - 1], w[j - 1 : j], w[j:]
-            left = ctx.at(self.oz, flr(p, m))
-            mid_letter = ful(p, fur(m, q))[0]
-            mid = self.unit.O(ctx.letter(mid_letter))
-            right = ctx.at(self.oz, fll(m, q))
-            total += (r + 1 - j) * left * mid * right
-        return total
+        if len(w) != r:
+            return Fraction(0)
+        oz, O = self.oz, self.unit.O
+        cuts = ((j, w[: j - 1], w[j - 1 : j], w[j:]) for j in range(1, r + 1))  # p, m, q
+        return sum_of_products(
+            (
+                Fraction(r + 1 - j),
+                ctx.at(oz, flr(p, m)),
+                O(ctx.letter(ful(p, fur(m, q))[0])),
+                ctx.at(oz, fll(m, q)),
+            )
+            for j, p, m, q in cuts
+        )
 
 
 def ro_component(U: FlexionUnit, r: int) -> Mould:
     return U._cached(f"ro[{r}]", lambda: RoComponent(U, r))
 
 
-class ToSeries(Mould):
-    """Sum over r of ro_r / (r (r+1)); finite at each length."""
-
-    __slots__ = ("unit",)
-
-    def __init__(self, U: FlexionUnit):
-        super().__init__(f"To[{U.name}]", LIE)
-        self.unit = U
-
-    def _eval(self, ctx, w):
-        r = len(w)
-        if r == 0:
-            return Fraction(0)
-        return Fraction(1, r * (r + 1)) * ctx.at(ro_component(self.unit, r), w)
-
-
 def To_series(U: FlexionUnit) -> Mould:
-    return U._cached("To", lambda: ToSeries(U))
+    """Sum over r of ro_r / (r (r+1)): at length r the one ``Lin`` term ro_r."""
+
+    def terms(r):
+        return ((Fraction(1, r * (r + 1)), ro_component(U, r)),) if r else ()
+
+    return U._cached("To", lambda: Lin(f"To[{U.name}]", terms))
 
 
 def ganit_oz_inv(U: FlexionUnit, A: Mould) -> Mould:
@@ -296,10 +288,10 @@ class DilatorFlow(Mould):
         r = len(w)
         if r == 0:
             return Fraction(1)
-        total = ctx.at(self.inner, w)
-        for i in range(r):
-            total += ctx.at(self, w[:i]) * ctx.at(self.D, w[i:])
-        return total / r
+        D = self.D
+        terms = [(ctx.at(self.inner, w),)]
+        terms += ((ctx.at(self, w[:i]), ctx.at(D, w[i:])) for i in range(r))
+        return sum_of_products(terms) / r
 
 
 def solve_dilator_ode(D: Mould) -> Mould:

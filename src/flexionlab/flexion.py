@@ -6,6 +6,10 @@ its inverse and quotient, the exponential/logarithm pair expari/logari, the
 inner action adari, the twisted products swamu/answamu (one node, told
 apart by its flexion pair), and the swap conjugates gira/preira/girat.
 
+expari, logari, adari_series and the dilator extraction are ``engine.Lin``
+series: at length r each is a weighted sum of at most r + 1 nodes at the
+same word, whose powers or iterates ``engine.iterates`` builds on first use.
+
 The gaxit sum at a word of length r depends on the word only through its
 u prefix sums and v coordinates, so it is compiled once per length into
 index tables (``_gaxit_plan``).  ``Gaxit`` and ``GaxitInv`` evaluate each
@@ -33,12 +37,12 @@ from .engine import (
     FREE,
     GROUP,
     LIE,
-    Add,
     Invmu,
+    Lin,
     Mould,
     Mu,
-    Sub,
     invmu,
+    iterates,
     lu,
     one,
     push,
@@ -96,11 +100,11 @@ def anit(X: Mould, A: Mould) -> Mould:
 
 
 def axit(X: Mould, Y: Mould, A: Mould) -> Mould:
-    return Add(Amit(X, A), Anit(Y, A))
+    return Amit(X, A) + Anit(Y, A)
 
 
 def arit(X: Mould, A: Mould) -> Mould:
-    return Sub(Amit(X, A), Anit(X, A))
+    return Amit(X, A) - Anit(X, A)
 
 
 def irat(X: Mould, A: Mould) -> Mould:
@@ -108,13 +112,13 @@ def irat(X: Mould, A: Mould) -> Mould:
 
 
 def preari(A: Mould, B: Mould) -> Mould:
-    return Add(arit(B, A), Mu(A, B))
+    return arit(B, A) + Mu(A, B)
 
 
 def ari(A: Mould, B: Mould) -> Mould:
     if A.empty_class != LIE or B.empty_class != LIE:
         raise ValueError("ari expects lie-class operands")
-    return Add(Sub(arit(B, A), arit(A, B)), lu(A, B))
+    return arit(B, A) - arit(A, B) + lu(A, B)
 
 
 # ---------------------------------------------------------------------------
@@ -308,73 +312,42 @@ def fragari(A: Mould, B: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-class Expari(Mould):
-    """expari(A) = 1 + sum_n P_n/n! with P_1 = A, P_{n+1} = preari(P_n, A);
-    P_n vanishes below length n, so the sum truncates at each length."""
-
-    __slots__ = ("A", "_powers")
-
-    def __init__(self, A: Mould):
-        if A.empty_class != LIE:
-            raise ValueError(f"expari needs a lie-class mould, got {A.empty_class} ({A.name})")
-        super().__init__("expari", GROUP)
-        self.A = A
-        self._powers = [None, A]
-
-    def power(self, n: int) -> Mould:
-        while len(self._powers) <= n:
-            self._powers.append(preari(self._powers[-1], self.A))
-        return self._powers[n]
-
-    def _eval(self, ctx, w):
-        r = len(w)
-        if r == 0:
-            return Fraction(1)
-        total = Fraction(0)
-        for n in range(1, r + 1):
-            total += Fraction(1, factorial(n)) * ctx.at(self.power(n), w)
-        return total
-
-
-class Logari(Mould):
-    """logari(M): the lie-class A with expari(A) = M, solved by length.
-
-    The preari powers of the unknown are built with the proper two-block
-    product: since the unknown vanishes on the empty word this equals the
-    full mu term, and it keeps the recursion strictly length-decreasing.
-    """
-
-    __slots__ = ("M", "_powers")
-
-    def __init__(self, M: Mould):
-        if M.empty_class != GROUP:
-            raise ValueError(f"logari needs a group-class mould, got {M.empty_class} ({M.name})")
-        super().__init__("logari", LIE)
-        self.M = M
-        self._powers = [None, self]
-
-    def _power(self, n: int) -> Mould:
-        while len(self._powers) <= n:
-            prev = self._powers[-1]
-            self._powers.append(Add(arit(self, prev), Mu(prev, self, proper=2)))
-        return self._powers[n]
-
-    def _eval(self, ctx, w):
-        r = len(w)
-        if r == 0:
-            return Fraction(0)
-        total = ctx.at(self.M, w)
-        for n in range(2, r + 1):
-            total -= Fraction(1, factorial(n)) * ctx.at(self._power(n), w)
-        return total
-
-
 def expari(A: Mould) -> Mould:
-    return Expari(A)
+    """expari(A) = 1 + sum_n P_n/n! with P_1 = A, P_{n+1} = preari(P_n, A);
+    P_n vanishes below length n, so at length r the ``Lin`` series stops at
+    n = r."""
+    if A.empty_class != LIE:
+        raise ValueError(f"expari needs a lie-class mould, got {A.empty_class} ({A.name})")
+    power = iterates(A, lambda P: preari(P, A))  # power(n - 1) is P_n
+
+    def terms(r):
+        if not r:
+            return ((Fraction(1), None),)  # the constant 1
+        return [(Fraction(1, factorial(n)), power(n - 1)) for n in range(1, r + 1)]
+
+    return Lin("expari", terms)
 
 
 def logari(M: Mould) -> Mould:
-    return Logari(M)
+    """logari(M): the lie-class A with expari(A) = M, solved by length as the
+    ``Lin`` series A(w) = M(w) - sum_{n=2..r} P_n(w)/n!.
+
+    The preari powers P_n of the unknown are built with the proper two-block
+    product: since the unknown vanishes on the empty word this equals the
+    full mu term, and it keeps the recursion strictly length-decreasing.
+    """
+    if M.empty_class != GROUP:
+        raise ValueError(f"logari needs a group-class mould, got {M.empty_class} ({M.name})")
+
+    def terms(r):
+        if not r:
+            return ()
+        powers = [(Fraction(-1, factorial(n)), power(n - 1)) for n in range(2, r + 1)]
+        return [(Fraction(1), M), *powers]
+
+    node = Lin("logari", terms)
+    power = iterates(node, lambda P: arit(node, P) + Mu(P, node, proper=2))
+    return node
 
 
 def adari(M: Mould, A: Mould) -> Mould:
@@ -382,34 +355,14 @@ def adari(M: Mould, A: Mould) -> Mould:
     return gari(preari(M, A), invgari(M))
 
 
-class AdariSeries(Mould):
-    """Independent oracle for adari: the nested-ari exponential series."""
-
-    __slots__ = ("A", "_log", "_terms")
-
-    def __init__(self, M: Mould, A: Mould):
-        if A.empty_class != LIE:
-            raise ValueError(f"adari_series needs a lie-class argument, got {A.empty_class}")
-        super().__init__("adari_series", A.empty_class)
-        self.A = A
-        self._log = logari(M)
-        self._terms = [A]
-
-    def _term(self, n: int) -> Mould:
-        while len(self._terms) <= n:
-            self._terms.append(ari(self._log, self._terms[-1]))
-        return self._terms[n]
-
-    def _eval(self, ctx, w):
-        r = len(w)
-        total = Fraction(0)
-        for n in range(r + 1):
-            total += Fraction(1, factorial(n)) * ctx.at(self._term(n), w)
-        return total
-
-
 def adari_series(M: Mould, A: Mould) -> Mould:
-    return AdariSeries(M, A)
+    """Independent oracle for adari: the nested-ari exponential series, the
+    ``Lin`` sum over n = 0..r of T_n/n! with T_0 = A, T_{n+1} = ari(logari(M), T_n)."""
+    if A.empty_class != LIE:
+        raise ValueError(f"adari_series needs a lie-class argument, got {A.empty_class}")
+    log = logari(M)
+    term = iterates(A, lambda T: ari(log, T))
+    return Lin("adari_series", lambda r: [(Fraction(1, factorial(n)), term(n)) for n in range(r + 1)])
 
 
 def adari_inv(M: Mould, A: Mould) -> Mould:
@@ -470,27 +423,14 @@ def girat(B: Mould, A: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-class DilatorOf(Mould):
+def dilator_of(S: Mould) -> Mould:
     """The unique lie-class D with der(S) = preari(S, D) for group-class S.
 
     At length r: D(w) = r S(w) - arit(D)(S)(w) - sum_{w=pq, p nonempty}
     S(p) D(q), and the right side only needs D at shorter words.
     """
-
-    __slots__ = ("S", "inner")
-
-    def __init__(self, S: Mould):
-        if S.empty_class != GROUP:
-            raise ValueError(f"dilator extraction needs group-class S, got {S.empty_class}")
-        super().__init__("dilator_of", LIE)
-        self.S = S
-        self.inner = Add(arit(self, S), Mu(S, self, proper=1))
-
-    def _eval(self, ctx, w):
-        if not w:
-            return Fraction(0)
-        return len(w) * ctx.at(self.S, w) - ctx.at(self.inner, w)
-
-
-def dilator_of(S: Mould) -> Mould:
-    return DilatorOf(S)
+    if S.empty_class != GROUP:
+        raise ValueError(f"dilator extraction needs group-class S, got {S.empty_class}")
+    node = Lin("dilator_of", lambda r: ((Fraction(r), S), (Fraction(-1), inner)) if r else ())
+    inner = arit(node, S) + Mu(S, node, proper=1)
+    return node

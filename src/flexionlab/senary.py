@@ -29,7 +29,20 @@ from .canonical import (
     mould_es,
     mould_oz,
 )
-from .engine import LIE, Mould, invmu, mantar, mu, neg, one, pari, push, push_inv, swap
+from .engine import (
+    LIE,
+    Mould,
+    invmu,
+    mantar,
+    mu,
+    neg,
+    one,
+    pari,
+    push,
+    push_inv,
+    sum_of_products,
+    swap,
+)
 from .flexion import adari, answamu, ganit, gaxit, invgari, preari, swamu
 from .words import fll, fur
 
@@ -170,13 +183,17 @@ class ETer(Mould):
         self.E = E
 
     def _eval(self, ctx, w):
+        B, E = self.B, self.E
         if not w:
-            return ctx.at(self.B, w)
+            return ctx.at(B, w)
         head, last = w[:-1], w[-1:]
-        total = ctx.at(self.B, w)
-        total -= ctx.at(self.B, head) * self.E(ctx.letter(last[0]))
-        total += ctx.at(self.B, fur(head, last)) * self.E(ctx.letter(fll(head, last)[0]))
-        return total
+        return sum_of_products(
+            [
+                (ctx.at(B, w),),
+                (Fraction(-1), ctx.at(B, head), E(ctx.letter(last[0]))),
+                (ctx.at(B, fur(head, last)), E(ctx.letter(fll(head, last)[0]))),
+            ]
+        )
 
 
 def e_ter(U: FlexionUnit, B: Mould) -> Mould:
@@ -210,17 +227,11 @@ class TerInvTriple(Mould):
         self.ies = invmu(self.es)
 
     def _eval(self, ctx, w):
-        r = len(w)
-        total = Fraction(0)
-        for i in range(r + 1):
-            for j in range(i, r + 1):
-                a, b, c = w[:i], w[i:j], w[j:]
-                total += (
-                    ctx.at(self.B, fur(a, b))
-                    * ctx.at(self.ies, fll(a, b))
-                    * ctx.at(self.es, c)
-                )
-        return total
+        B, ies, es, r = self.B, self.ies, self.es, len(w)
+        cuts = ((w[:i], w[i:j], w[j:]) for i in range(r + 1) for j in range(i, r + 1))
+        return sum_of_products(
+            (ctx.at(B, fur(a, b)), ctx.at(ies, fll(a, b)), ctx.at(es, c)) for a, b, c in cuts
+        )
 
 
 def e_ter_inv_triple(U: FlexionUnit, B: Mould) -> Mould:

@@ -72,7 +72,6 @@ from .engine import (
     PointRecord,
     Report,
     SamplePlan,
-    SMul,
     anti,
     check_identity,
     der,
@@ -370,10 +369,11 @@ class ItemResult:
     report: Report
     # wall time of the item; console telemetry, kept out of JSON and equality
     seconds: float = field(default=0.0, compare=False)
+    # the report's status, read once: it walks every point
+    observed: str = field(init=False)
 
-    @property
-    def observed(self) -> str:
-        return self.report.status
+    def __post_init__(self):
+        self.observed = self.report.status
 
     @property
     def ok(self) -> bool:
@@ -821,7 +821,7 @@ def _suite_symmetry() -> Suite:
     @items.identity("pushsym-averages-push-orbit", cap=1)
     def pushsym_length1(cfg):
         A = _digest(cfg, 209, "a")
-        avg = SMul(Fraction(1, 2), A + push(A))
+        avg = Fraction(1, 2) * (A + push(A))
         return pushsym(A), avg
 
     @items.identity("push-order")
@@ -836,7 +836,7 @@ def _suite_symmetry() -> Suite:
     @items.identity("anti-mantar-is-minus-pari")
     def mantar_vs_pari(cfg):
         A = _digest(cfg, 212, "a")
-        return anti(mantar(A)), SMul(Fraction(-1), pari(A))
+        return anti(mantar(A)), -pari(A)
 
     @items.identity("ari-preserves-bialternality", cap=3)
     def ari_preserves_bialternal(cfg):
@@ -921,7 +921,7 @@ def _suite_mould_constants() -> Suite:
     def mantar_os(cfg):
         U = _unit(cfg)
         osm = mould_os(U)
-        return mantar(osm), SMul(Fraction(-1), invmu(osm))
+        return mantar(osm), -invmu(osm)
 
     @items.identity("ro-component-1-is-O", cap=2)
     def ro1(cfg):
@@ -931,7 +931,7 @@ def _suite_mould_constants() -> Suite:
     @items.identity("To-length-1-is-half-O", cap=1)
     def to_length1(cfg):
         U = _unit(cfg)
-        return leng_r(To_series(U), 1), SMul(Fraction(1, 2), mould_O(U))
+        return leng_r(To_series(U), 1), Fraction(1, 2) * mould_O(U)
 
     @items.identity("To-is-O-alternal")
     def to_o_alternal(cfg):
@@ -1028,7 +1028,7 @@ def _suite_dilator() -> Suite:
     @items.identity("dilator-length-1-is-half-O", cap=1)
     def d_length1(cfg):
         U = _unit(cfg)
-        return leng_r(dilator_D(U), 1), SMul(Fraction(1, 2), mould_O(U))
+        return leng_r(dilator_D(U), 1), Fraction(1, 2) * mould_O(U)
 
     @items.identity("dilator-alternal")
     def d_alternal(cfg):
@@ -1163,7 +1163,7 @@ def _suite_fundamental() -> Suite:
         U = _unit(cfg)
         M = _digest(cfg, 508, "m")
         arg = mu(mould_O(U), M)
-        combo = SMul(Fraction(-1), rush_r2(U, arg)) + rush_r3(U, arg) - rush_r4(U, arg)
+        combo = -rush_r2(U, arg) + rush_r3(U, arg) - rush_r4(U, arg)
         return combo, zero()
 
     @items.identity("rush-annihilates-zero", cap=2)
@@ -1482,7 +1482,7 @@ def _suite_lemmas_6() -> Suite:
     def garit_pil_2(cfg):
         U = _unit(cfg)
         S = oss(U)
-        return garit(S, mantar(invgari(S))), SMul(Fraction(-1), S)
+        return garit(S, mantar(invgari(S))), -S
 
     @items.identity("swap-transport-fragari-form", cap=3)
     def corollary_first(cfg):

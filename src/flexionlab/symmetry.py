@@ -3,9 +3,10 @@
 ``gen_bimould(Profile(kind, seed))`` builds a bimould with a prescribed
 structure (even and concentrated in length 1, alternal, symmetral,
 bialternal, or al/ol for a unit) from nothing but a seed, so every suite run
-can replay the exact same objects; ``pushsym`` makes any lie-class bimould
-push-invariant.  An invariance ``op(A) = A`` needs no checker of its own: it
-is ``check_identity(op(A), A)`` with one object ``A`` on both sides.
+can replay the exact same objects; ``pushsym``, the ``Lin`` average of the
+push iterates, makes any lie-class bimould push-invariant.  An invariance
+``op(A) = A`` needs no checker of its own: it is ``check_identity(op(A), A)``
+with one object ``A`` on both sides.
 
 The shuffle and push-order checkers are built on ``engine.sample_points``,
 like ``engine.check_identity``: exact rational comparison at seeded random
@@ -35,14 +36,17 @@ from .engine import (
     LIE,
     DigestMould,
     EvalContext,
+    Lin,
     Mould,
     PointRecord,
     Report,
     SamplePlan,
+    iterates,
     leng_r,
     neg,
     push,
     sample_points,
+    sum_of_products,
 )
 from .flexion import adari, ari, expari, gamit_inv
 from .words import shuffles
@@ -50,7 +54,6 @@ from .words import shuffles
 __all__ = [
     "PROFILE_KINDS",
     "Profile",
-    "PushSym",
     "pushsym",
     "gen_bimould",
     "check_alternal",
@@ -66,34 +69,18 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-class PushSym(Mould):
+def pushsym(A: Mould) -> Mould:
     """Average of the r+1 push-iterates of a lie-class bimould at length r.
 
     Since push has order r+1 on length-r words, the average is exactly
     push-invariant, and it fixes every bimould that is already push-invariant.
+    It is the ``Lin`` node with the terms (1/(r+1), push^k(A)) for k = 0..r,
+    each iterate built once, when a word of its length first needs it.
     """
-
-    __slots__ = ("A", "_iters")
-
-    def __init__(self, A: Mould):
-        if A.empty_class != LIE:
-            raise ValueError("pushsym expects a lie-class bimould")
-        super().__init__("pushsym", LIE)
-        self.A = A
-        self._iters = [A]
-
-    def _eval(self, ctx, w):
-        r = len(w)
-        while len(self._iters) <= r:
-            self._iters.append(push(self._iters[-1]))
-        total = Fraction(0)
-        for k in range(r + 1):
-            total += ctx.at(self._iters[k], w)
-        return total / (r + 1)
-
-
-def pushsym(A: Mould) -> Mould:
-    return PushSym(A)
+    if A.empty_class != LIE:
+        raise ValueError("pushsym expects a lie-class bimould")
+    power = iterates(A, push)
+    return Lin("pushsym", lambda r: [(Fraction(1, r + 1), power(k)) for k in range(r + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +161,7 @@ def _check_shuffle(
     )
 
     def evaluate(a, b):
-        lhs = Fraction(0)
-        for s in shuffles(a, b):
-            lhs += ctx.eval(A, s)
+        lhs = sum_of_products([(ctx.eval(A, s),) for s in shuffles(a, b)])
         rhs = ctx.eval(A, a) * ctx.eval(A, b) if symmetral else Fraction(0)
         return lhs, rhs
 
@@ -240,7 +225,8 @@ def o_alternal_routes_agree(
     """Single-point report: both O-alternality routes reach the same verdict.
 
     This holds whether or not A is O-alternal, so it stays meaningful on
-    bimoulds that fail the symmetry itself.
+    bimoulds that fail the symmetry itself.  A route with no point checked
+    nothing, and then neither is the agreement: the report has no point.
     """
     ganit_route = check_alternal(ganit_oz_inv(unit, A), plan, name=name + "#ganit", ctx=ctx)
     gamit_route = check_alternal(gamit_inv(mould_oz(unit), A), plan, name=name + "#gamit", ctx=ctx)
@@ -254,7 +240,7 @@ def o_alternal_routes_agree(
     )
     return Report(
         identity=name,
-        points=[point],
+        points=[point] if ganit_route.points and gamit_route.points else [],
         note=f"ganit-route={verdicts[0]}, gamit-route={verdicts[1]}",
     )
 
@@ -267,10 +253,8 @@ def check_push_order(
 ) -> Report:
     """push^(r+1) restores every bimould on length-r words."""
     ctx = ctx if ctx is not None else EvalContext()
-    iters = [A]
-    for _ in range(plan.max_length + 1):
-        iters.append(push(iters[-1]))
+    power = iterates(A, push)
     shapes = (((r,), (r,)) for r in range(plan.max_length + 1))
     return sample_points(
-        ctx, plan, name, shapes, lambda w: (ctx.eval(iters[len(w) + 1], w), ctx.eval(A, w))
+        ctx, plan, name, shapes, lambda w: (ctx.eval(power(len(w) + 1), w), ctx.eval(A, w))
     )

@@ -58,3 +58,11 @@ def test_list_suites_json_to_file(tmp_path, capsys):
     assert rows[-1]["suite"] == "all"
     assert rows[-1]["identities"] == 169
     assert sum(row["identities"] for row in rows[:-1]) == 169
+
+
+def test_text_report_names_an_item_that_checked_nothing(tmp_path):
+    out = tmp_path / "report.txt"
+    args = ["verify", "--suite", "symmetry", "--max-length", "1", "--samples", "1", "--jobs", "1"]
+    assert main(args + ["--out", str(out)]) == 1
+    text = out.read_text()
+    assert "  FAIL  generic-alternal (control)\n        expected fail, observed unchecked\n" in text

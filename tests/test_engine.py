@@ -19,6 +19,7 @@ from flexionlab.engine import (
     EvalContext,
     FuncMould,
     LetterMould,
+    Lin,
     Mu,
     Report,
     SamplePlan,
@@ -411,6 +412,62 @@ def test_class_propagation():
     assert invmu(G).empty_class == GROUP
     assert (A + B).empty_class == LIE
     assert (G + one()).empty_class == FREE
+
+
+# The empty-word class each linear constructor had as a hand-written rule,
+# over operand classes in LIE, GROUP, FREE order ("LGF" = lie, group, free).
+_CLASS = {"L": LIE, "G": GROUP, "F": FREE}
+_OPERANDS = {
+    LIE: DigestMould(60),
+    GROUP: one() + DigestMould(61),
+    FREE: FuncMould("free", lambda w: Fraction(2), FREE),
+}
+UNARY_CLASSES = {
+    "smul[0]": (lambda A: 0 * A, "LLL"),
+    "smul[1]": (lambda A: 1 * A, "LGF"),
+    "smul[-1]": (lambda A: -A, "LFF"),
+    "pari": (pari, "LGF"),
+    "der": (der, "LLL"),
+    "leng_0": (lambda A: leng_r(A, 0), "LGF"),
+    "leng_2": (lambda A: leng_r(A, 2), "LLL"),
+}
+# rows: left operand L, G, F; columns: right operand L, G, F
+BINARY_CLASSES = {
+    "add": (lambda A, B: A + B, ("LGF", "GFF", "FFF")),
+    "sub": (lambda A, B: A - B, ("LFF", "GLF", "FFF")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNARY_CLASSES))
+def test_unary_linear_nodes_keep_their_empty_class(name):
+    build, classes = UNARY_CLASSES[name]
+    for operand, want in zip((LIE, GROUP, FREE), classes):
+        node = build(_OPERANDS[operand])
+        assert isinstance(node, Lin) and node.name == name
+        assert node.empty_class == _CLASS[want], (name, operand)
+        EvalContext().eval(node, EMPTY)  # the runtime class check agrees
+
+
+@pytest.mark.parametrize("name", sorted(BINARY_CLASSES))
+def test_binary_linear_nodes_keep_their_empty_class(name):
+    build, rows = BINARY_CLASSES[name]
+    for left, row in zip((LIE, GROUP, FREE), rows):
+        for right, want in zip((LIE, GROUP, FREE), row):
+            node = build(_OPERANDS[left], _OPERANDS[right])
+            assert isinstance(node, Lin) and node.name == name
+            assert node.empty_class == _CLASS[want], (name, left, right)
+            EvalContext().eval(node, EMPTY)
+
+
+def test_div_by_zero_trail_names_every_linear_node(ctx):
+    def singular(w):
+        raise DivByZero("always singular")
+
+    A, B = DigestMould(62), FuncMould("always-singular", singular, LIE)
+    with pytest.raises(DivByZero) as exc:
+        ctx.eval(pari(der(A + B)), W2)
+    assert exc.value.trail == [(name, W2) for name in ("always-singular", "add", "der", "pari")]
+    assert str(exc.value) == "always singular [at always-singular <- add <- der <- pari]"
 
 
 def test_lu_antisymmetric(ctx):

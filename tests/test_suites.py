@@ -5,11 +5,12 @@ from __future__ import annotations
 import gc
 import json
 import weakref
+from collections import Counter
 
 import pytest
 
 from flexionlab import suites
-from flexionlab.engine import LIE, EvalContext, FuncMould, check_identity, zero
+from flexionlab.engine import LIE, EvalContext, FuncMould, Report, check_identity, zero
 from flexionlab.suites import (
     ALL_SUITE,
     Config,
@@ -298,3 +299,48 @@ def test_skipped_points_keep_word_split_and_detail(checker):
         else:
             assert point.split is None
         assert "forced singular value" in point.detail
+
+
+def test_engine_counters_over_every_item_pin_the_graph_shapes():
+    # Summed over every item, each with a fresh context.  A change in the
+    # shape of any graph (a node more or less, a child evaluated at another
+    # word) moves these counts even when every value stays the same.
+    cfg = Config(max_length=3, samples=1, jobs=1)
+    total = Counter()
+    for suite in SUITES.values():
+        for item in suite.items:
+            ctx = EvalContext(retry_cap=cfg.retry_cap)
+            item.run(cfg, ctx)
+            total.update(ctx.stats)
+    assert total == {"evals": 141486, "memo_hits": 124742, "div_by_zero": 19}
+
+
+def test_items_that_check_nothing_are_not_ok():
+    # shuffle checks need words of length 2, so at L=1 these have no point
+    report = run_suites("all", Config(max_length=1, samples=1, jobs=1))
+    results = {r.name: r for s in report.suites for r in s.results}
+    for name in (
+        "generic-alternal (control)",
+        "alternal-symmetral (control)",
+        "generic-flow-symmetral (control)",
+        "o-alternality-routes-agree",
+    ):
+        assert results[name].report.points == []
+        assert results[name].observed == "unchecked"
+        assert not results[name].ok
+    for result in results.values():
+        assert (result.observed == "unchecked") == (not result.report.points)
+
+
+def test_run_report_reads_each_item_status_at_most_twice(monkeypatch):
+    reads = Counter()
+    status = Report.status.fget
+
+    def counted(report):
+        reads[report.identity] += 1
+        return status(report)
+
+    monkeypatch.setattr(Report, "status", property(counted))
+    report = run_suites(["algebra-core", "swamu"], Config(max_length=2, samples=1, jobs=1))
+    report.to_json()
+    assert reads and max(reads.values()) <= 2
