@@ -25,8 +25,10 @@ sequences of nodes (powers, push iterates) that such a series runs over.
 operand at ``reverse(w)``, ``negate(w)`` or ``swap_pullback(w)``; ``push``,
 ``push_inv`` and ``gantar`` are composed from them.
 
-``Mu(A, B, proper)`` is the two-block product; ``proper`` 1 drops the cut
-with an empty left block and 2 drops both end cuts, so a solver's
+``Cuts`` is the one node that sums products over the factorizations of w:
+mu, swamu/answamu, amit/anit, the triple-split e_ter inverse and ``Invmu``.
+``Mu(A, B, proper)`` builds the two-block product; ``proper`` 1 drops the
+cut with an empty left block and 2 drops both end cuts, so a solver's
 self-referential recursion never reaches the full word.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
@@ -37,12 +39,14 @@ resamples on division by zero up to the context's retry cap.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .words import (
@@ -454,11 +458,61 @@ def gantar(A: Mould) -> Mould:
 
 
 # ---------------------------------------------------------------------------
-# The mu product
+# Sums over the factorizations of w
 # ---------------------------------------------------------------------------
 
 
-class Mu(Mould):
+@functools.cache
+def _cut_plan(r: int, nonempty: tuple[bool, ...]) -> tuple[itemgetter, ...]:
+    """The factorizations of a length-``r`` word into blocks, block i nonempty
+    where ``nonempty[i]`` is set, in lexicographic order of the cut positions;
+    each is an ``itemgetter`` of slices that returns the tuple of its blocks."""
+    plan = []
+    for cuts in itertools.combinations_with_replacement(range(r + 1), len(nonempty) - 1):
+        bounds = (0, *cuts, r)
+        if all(lo < hi or not keep for lo, hi, keep in zip(bounds, bounds[1:], nonempty)):
+            plan.append(itemgetter(*map(slice, bounds, bounds[1:])))
+    return tuple(plan)
+
+
+class Cuts(Mould):
+    """A sum over the factorizations of w into blocks of products of children.
+
+    The value at w is ``sign`` times the sum, over the cuts of w into
+    ``len(nonempty)`` >= 2 blocks, block i nonempty where ``nonempty[i]`` is
+    set, of the product over the ``(B, assemble)`` pairs of ``factors`` of
+    ``B(assemble(blocks))``, with ``blocks`` the tuple of the cut's blocks.
+    ``itemgetter(i)`` reads block i as it is; the flexion products assemble
+    their words with one-argument functions of the blocks.  The cuts run in
+    lexicographic order and each cut's factors in ``factors`` order, so the
+    first ``DivByZero`` and its trail are those of a term-by-term sum.
+    """
+
+    __slots__ = ("nonempty", "factors")
+    sign = 1
+
+    def __init__(self, name: str, empty_class: str, nonempty: tuple[bool, ...], factors):
+        super().__init__(name, empty_class)
+        self.nonempty = nonempty
+        self.factors = factors
+
+    def _eval(self, ctx, w):
+        at = ctx.at
+        factors = self.factors
+        values = [
+            at(B, assemble(blocks))
+            for cut in _cut_plan(len(w), self.nonempty)
+            for blocks in (cut(w),)
+            for B, assemble in factors
+        ]
+        terms = zip(*[iter(values)] * len(factors))  # one tuple of factors per cut
+        return sum_of_products(terms, self.sign)
+
+
+_first, _second = itemgetter(0), itemgetter(1)
+
+
+def Mu(A: Mould, B: Mould, proper: int = 0) -> Mould:
     """mu(A,B)(w) = sum over two-block factorizations w = a.b of A(a)B(b).
 
     ``proper=1`` keeps only the cuts with ``a`` nonempty and ``proper=2``
@@ -467,27 +521,18 @@ class Mu(Mould):
     on the empty word, but never evaluates either operand at the full word,
     which keeps self-referential length recursions well founded.
     """
+    name = ("mu", "mu'", "mu''")[proper]
+    nonempty = ((False, False), (True, False), (True, True))[proper]
+    cls = LIE if proper else product_class(A, B)
+    return Cuts(name, cls, nonempty, ((A, _first), (B, _second)))
 
-    __slots__ = ("A", "B", "first", "dropped")
 
-    def __init__(self, A: Mould, B: Mould, proper: int = 0):
-        ca, cb = A.empty_class, B.empty_class
-        if proper or LIE in (ca, cb):
-            cls = LIE
-        elif ca == GROUP and cb == GROUP:
-            cls = GROUP
-        else:
-            cls = FREE
-        super().__init__(("mu", "mu'", "mu''")[proper], cls)
-        self.A = A
-        self.B = B
-        self.first = 1 if proper else 0  # shortest left block
-        self.dropped = 1 if proper == 2 else 0  # cuts dropped at the right end
-
-    def _eval(self, ctx, w):
-        A, B = self.A, self.B
-        cuts = range(self.first, len(w) + 1 - self.dropped)
-        return sum_of_products((ctx.at(A, w[:i]), ctx.at(B, w[i:])) for i in cuts)
+def product_class(A: Mould, B: Mould) -> str:
+    """The empty-word class of a product of A and B at the empty word."""
+    ca, cb = A.empty_class, B.empty_class
+    if LIE in (ca, cb):
+        return LIE
+    return GROUP if ca == cb == GROUP else FREE
 
 
 def mu(*ms) -> Mould:
@@ -503,23 +548,19 @@ def lu(A: Mould, B: Mould) -> Mould:
     return Mu(A, B) - Mu(B, A)
 
 
-class Invmu(Mould):
+class Invmu(Cuts):
     """mu-inverse: X(empty)=1, X(w) = -sum_{w=ab, a nonempty} A(a) X(b)."""
 
-    __slots__ = ("A",)
+    __slots__ = ()
+    sign = -1
 
-    def __init__(self, A: Mould):
+    def __init__(self, A: Mould, name: str = "invmu"):
         if A.empty_class != GROUP:
-            raise ValueError(f"invmu needs a group-class mould, got {A.empty_class} ({A.name})")
-        super().__init__("invmu", GROUP)
-        self.A = A
+            raise ValueError(f"{name} needs a group-class mould, got {A.empty_class} ({A.name})")
+        super().__init__(name, GROUP, (True, False), ((A, _first), (self, _second)))
 
     def _eval(self, ctx, w):
-        if not w:
-            return Fraction(1)
-        A = self.A
-        cuts = range(1, len(w) + 1)
-        return sum_of_products(((ctx.at(A, w[:i]), ctx.at(self, w[i:])) for i in cuts), -1)
+        return Cuts._eval(self, ctx, w) if w else _ONE
 
 
 def invmu(A: Mould) -> Mould:

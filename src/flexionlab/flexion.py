@@ -3,8 +3,13 @@
 Derivation level: amit/anit/axit/arit/irat and the preari/ari brackets.
 Group level: the gaxit family (gamit/ganit/garit specializations), gari with
 its inverse and quotient, the exponential/logarithm pair expari/logari, the
-inner action adari, the twisted products swamu/answamu (one node, told
-apart by its flexion pair), and the swap conjugates gira/preira/girat.
+inner action adari, the twisted products swamu/answamu, and the swap
+conjugates gira/preira/girat.
+
+amit, anit, swamu and answamu are ``engine.Cuts`` nodes: sums over the
+two- or three-block factorizations of w, whose factors read children at
+words that one-argument functions assemble from a cut's blocks (``_ful_ab``
+and the like).  invgari is the ``engine.Invmu`` of its own garit graph.
 
 expari, logari, adari_series and the dilator extraction are ``engine.Lin``
 series: at length r each is a weighted sum of at most r + 1 nodes at the
@@ -12,10 +17,11 @@ same word, whose powers or iterates ``engine.iterates`` builds on first use.
 
 The gaxit sum at a word of length r depends on the word only through its
 u prefix sums and v coordinates, so it is compiled once per length into
-index tables (``_gaxit_plan``).  ``Gaxit`` and ``GaxitInv`` evaluate each
-distinct factor of a call once, in first-use order (T, then X1..Xs, then
-Y1..Ys, term after term), so a skip names the same first singular factor
-as a term-by-term sum, and add the products with one reduction.
+index tables (``_gaxit_plan``).  One ``Gaxit`` node is both gaxit and, with
+``inverse`` set, gaxit_inv; it evaluates each distinct factor of a call
+once, in first-use order (T, then X1..Xs, then Y1..Ys, term after term), so
+a skip names the same first singular factor as a term-by-term sum, and adds
+the products with one reduction.
 
 Solvable inverses (invgari, logari, gaxit_inv, dilator extraction) are
 length recursions: at word length r the unknown enters linearly with unit
@@ -34,9 +40,9 @@ from fractions import Fraction
 from math import factorial
 
 from .engine import (
-    FREE,
     GROUP,
     LIE,
+    Cuts,
     Invmu,
     Lin,
     Mould,
@@ -45,6 +51,7 @@ from .engine import (
     iterates,
     lu,
     one,
+    product_class,
     push,
     sum_of_products,
     swap,
@@ -57,54 +64,42 @@ from .words import Biletter, Word, fll, flr, ful, fur
 # ---------------------------------------------------------------------------
 
 
-class Amit(Mould):
-    """amit(X,A)(w) = sum_{w=abc, b,c nonempty} A(a . ful(b,c)) X(flr(b,c))."""
-
-    __slots__ = ("X", "A")
-
-    def __init__(self, X: Mould, A: Mould):
-        super().__init__("amit", LIE)
-        self.X = X
-        self.A = A
-
-    def _eval(self, ctx, w):
-        A, X, r = self.A, self.X, len(w)
-        # a = w[:i]; b = w[i:j] and c = w[j:] nonempty
-        cuts = ((w[:i], w[i:j], w[j:]) for i in range(r) for j in range(i + 1, r))
-        return sum_of_products((ctx.at(A, a + ful(b, c)), ctx.at(X, flr(b, c))) for a, b, c in cuts)
+def _on_ab(flexion):
+    """The word assembly flexion(a, b) of a cut's first two blocks a, b."""
+    return lambda blocks: flexion(blocks[0], blocks[1])
 
 
-class Anit(Mould):
-    """anit(X,A)(w) = sum_{w=abc, a,b nonempty} A(fur(a,b) . c) X(fll(a,b))."""
+_ful_ab, _flr_ab, _fur_ab, _fll_ab = map(_on_ab, (ful, flr, fur, fll))
 
-    __slots__ = ("X", "A")
 
-    def __init__(self, X: Mould, A: Mould):
-        super().__init__("anit", LIE)
-        self.X = X
-        self.A = A
+def _a_ful_bc(blocks):
+    return blocks[0] + ful(blocks[1], blocks[2])
 
-    def _eval(self, ctx, w):
-        A, X, r = self.A, self.X, len(w)
-        # a = w[:i] and b = w[i:j] nonempty; c = w[j:]
-        cuts = ((w[:i], w[i:j], w[j:]) for i in range(1, r) for j in range(i + 1, r + 1))
-        return sum_of_products((ctx.at(A, fur(a, b) + c), ctx.at(X, fll(a, b))) for a, b, c in cuts)
+
+def _flr_bc(blocks):
+    return flr(blocks[1], blocks[2])
+
+
+def _fur_ab_c(blocks):
+    return fur(blocks[0], blocks[1]) + blocks[2]
 
 
 def amit(X: Mould, A: Mould) -> Mould:
-    return Amit(X, A)
+    """amit(X,A)(w) = sum_{w=abc, b,c nonempty} A(a . ful(b,c)) X(flr(b,c))."""
+    return Cuts("amit", LIE, (False, True, True), ((A, _a_ful_bc), (X, _flr_bc)))
 
 
 def anit(X: Mould, A: Mould) -> Mould:
-    return Anit(X, A)
+    """anit(X,A)(w) = sum_{w=abc, a,b nonempty} A(fur(a,b) . c) X(fll(a,b))."""
+    return Cuts("anit", LIE, (True, True, False), ((A, _fur_ab_c), (X, _fll_ab)))
 
 
 def axit(X: Mould, Y: Mould, A: Mould) -> Mould:
-    return Amit(X, A) + Anit(Y, A)
+    return amit(X, A) + anit(Y, A)
 
 
 def arit(X: Mould, A: Mould) -> Mould:
-    return Amit(X, A) - Anit(X, A)
+    return amit(X, A) - anit(X, A)
 
 
 def irat(X: Mould, A: Mould) -> Mould:
@@ -205,44 +200,31 @@ def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool =
 
 class Gaxit(Mould):
     """gaxit(X,Y)(A): block/gap sum with X acting from the left gaps and Y
-    from the right gaps; the blocks absorb their gaps' u-sums."""
+    from the right gaps; the blocks absorb their gaps' u-sums.
 
-    __slots__ = ("X", "Y", "A")
-
-    def __init__(self, X: Mould, Y: Mould, A: Mould):
-        for m, side in ((X, "X"), (Y, "Y")):
-            if m.empty_class != GROUP:
-                raise ValueError(f"gaxit needs group-class {side}, got {m.empty_class} ({m.name})")
-        super().__init__("gaxit", A.empty_class)
-        self.X = X
-        self.Y = Y
-        self.A = A
-
-    def _eval(self, ctx, w):
-        return _gaxit_sum(ctx, self.A, self.X, self.Y, w)
-
-
-class GaxitInv(Mould):
-    """Solves gaxit(X,Y)(B) = A for B by length recursion.
-
-    Every non-identity term evaluates B at strictly shorter words, and the
-    identity term (all positions kept, no gaps) has unit coefficient for
-    group-class X, Y.
+    With ``inverse`` set the node is gaxit_inv, which solves gaxit(X,Y)(B) = A
+    for B by length recursion: every non-identity term evaluates B at
+    strictly shorter words, and the identity term (all positions kept, no
+    gaps) has unit coefficient for group-class X, Y.
     """
 
-    __slots__ = ("X", "Y", "A")
+    __slots__ = ("X", "Y", "A", "inverse")
 
-    def __init__(self, X: Mould, Y: Mould, A: Mould):
+    def __init__(self, X: Mould, Y: Mould, A: Mould, inverse: bool = False):
+        name = "gaxit_inv" if inverse else "gaxit"
         for m, side in ((X, "X"), (Y, "Y")):
             if m.empty_class != GROUP:
-                raise ValueError(f"gaxit_inv needs group-class {side}, got {m.empty_class} ({m.name})")
-        super().__init__("gaxit_inv", A.empty_class)
+                raise ValueError(f"{name} needs group-class {side}, got {m.empty_class} ({m.name})")
+        super().__init__(name, A.empty_class)
         self.X = X
         self.Y = Y
         self.A = A
+        self.inverse = inverse
 
     def _eval(self, ctx, w):
-        return ctx.at(self.A, w) - _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
+        if self.inverse:
+            return ctx.at(self.A, w) - _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
+        return _gaxit_sum(ctx, self.A, self.X, self.Y, w)
 
 
 def gaxit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -258,15 +240,15 @@ def ganit(Y: Mould, A: Mould) -> Mould:
 
 
 def gaxit_inv(X: Mould, Y: Mould, A: Mould) -> Mould:
-    return GaxitInv(X, Y, A)
+    return Gaxit(X, Y, A, inverse=True)
 
 
 def gamit_inv(X: Mould, A: Mould) -> Mould:
-    return GaxitInv(X, one(), A)
+    return Gaxit(X, one(), A, inverse=True)
 
 
 def ganit_inv(Y: Mould, A: Mould) -> Mould:
-    return GaxitInv(one(), Y, A)
+    return Gaxit(one(), Y, A, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +264,18 @@ def gari(A: Mould, B: Mould) -> Mould:
     return Mu(garit(B, A), B)
 
 
-class Invgari(Invmu):
+def invgari(A: Mould) -> Mould:
     """gari-inverse: the unique group-class X with gari(A, X) = 1.
 
     gari(A,X) = mu(garit(X)(A), X) = 1 means X = invmu(garit(X)(A)), so this
-    is ``Invmu`` of the self-referential garit graph; the right side consumes
-    X only at strictly shorter words, so the recursion terminates.
+    is an ``Invmu`` whose operand is the self-referential garit graph; the
+    operand consumes X only at strictly shorter words, so the recursion
+    terminates.
     """
-
-    __slots__ = ()
-
-    def __init__(self, A: Mould):
-        if A.empty_class != GROUP:
-            raise ValueError(f"invgari needs a group-class mould, got {A.empty_class} ({A.name})")
-        Mould.__init__(self, "invgari", GROUP)
-        self.A = garit(self, A)
-
-
-def invgari(A: Mould) -> Mould:
-    return Invgari(A)
+    node = Invmu(A, "invgari")
+    (_, first), rest = node.factors  # the operand reads the first block
+    node.factors = ((garit(node, A), first), rest)
+    return node
 
 
 def fragari(A: Mould, B: Mould) -> Mould:
@@ -374,36 +349,14 @@ def adari_inv(M: Mould, A: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-class Swamu(Mould):
-    """The flexion-twisted mu product for a flexion pair (fa, fb).
-
-    swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b)) takes (ful, flr);
-    answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b)) takes (fur, fll).
-    """
-
-    __slots__ = ("A", "B", "fa", "fb")
-
-    def __init__(self, A: Mould, B: Mould, fa, fb):
-        ca, cb = A.empty_class, B.empty_class
-        cls = LIE if LIE in (ca, cb) else (GROUP if ca == cb == GROUP else FREE)
-        super().__init__("swamu" if fa is ful else "answamu", cls)
-        self.A = A
-        self.B = B
-        self.fa = fa
-        self.fb = fb
-
-    def _eval(self, ctx, w):
-        A, B, fa, fb = self.A, self.B, self.fa, self.fb
-        cuts = ((w[:i], w[i:]) for i in range(len(w) + 1))
-        return sum_of_products((ctx.at(A, fa(a, b)), ctx.at(B, fb(a, b))) for a, b in cuts)
-
-
 def swamu(A: Mould, B: Mould) -> Mould:
-    return Swamu(A, B, ful, flr)
+    """swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b))."""
+    return Cuts("swamu", product_class(A, B), (False, False), ((A, _ful_ab), (B, _flr_ab)))
 
 
 def answamu(A: Mould, B: Mould) -> Mould:
-    return Swamu(A, B, fur, fll)
+    """answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b))."""
+    return Cuts("answamu", product_class(A, B), (False, False), ((A, _fur_ab), (B, _fll_ab)))
 
 
 def gira(A: Mould, B: Mould) -> Mould:

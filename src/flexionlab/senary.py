@@ -15,11 +15,17 @@ Conventions:
     have exact closed inverses).
   - ``senary_defect(B) = e_ter(B) - (push . mantar . e_ter . mantar)(B)``
     vanishes exactly on the transported push-invariants.
+
+``ETer`` is the one node class here: e_ter reads B at the word and at two
+words built from its last-letter split.  The triple-split e_ter inverse is
+an ``engine.Cuts`` sum over w = abc; every other operator is composed from
+the nodes of the other modules.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 
 from .canonical import (
     FlexionUnit,
@@ -31,6 +37,7 @@ from .canonical import (
 )
 from .engine import (
     LIE,
+    Cuts,
     Mould,
     invmu,
     mantar,
@@ -43,7 +50,7 @@ from .engine import (
     sum_of_products,
     swap,
 )
-from .flexion import adari, answamu, ganit, gaxit, invgari, preari, swamu
+from .flexion import _fll_ab, _fur_ab, adari, answamu, ganit, gaxit, invgari, preari, swamu
 from .words import fll, fur
 
 
@@ -212,30 +219,14 @@ def e_ter_inv(U: FlexionUnit, B: Mould) -> Mould:
     return mu(answamu(B, invmu(es)), es)
 
 
-class TerInvTriple(Mould):
+def e_ter_inv_triple(U: FlexionUnit, B: Mould) -> Mould:
     """Triple-split expansion of the e_ter inverse (independent cross-check):
 
         B(fur(a, b)) . invmu(es)(fll(a, b)) . es(c)  summed over w = abc.
     """
-
-    __slots__ = ("B", "es", "ies")
-
-    def __init__(self, U: FlexionUnit, B: Mould):
-        super().__init__("e_ter_inv_triple", B.empty_class)
-        self.B = B
-        self.es = mould_es(U)
-        self.ies = invmu(self.es)
-
-    def _eval(self, ctx, w):
-        B, ies, es, r = self.B, self.ies, self.es, len(w)
-        cuts = ((w[:i], w[i:j], w[j:]) for i in range(r + 1) for j in range(i, r + 1))
-        return sum_of_products(
-            (ctx.at(B, fur(a, b)), ctx.at(ies, fll(a, b)), ctx.at(es, c)) for a, b, c in cuts
-        )
-
-
-def e_ter_inv_triple(U: FlexionUnit, B: Mould) -> Mould:
-    return TerInvTriple(U, B)
+    es = mould_es(U)
+    factors = ((B, _fur_ab), (invmu(es), _fll_ab), (es, itemgetter(2)))
+    return Cuts("e_ter_inv_triple", B.empty_class, (False, False, False), factors)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,57 @@ def mu3_value(ev, A, B, C, w: Word) -> Fraction:
     )
 
 
+def mu_proper_value(ev, A, B, w: Word, proper: int) -> Fraction:
+    """mu(A, B)(w) without the cut with an empty left block (``proper`` >= 1)
+    and without the one with an empty right block (``proper`` = 2)."""
+    return sum(
+        (ev(A, a) * ev(B, b) for a, b in splits2(w) if (a or proper < 1) and (b or proper < 2)),
+        Fraction(0),
+    )
+
+
+def swamu_value(ev, A, B, w: Word) -> Fraction:
+    """swamu(A, B)(w) = sum over w = ab of A(ful(a, b)) B(flr(a, b))."""
+    return sum((ev(A, ful(a, b)) * ev(B, flr(a, b)) for a, b in splits2(w)), Fraction(0))
+
+
+def answamu_value(ev, A, B, w: Word) -> Fraction:
+    """answamu(A, B)(w) = sum over w = ab of A(fur(a, b)) B(fll(a, b))."""
+    return sum((ev(A, fur(a, b)) * ev(B, fll(a, b)) for a, b in splits2(w)), Fraction(0))
+
+
+def amit_value(ev, X, A, w: Word) -> Fraction:
+    """amit(X, A)(w) = sum over w = abc, b and c nonempty, of A(a ful(b, c)) X(flr(b, c))."""
+    return sum(
+        (ev(A, a + ful(b, c)) * ev(X, flr(b, c)) for a, b, c in splits3(w) if b and c),
+        Fraction(0),
+    )
+
+
+def anit_value(ev, X, A, w: Word) -> Fraction:
+    """anit(X, A)(w) = sum over w = abc, a and b nonempty, of A(fur(a, b) c) X(fll(a, b))."""
+    return sum(
+        (ev(A, fur(a, b) + c) * ev(X, fll(a, b)) for a, b, c in splits3(w) if a and b),
+        Fraction(0),
+    )
+
+
+def invmu_value(ev, A, w: Word) -> Fraction:
+    """invmu(A)(w) from X(empty) = 1 and X(w) = -sum over w = ab, a nonempty,
+    of A(a) X(b), by plain recursion."""
+    if not w:
+        return Fraction(1)
+    return -sum((ev(A, a) * invmu_value(ev, A, b) for a, b in splits2(w) if a), Fraction(0))
+
+
+def ter_inv_triple_value(ev, B, es, w: Word) -> Fraction:
+    """The sum over w = abc of B(fur(a, b)) invmu(es)(fll(a, b)) es(c)."""
+    return sum(
+        (ev(B, fur(a, b)) * invmu_value(ev, es, fll(a, b)) * ev(es, c) for a, b, c in splits3(w)),
+        Fraction(0),
+    )
+
+
 def gaxit_terms(w: Word, skip_identity: bool = False) -> list[list[tuple[str, Word]]]:
     """Every term of gaxit(X, Y)(T) at w as its factors, by brute force.
 

@@ -8,7 +8,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import plan, words_of_length
-from oracles import gaxit_terms, gaxit_value
+from oracles import (
+    amit_value,
+    anit_value,
+    answamu_value,
+    gaxit_terms,
+    gaxit_value,
+    invmu_value,
+    mu_proper_value,
+    swamu_value,
+    ter_inv_triple_value,
+)
 from flexionlab.engine import (
     GROUP,
     LIE,
@@ -67,6 +77,7 @@ from flexionlab.canonical import (
     mould_oz,
     oss,
 )
+from flexionlab.senary import e_ter_inv_triple
 from flexionlab.words import EMPTY, DivByZero, flr, ful, fur, fll, shuffles, word
 
 POLAR = get_unit("polar")
@@ -578,8 +589,38 @@ def _singular_off_empty(name, empty_class=GROUP):
             lambda left, right: gaxit(one(), right, _singular_off_empty("arg", LIE)),
             "arg is singular [at arg <- gaxit]",
         ),
+        # amit reads A at a . ful(b, c) before X at flr(b, c)
+        (lambda left, right: amit(left, right), "right is singular [at right <- amit]"),
+        # anit reads A at fur(a, b) . c before X at fll(a, b)
+        (lambda left, right: anit(left, right), "right is singular [at right <- anit]"),
+        # cut 0 of swamu reads A at ful((), w) = w first
+        (lambda left, right: swamu(left, right), "left is singular [at left <- swamu]"),
+        # cut 0 of answamu reads A at fur((), w) = () and then B at w
+        (lambda left, right: answamu(left, right), "right is singular [at right <- answamu]"),
+        # B is read at fur(a, b) = () until a is nonempty, at cut (w1, (), w2)
+        (
+            lambda left, right: e_ter_inv_triple(POLAR, left),
+            "left is singular [at left <- e_ter_inv_triple]",
+        ),
+        # the first cut reads A at the first letter before invmu at the rest
+        (lambda left, right: invmu(left), "left is singular [at left <- invmu]"),
+        # the proper products start at a nonempty left block
+        (lambda left, right: Mu(left, right, proper=1), "left is singular [at left <- mu']"),
+        (lambda left, right: Mu(left, right, proper=2), "left is singular [at left <- mu'']"),
     ],
-    ids=["mu", "gaxit", "gaxit-inner-first"],
+    ids=[
+        "mu",
+        "gaxit",
+        "gaxit-inner-first",
+        "amit",
+        "anit",
+        "swamu",
+        "answamu",
+        "e_ter_inv_triple",
+        "invmu",
+        "mu-proper-1",
+        "mu-proper-2",
+    ],
 )
 def test_a_skip_names_the_first_singular_factor_in_evaluation_order(build, detail):
     M = build(_singular_off_empty("left"), _singular_off_empty("right"))
@@ -587,3 +628,33 @@ def test_a_skip_names_the_first_singular_factor_in_evaluation_order(build, detai
     skipped = [p for p in rep.points if p.status == "skipped"]
     assert {p.length for p in skipped} >= {2}
     assert all(p.detail == detail for p in skipped)
+
+
+OFF_LATTICE_4 = word([("1/11", "2/13"), ("-3/13", "5/11"), ("7", "-1/2"), ("5/17", "-2/3")])
+
+
+@pytest.mark.parametrize(
+    "build, oracle",
+    [
+        (lambda A, B: Mu(A, B), lambda ev, A, B, w: mu_proper_value(ev, A, B, w, 0)),
+        (lambda A, B: Mu(A, B, proper=1), lambda ev, A, B, w: mu_proper_value(ev, A, B, w, 1)),
+        (lambda A, B: Mu(A, B, proper=2), lambda ev, A, B, w: mu_proper_value(ev, A, B, w, 2)),
+        (swamu, swamu_value),
+        (answamu, answamu_value),
+        (amit, amit_value),
+        (anit, anit_value),
+        (lambda A, B: invmu(A), lambda ev, A, B, w: invmu_value(ev, A, w)),
+        (
+            lambda A, B: e_ter_inv_triple(POLAR, A),
+            lambda ev, A, B, w: ter_inv_triple_value(ev, A, mould_es(POLAR), w),
+        ),
+    ],
+    ids=["mu", "mu-proper-1", "mu-proper-2", "swamu", "answamu", "amit", "anit", "invmu", "e_ter_inv_triple"],
+)
+def test_cut_sums_match_their_brute_force_oracles(ev, build, oracle):
+    # group-class operands are nonzero at the empty word, so the cuts with
+    # an empty block count; the word has denominators off the base lattice
+    A, B = group(111), group(112)
+    value = ev(build(A, B), OFF_LATTICE_4)
+    assert value != 0
+    assert value == oracle(ev, A, B, OFF_LATTICE_4)
