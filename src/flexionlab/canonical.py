@@ -38,10 +38,17 @@ UnitFn = Callable[[Biletter], Rat]
 
 
 def recip(x: Rat) -> Rat:
-    """Exact reciprocal; zero raises the trailed division error."""
-    if x == 0:
+    """Exact reciprocal of a ``Fraction``; zero raises the trailed division
+    error.  The numerator and denominator of x in lowest terms are coprime,
+    so the reciprocal is built from them as they are, with no gcd."""
+    n, d = x._numerator, x._denominator
+    if not n:
         raise DivByZero("reciprocal of exact zero")
-    return 1 / Fraction(x)
+    if n < 0:
+        n, d = -n, -d
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = d, n
+    return out
 
 
 class FlexionUnit:
@@ -213,19 +220,23 @@ class RoComponent(Mould):
         self.oz = mould_oz(U)
 
     def _eval(self, ctx, w):
-        r = self.r
+        r, n = self.r, ctx.lanes
         if len(w) != r:
-            return Fraction(0)
+            return (Fraction(0),) * n
         oz, O = self.oz, self.unit.O
         cuts = ((j, w[: j - 1], w[j - 1 : j], w[j:]) for j in range(1, r + 1))  # p, m, q
         return sum_of_products(
             (
-                Fraction(r + 1 - j),
-                ctx.at(oz, flr(p, m)),
-                O(ctx.letter(ful(p, fur(m, q))[0])),
-                ctx.at(oz, fll(m, q)),
-            )
-            for j, p, m, q in cuts
+                (
+                    (Fraction(r + 1 - j),) * n,
+                    ctx.at(oz, flr(p, m)),
+                    ctx.apply(O, ful(p, fur(m, q))[0]),
+                    ctx.at(oz, fll(m, q)),
+                )
+                for j, p, m, q in cuts
+            ),
+            1,
+            n,
         )
 
 
@@ -285,13 +296,14 @@ class DilatorFlow(Mould):
         self.inner = arit(D, self)
 
     def _eval(self, ctx, w):
-        r = len(w)
+        r, n = len(w), ctx.lanes
         if r == 0:
-            return Fraction(1)
+            return (Fraction(1),) * n
         D = self.D
         terms = [(ctx.at(self.inner, w),)]
         terms += ((ctx.at(self, w[:i]), ctx.at(D, w[i:])) for i in range(r))
-        return sum_of_products(terms) / r
+        total = sum_of_products(terms, 1, n)
+        return sum_of_products([(total, (Fraction(1, r),) * n)], 1, n)  # divided by r
 
 
 def solve_dilator_ode(D: Mould) -> Mould:

@@ -9,10 +9,22 @@ takes a word of ``Fraction`` coordinates and converts it once: coordinate x
 becomes the int x*D, with D the context's scale, ``words.BASE`` = 2520 for
 every sampled word.  Nodes recurse through ``ctx.at(A, w)`` on lattice words,
 whose flexions and transforms are int additions, and the memo key is the
-flat tuple ``(uid, u1, v1, u2, v2, ...)`` of lattice ints.  Leaves that read
-coordinates convert letters back with ``ctx.letter``.  Values stay exact
-``Fraction``s; ``sum_of_products`` forms the sums of products behind mu and
-the flexion operators on raw numerators and denominators and reduces once.
+flat tuple ``(uid, u1, v1, u2, v2, ...)`` of lattice ints.
+
+One walk of the DAG evaluates a node at the words of n *lanes* at once.
+Every value is a tuple of n exact ``Fraction``s, one per lane, and every
+coordinate is a packed int: the sum of x_i * 2^(K*i) over the lattice ints
+x_i of the lanes (``words.pack``), with the lane width K derived from the
+sampling bounds, the word length and the scale.  Packing is linear, so the
+flexions and word transforms run unchanged on packed words, and two packed
+words are equal exactly when every lane is, so the memo key keeps its form.
+``sum_of_products`` is the one arithmetic kernel, lane by lane, and leaves
+call their functions through ``ctx.apply``, once per lane on the lane's
+``Fraction`` letters.  A leaf that divides by zero raises ``DivByZero`` on
+one lane and *poisons* its lane on n > 1: the lane's value becomes ``None``,
+and every sum with a ``None`` factor is ``None`` in that lane.  With one
+lane a packed int is the lattice int itself and nothing is ever ``None``:
+one lane is the plain scalar engine, and there is no other evaluator.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), and its
@@ -21,8 +33,9 @@ scalar ``*``, ``pari``, ``der`` and ``leng_r`` build one, and so do the
 truncated series of the other modules; ``iterates`` builds the lazy
 sequences of nodes (powers, push iterates) that such a series runs over.
 
-``anti``, ``neg`` and ``swap`` are one ``Transform`` node that evaluates its
-operand at ``reverse(w)``, ``negate(w)`` or ``swap_pullback(w)``; ``push``,
+``anti``, ``neg``, ``swap`` and ``mantar`` are one ``Transform`` node that
+evaluates its operand at ``reverse(w)``, ``negate(w)`` or
+``swap_pullback(w)``, mantar with the parity sign (-1)^(len(w)-1); ``push``,
 ``push_inv`` and ``gantar`` are composed from them.
 
 ``Cuts`` is the one node that sums products over the factorizations of w:
@@ -32,8 +45,9 @@ cut with an empty left block and 2 drops both end cuts, so a solver's
 self-referential recursion never reaches the full word.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
-it draws seeded random words per shape, compares two exact values, and
-resamples on division by zero up to the context's retry cap.
+it draws seeded random words per shape, evaluates all samples of a shape in
+one walk, compares two exact values per sample, and re-runs a poisoned
+sample alone, resampling on division by zero up to the context's retry cap.
 ``check_identity`` compares two graphs on it.
 """
 
@@ -58,13 +72,16 @@ from .words import (
     Word,
     EMPTY,
     from_lattice,
+    lane_width,
     lattice_scale,
     negate,
+    pack,
     rat_str,
     reverse,
     sample_word,
     swap_pullback,
     to_lattice,
+    unpack,
     word_to_json,
 )
 
@@ -73,6 +90,9 @@ LIE = "lie"
 FREE = "free"
 
 _uid_counter = itertools.count(1)
+_new = object.__new__
+
+Lanes = tuple  # tuple[Optional[Rat], ...]: a value, one entry per lane
 
 
 def _lift(x) -> "Mould":
@@ -93,7 +113,7 @@ class Mould:
         self.name = name
         self.empty_class = empty_class
 
-    def _eval(self, ctx: "EvalContext", w: Word) -> Rat:
+    def _eval(self, ctx: "EvalContext", w: Word) -> Lanes:
         raise NotImplementedError
 
     # -- arithmetic sugar: + and - are pointwise, scalars act by scaling ----
@@ -128,53 +148,120 @@ class Mould:
 class EvalContext:
     """Memo table plus counters; build one per checked item.
 
-    ``eval(A, w)`` is the public entry: ``w`` holds ``Fraction`` coordinates
-    (anything else raises ``TypeError``), and it is converted once to the
-    context's integer lattice, each coordinate x becoming the int x*scale.
-    ``scale`` starts at ``words.BASE`` (2520), a multiple of every sampled
-    denominator; a word with another denominator raises it to the lcm, and
-    then the memo is cleared, since equal ints on two lattices are different
-    rationals.  Nodes recurse through ``at(A, w)`` on lattice words, and
-    leaves that read coordinates get ``Fraction`` letters back from
-    ``letter``, which caches each int's ``Fraction``.
+    Every value is a tuple of ``lanes`` exact ``Fraction``s, one per lane,
+    and every word coordinate is a packed int (``words.pack``) that holds the
+    lattice ints of all lanes, so one walk of the DAG evaluates a node at the
+    words of every lane.  Flexions and transforms are linear, so they act on
+    packed words lane by lane, and two packed words are equal exactly when
+    they are equal in every lane.  With one lane a packed int is the lattice
+    int itself, and the context is the plain scalar engine.
+
+    ``eval(A, w)`` is the public one-lane entry: ``w`` holds ``Fraction``
+    coordinates (anything else raises ``TypeError``), and it is converted
+    once to the context's integer lattice, each coordinate x becoming the int
+    x*scale.  ``scale`` starts at ``words.BASE`` (2520), a multiple of every
+    sampled denominator; a word with another denominator raises it to the
+    lcm, and then the memo is cleared, since equal ints on two lattices are
+    different rationals.  ``walk`` evaluates a function of graphs at the
+    words of n lanes at once.  Nodes recurse through ``at(A, w)``, add their
+    products with ``sum_of_products`` and call their leaf and letter
+    functions through ``apply``.
 
     ``memo`` maps ``(uid, u1, v1, u2, v2, ...)``, the node's uid followed by
-    the lattice ints of the word, to the node's value there.  Two words share
-    an entry exactly when their coordinates are equal rationals.  The memo
-    lives as long as the context, so a context per item frees it when the
-    item ends.
+    the packed ints of the word, to the node's value there.  One-lane walks
+    share the memo of the context, which lives as long as the context, so a
+    context per item frees it when the item ends.  A walk of n > 1 lanes
+    starts from an empty memo of its own, since packed ints of two walks name
+    different words, and drops it when it ends.
+
+    ``stats`` counts ``evals`` (one per node and word a walk evaluates, for
+    all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per frame
+    a ``DivByZero`` passes on a one-lane walk, and one per lane a leaf
+    poisons on a walk of n > 1 lanes.
     """
 
     def __init__(self, retry_cap: int = 8):
         if retry_cap < 0:
             raise ValueError(f"need retry_cap >= 0, got {retry_cap}")
-        self.memo: dict[tuple[int, ...], Rat] = {}
+        self.memo: dict[tuple[int, ...], Lanes] = {}
         self.retry_cap = retry_cap
         self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
         self.scale = BASE
-        self._fractions: dict[int, Rat] = {}
+        self.lanes = 1
+        self._width = 0  # bits per lane of a packed coordinate; unused for one lane
+        self._letters: dict[Biletter, tuple[Biletter, ...]] = {}
 
     def eval(self, A: Mould, w: Word) -> Rat:
+        return self.at(A, to_lattice(w, self._rescale(w)))[0]
+
+    def _rescale(self, w: Word) -> int:
+        """The context's scale, first raised to a multiple of every
+        denominator of ``w``; raising it clears the memo."""
         scale = lattice_scale(w, self.scale)
         if scale != self.scale:
             self.scale = scale
             self.memo.clear()
-            self._fractions.clear()
-        return self.at(A, to_lattice(w, scale))
+            self._letters.clear()
+        return scale
 
-    def letter(self, x: Biletter) -> Biletter:
-        """The ``Fraction`` letter of the lattice letter ``x``."""
-        fractions = self._fractions
-        u = fractions.get(x.u)
-        if u is None:
-            u = fractions[x.u] = Fraction(x.u, self.scale)
-        v = fractions.get(x.v)
-        if v is None:
-            v = fractions[x.v] = Fraction(x.v, self.scale)
-        return Biletter(u, v)
+    def walk(self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]], bounds: Bounds):
+        """``evaluate(*parts)`` over the lanes of one walk, lane i at the
+        ``Fraction`` words ``samples[i]``; the parts of every lane have the
+        same lengths.  ``evaluate`` reads graphs through ``at`` and returns
+        a pair of lane tuples.  One lane runs on the context's own lattice
+        and memo, and a ``DivByZero`` propagates; with n > 1 lanes a lane
+        whose leaf divides by zero comes back ``None``."""
+        if len(samples) == 1:
+            (parts,) = samples
+            scale = self._rescale(sum(parts, EMPTY))
+            return evaluate(*[to_lattice(part, scale) for part in parts])
+        scale = BASE
+        for parts in samples:
+            scale = lattice_scale(sum(parts, EMPTY), scale)
+        width = lane_width(bounds, sum(map(len, samples[0])), scale)
+        packed = [pack(lane_parts, scale, width) for lane_parts in zip(*samples)]
+        saved = self.memo, self.scale, self.lanes, self._width, self._letters
+        self.memo, self.scale, self.lanes, self._width, self._letters = {}, scale, len(samples), width, {}
+        try:
+            return evaluate(*packed)
+        finally:
+            self.memo, self.scale, self.lanes, self._width, self._letters = saved
 
-    def at(self, A: Mould, w: Word) -> Rat:
-        """The value of ``A`` at the lattice word ``w``, memoized."""
+    def apply(self, fn: Callable[..., Rat], *letters: Biletter) -> Lanes:
+        """``fn`` called once per lane on that lane's ``Fraction`` letters.
+
+        A ``DivByZero`` raises on one lane; with n > 1 lanes it makes that
+        lane ``None`` instead, and the other lanes go on.
+        """
+        cache = self._letters
+        lanes = []
+        for x in letters:
+            got = cache.get(x)
+            if got is None:
+                got = cache[x] = self._unpack(x)
+            lanes.append(got)
+        out = []
+        for args in zip(*lanes) if letters else itertools.repeat((), self.lanes):
+            try:
+                out.append(fn(*args))
+            except DivByZero:
+                if self.lanes == 1:
+                    raise
+                self.stats["div_by_zero"] += 1
+                out.append(None)
+        return tuple(out)
+
+    def _unpack(self, x: Biletter) -> tuple[Biletter, ...]:
+        """The ``Fraction`` letter of each lane of the packed letter ``x``."""
+        scale = self.scale
+        if self.lanes == 1:
+            return (Biletter(Fraction(x.u, scale), Fraction(x.v, scale)),)
+        us = unpack(x.u, self.lanes, self._width)
+        vs = unpack(x.v, self.lanes, self._width)
+        return tuple(Biletter(Fraction(u, scale), Fraction(v, scale)) for u, v in zip(us, vs))
+
+    def at(self, A: Mould, w: Word) -> Lanes:
+        """The value of ``A`` at the packed word ``w``, memoized."""
         key = sum(w, (A.uid,))
         hit = self.memo.get(key)
         if hit is not None:
@@ -187,40 +274,61 @@ class EvalContext:
             self.stats["div_by_zero"] += 1
             exc.trail.append((A.name, from_lattice(w, self.scale)))
             raise
-        if not w:
-            if A.empty_class == GROUP and val != 1:
-                raise RuntimeError(f"group mould {A.name} evaluated to {val} at the empty word")
-            if A.empty_class == LIE and val != 0:
-                raise RuntimeError(f"lie mould {A.name} evaluated to {val} at the empty word")
+        if not w and A.empty_class != FREE:
+            want = 1 if A.empty_class == GROUP else 0
+            for x in val:
+                if x is not None and x != want:
+                    raise RuntimeError(f"{A.empty_class} mould {A.name} evaluated to {x} at the empty word")
         self.memo[key] = val
         return val
 
 
-def sum_of_products(terms: Iterable[Iterable[Rat]], sign: int = 1) -> Rat:
-    """``sign`` times the sum over ``terms`` of the product of each term's factors.
+def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int = 1) -> Lanes:
+    """``sign`` times the sum over ``terms`` of the product of each term's
+    factors, lane by lane.
 
-    The factors are ``Fraction``s; the sum runs on their raw numerators and
-    denominators.  Each product stays an unreduced n/d, the running total
-    keeps the lcm of the denominators so far, and only the result is reduced
-    to lowest terms.  Every factor of every term is consumed in order, so a
-    caller that evaluates factors lazily in ``terms`` meets the same first
-    ``DivByZero`` as a plain ``Fraction`` loop.
+    Each factor is a tuple of ``lanes`` ``Fraction``s, and the result is one
+    too.  A ``None`` factor makes its lane ``None``.  The sum of each lane
+    runs on raw numerators and denominators: each product stays an
+    unreduced n/d, the running total keeps the lcm of the denominators so
+    far, and only the result is reduced to lowest terms.  Every factor of
+    every term is consumed in order, so a caller that evaluates factors
+    lazily in ``terms`` meets the same first ``DivByZero`` as a plain
+    ``Fraction`` loop.
     """
+    if lanes > 1:
+        terms = [tuple(factors) for factors in terms]  # each lane reads them again
+    return tuple([_lane_sum(terms, sign, i) for i in range(lanes)])
+
+
+def _lane_sum(terms, sign: int, lane: int) -> Optional[Rat]:
+    """Lane ``lane`` of ``sum_of_products``, built as a ``Fraction`` from
+    its numerator and denominator divided by their gcd."""
     num, den = 0, 1
-    for factors in terms:
-        n = d = 1
-        for f in factors:
-            n *= f._numerator
-            d *= f._denominator
-        if not n:
-            continue
-        if d == den:
-            num += n
-        else:
-            g = gcd(den, d)
-            num = num * (d // g) + n * (den // g)
-            den = den // g * d
-    return Fraction(sign * num, den)
+    f = None
+    try:
+        for factors in terms:
+            n = d = 1
+            for f in factors:
+                f = f[lane]
+                n *= f._numerator
+                d *= f._denominator
+            if not n:
+                continue
+            if d == den:
+                num += n
+            else:
+                g = gcd(den, d)
+                num = num * (d // g) + n * (den // g)
+                den = den // g * d
+    except AttributeError:
+        if f is not None:
+            raise
+        return None
+    g = gcd(num, den)
+    out = _new(Fraction)
+    out._numerator, out._denominator = sign * num // g, den // g
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +348,7 @@ class Scalar(Mould):
         self.c = c
 
     def _eval(self, ctx, w):
-        return self.c if not w else Fraction(0)
+        return (_ZERO if w else self.c,) * ctx.lanes
 
 
 def one() -> Mould:
@@ -262,8 +370,8 @@ class LetterMould(Mould):
 
     def _eval(self, ctx, w):
         if len(w) != 1:
-            return Fraction(0)
-        return self.fn(ctx.letter(w[0]))
+            return (_ZERO,) * ctx.lanes
+        return ctx.apply(self.fn, w[0])
 
 
 class FuncMould(Mould):
@@ -276,7 +384,10 @@ class FuncMould(Mould):
         self.fn = fn
 
     def _eval(self, ctx, w):
-        return self.fn(tuple(map(ctx.letter, w)))
+        return ctx.apply(self._on_letters, *w)
+
+    def _on_letters(self, *letters):
+        return self.fn(letters)
 
 
 class DigestMould(Mould):
@@ -294,10 +405,13 @@ class DigestMould(Mould):
 
     def _eval(self, ctx, w):
         if not w:
-            return Fraction(0)
+            return (_ZERO,) * ctx.lanes
+        return ctx.apply(self._digest, *w)
+
+    def _digest(self, *letters):
         h = hashlib.blake2b(digest_size=16)
         h.update(repr(self.seed).encode())
-        for x in map(ctx.letter, w):
+        for x in letters:
             h.update(f"{x.u.numerator}/{x.u.denominator};{x.v.numerator}/{x.v.denominator}|".encode())
         d = int.from_bytes(h.digest(), "big")
         num = d % 41 - 20
@@ -311,6 +425,7 @@ class DigestMould(Mould):
 
 _ONE = Fraction(1)
 _NEG = Fraction(-1)
+_ZERO = Fraction(0)
 Terms = Sequence[tuple[Rat, Optional[Mould]]]
 
 
@@ -332,7 +447,7 @@ class Lin(Mould):
     when the node is built, so it must not need the node itself.
 
     A node that reads its operand at another word than w (``Transform``,
-    ``Mantar``, the products) is not a ``Lin``: its terms are not a list of
+    the products) is not a ``Lin``: its terms are not a list of
     children at w.
     """
 
@@ -343,9 +458,9 @@ class Lin(Mould):
         self.terms = terms
 
     def _eval(self, ctx, w):
-        at = ctx.at
+        at, n = ctx.at, ctx.lanes
         terms = self.terms(len(w))
-        return sum_of_products([(c,) if B is None else (c, at(B, w)) for c, B in terms])
+        return sum_of_products([((c,) * n,) if B is None else ((c,) * n, at(B, w)) for c, B in terms], 1, n)
 
 
 def _lin_class(terms: Terms) -> str:
@@ -382,32 +497,26 @@ def iterates(first: Mould, step: Callable[[Mould], Mould]) -> Callable[[int], Mo
 
 
 class Transform(Mould):
-    """``A`` evaluated at ``f(w)`` for a word transform ``f``: anti, neg, swap."""
+    """``A`` evaluated at ``f(w)`` for a word transform ``f``: anti, neg, swap.
 
-    __slots__ = ("A", "f")
+    With ``parity`` set the value is also multiplied by (-1)^(len(w)-1), so
+    -A at the empty word: mantar is the signed reversal.  Such a node is
+    lie-class over a lie-class ``A`` and free otherwise.
+    """
 
-    def __init__(self, name: str, f: Callable[[Word], Word], A: Mould):
-        super().__init__(name, A.empty_class)
+    __slots__ = ("A", "f", "parity")
+
+    def __init__(self, name: str, f: Callable[[Word], Word], A: Mould, parity: bool = False):
+        super().__init__(name, FREE if parity and A.empty_class != LIE else A.empty_class)
         self.A = A
         self.f = f
+        self.parity = parity
 
     def _eval(self, ctx, w):
-        return ctx.at(self.A, self.f(w))
-
-
-class Mantar(Mould):
-    """mantar(A)(w) = (-1)^(len(w)-1) A(reverse(w)), i.e. -pari o anti."""
-
-    __slots__ = ("A",)
-
-    def __init__(self, A: Mould):
-        cls = LIE if A.empty_class == LIE else FREE
-        super().__init__("mantar", cls)
-        self.A = A
-
-    def _eval(self, ctx, w):
-        s = 1 if len(w) % 2 else -1
-        return s * ctx.at(self.A, reverse(w))
+        val = ctx.at(self.A, self.f(w))
+        if self.parity and not len(w) % 2:
+            return sum_of_products(((val,),), -1, ctx.lanes)
+        return val
 
 
 def anti(A: Mould) -> Mould:
@@ -440,7 +549,8 @@ def leng_r(A: Mould, r: int) -> Mould:
 
 
 def mantar(A: Mould) -> Mould:
-    return Mantar(A)
+    """mantar(A)(w) = (-1)^(len(w)-1) A(reverse(w)), i.e. -pari o anti."""
+    return Transform("mantar", reverse, A, parity=True)
 
 
 def push(A: Mould) -> Mould:
@@ -506,7 +616,7 @@ class Cuts(Mould):
             for B, assemble in factors
         ]
         terms = zip(*[iter(values)] * len(factors))  # one tuple of factors per cut
-        return sum_of_products(terms, self.sign)
+        return sum_of_products(terms, self.sign, ctx.lanes)
 
 
 _first, _second = itemgetter(0), itemgetter(1)
@@ -560,7 +670,7 @@ class Invmu(Cuts):
         super().__init__(name, GROUP, (True, False), ((A, _first), (self, _second)))
 
     def _eval(self, ctx, w):
-        return Cuts._eval(self, ctx, w) if w else _ONE
+        return Cuts._eval(self, ctx, w) if w else (_ONE,) * ctx.lanes
 
 
 def invmu(A: Mould) -> Mould:
@@ -666,7 +776,7 @@ def sample_points(
     plan: SamplePlan,
     name: str,
     shapes: Iterable[tuple[tuple, tuple[int, ...]]],
-    evaluate: Callable[..., tuple[Rat, Rat]],
+    evaluate: Callable[..., tuple[Lanes, Lanes]],
 ) -> Report:
     """Compare ``evaluate(*parts)`` exactly at seeded random points per shape.
 
@@ -674,28 +784,47 @@ def sample_points(
     order from ``derived_rng(plan.seed, name, *label, i, attempt)``; its word
     is their concatenation, and a two-part shape records the first part's
     length as ``split``.  A shape of total length 0 gets one sample, any
-    other ``plan.samples_per_length``.  Division by zero resamples up to the
-    context's retry cap; a point that keeps hitting singular words is
-    recorded as skipped, with its last word and the error as ``detail``.
+    other ``plan.samples_per_length``.  ``evaluate`` takes packed words,
+    reads graphs through ``ctx.at`` and returns the two sides as lane tuples.
+
+    The first attempts of all samples of a shape are evaluated as the lanes
+    of one ``ctx.walk``.  A sample whose lane came back ``None`` (a division
+    by zero) is re-run alone, as one lane, from attempt 0: division by zero
+    resamples up to the context's retry cap, and a point that keeps hitting
+    singular words is recorded as skipped, with its last word and the error
+    as ``detail``.  So a point reads the same whatever the number of lanes,
+    and with one sample per shape every walk is the one-lane engine.
     """
     report = Report(identity=name)
     for label, lengths in shapes:
         length = sum(lengths)
         split = lengths[0] if len(lengths) == 2 else None
-        for i in range(plan.samples_per_length if length else 1):
+
+        def draw(i, attempt):
+            rng = derived_rng(plan.seed, name, *label, i, attempt)
+            return [sample_word(rng, n, plan.bounds) for n in lengths]
+
+        first = [draw(i, 0) for i in range(plan.samples_per_length if length else 1)]
+        lhs = rhs = None
+        if len(first) > 1:
+            lhs, rhs = ctx.walk(evaluate, first, plan.bounds)
+        for i, parts in enumerate(first):
+            if lhs is not None and lhs[i] is not None and rhs[i] is not None:
+                report.points.append(PointRecord(name, length, sum(parts, EMPTY), lhs[i], rhs[i], split=split))
+                continue
             for attempt in range(ctx.retry_cap + 1):
-                rng = derived_rng(plan.seed, name, *label, i, attempt)
-                parts = [sample_word(rng, n, plan.bounds) for n in lengths]
+                if attempt:
+                    parts = draw(i, attempt)
                 w = sum(parts, EMPTY)
                 try:
-                    lhs, rhs = evaluate(*parts)
+                    (lhs_i,), (rhs_i,) = ctx.walk(evaluate, [parts], plan.bounds)
                 except DivByZero as exc:
                     # keep the text, not the exception: its traceback holds
                     # this frame, and the cycle would keep ctx's memo alive
                     # past the item until the cyclic collector runs
                     detail = str(exc)
                     continue
-                rec = PointRecord(name, length, w, lhs, rhs, split=split)
+                rec = PointRecord(name, length, w, lhs_i, rhs_i, split=split)
                 break
             else:
                 rec = PointRecord(name, length, w, None, None, split=split, detail=detail)
@@ -718,4 +847,4 @@ def check_identity(
     """
     ctx = ctx if ctx is not None else EvalContext()
     shapes = (((r,), (r,)) for r in range(plan.max_length + 1))
-    return sample_points(ctx, plan, name, shapes, lambda w: (ctx.eval(lhs, w), ctx.eval(rhs, w)))
+    return sample_points(ctx, plan, name, shapes, lambda w: (ctx.at(lhs, w), ctx.at(rhs, w)))

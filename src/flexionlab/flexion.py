@@ -182,7 +182,10 @@ def _gaxit_plan(r: int, skip_identity: bool = False):
     return tuple(letters), tuple(words), tuple(terms)
 
 
-def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False) -> Fraction:
+_NEG = Fraction(-1)
+
+
+def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False):
     """The gaxit sum at the lattice word ``w``: each distinct letter and each
     distinct factor of the plan is built once, the factors are evaluated in
     plan order, and the products are summed with one reduction."""
@@ -195,7 +198,7 @@ def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool =
     table = [*w, *[Biletter(U[hi] - U[lo], V[k] - V[s]) for lo, hi, k, s in letters]]
     moulds = (T, X, Y)
     values = [ctx.at(moulds[role], tuple([table[i] for i in indices])) for role, indices in words]
-    return sum_of_products(map(values.__getitem__, term) for term in terms)
+    return sum_of_products((map(values.__getitem__, term) for term in terms), 1, ctx.lanes)
 
 
 class Gaxit(Mould):
@@ -223,7 +226,9 @@ class Gaxit(Mould):
 
     def _eval(self, ctx, w):
         if self.inverse:
-            return ctx.at(self.A, w) - _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
+            value = ctx.at(self.A, w)
+            rest = _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
+            return sum_of_products(((value,), ((_NEG,) * ctx.lanes, rest)), 1, ctx.lanes)
         return _gaxit_sum(ctx, self.A, self.X, self.Y, w)
 
 

@@ -190,16 +190,18 @@ class ETer(Mould):
         self.E = E
 
     def _eval(self, ctx, w):
-        B, E = self.B, self.E
+        B, E, n = self.B, self.E, ctx.lanes
         if not w:
             return ctx.at(B, w)
         head, last = w[:-1], w[-1:]
         return sum_of_products(
             [
                 (ctx.at(B, w),),
-                (Fraction(-1), ctx.at(B, head), E(ctx.letter(last[0]))),
-                (ctx.at(B, fur(head, last)), E(ctx.letter(fll(head, last)[0]))),
-            ]
+                ((Fraction(-1),) * n, ctx.at(B, head), ctx.apply(E, last[0])),
+                (ctx.at(B, fur(head, last)), ctx.apply(E, fll(head, last)[0])),
+            ],
+            1,
+            n,
         )
 
 

@@ -86,6 +86,7 @@ from .engine import (
     push,
     push_inv,
     sample_points,
+    sum_of_products,
     swap,
     zero,
 )
@@ -264,19 +265,25 @@ def _merged(name: str, reports, note: str = "") -> Report:
     return Report(identity=name, points=points, note=note)
 
 
-def _fk_half(ctx: EvalContext, A: Mould, B: Mould, a, b) -> Fraction:
-    total = Fraction(0)
+def _fk_terms(ctx: EvalContext, A: Mould, B: Mould, a, b) -> list:
+    """The products of one half of the four-part expansion: for each cut
+    a = p.q.r, A at each shuffle of (p.ful(q, r), b) times B(flr(q, r)), and
+    minus A at each shuffle of (fur(p, q).r, b) times B(fll(p, q))."""
+    at, neg = ctx.at, (Fraction(-1),) * ctx.lanes
+    terms = []
     n = len(a)
     for i in range(n + 1):
         for j in range(i, n + 1):
             p, q, r = a[:i], a[i:j], a[j:]
             if q and r:
-                shuffled = shuffles(p + ful(q, r), b)
-                total += sum(ctx.eval(A, s) for s in shuffled) * ctx.eval(B, flr(q, r))
+                values = [at(A, s) for s in shuffles(p + ful(q, r), b)]
+                other = at(B, flr(q, r))
+                terms += [(value, other) for value in values]
             if p and q:
-                shuffled = shuffles(fur(p, q) + r, b)
-                total -= sum(ctx.eval(A, s) for s in shuffled) * ctx.eval(B, fll(p, q))
-    return total
+                values = [at(A, s) for s in shuffles(fur(p, q) + r, b)]
+                other = at(B, fll(p, q))
+                terms += [(neg, value, other) for value in values]
+    return terms
 
 
 def _fk_expansion_check(
@@ -292,8 +299,9 @@ def _fk_expansion_check(
     )
 
     def evaluate(a, b):
-        lhs = sum(ctx.eval(F, s) for s in shuffles(a, b))
-        return lhs, _fk_half(ctx, A, B, a, b) + _fk_half(ctx, A, B, b, a)
+        lhs = sum_of_products([(ctx.at(F, s),) for s in shuffles(a, b)], 1, ctx.lanes)
+        rhs = _fk_terms(ctx, A, B, a, b) + _fk_terms(ctx, A, B, b, a)
+        return lhs, sum_of_products(rhs, 1, ctx.lanes)
 
     return sample_points(ctx, plan, name, shapes, evaluate)
 

@@ -161,8 +161,9 @@ def _check_shuffle(
     )
 
     def evaluate(a, b):
-        lhs = sum_of_products([(ctx.eval(A, s),) for s in shuffles(a, b)])
-        rhs = ctx.eval(A, a) * ctx.eval(A, b) if symmetral else Fraction(0)
+        n = ctx.lanes
+        lhs = sum_of_products([(ctx.at(A, s),) for s in shuffles(a, b)], 1, n)
+        rhs = sum_of_products([(ctx.at(A, a), ctx.at(A, b))] if symmetral else [], 1, n)
         return lhs, rhs
 
     return sample_points(ctx, plan, name, shapes, evaluate)
@@ -256,5 +257,5 @@ def check_push_order(
     power = iterates(A, push)
     shapes = (((r,), (r,)) for r in range(plan.max_length + 1))
     return sample_points(
-        ctx, plan, name, shapes, lambda w: (ctx.eval(power(len(w) + 1), w), ctx.eval(A, w))
+        ctx, plan, name, shapes, lambda w: (ctx.at(power(len(w) + 1), w), ctx.at(A, w))
     )

@@ -10,6 +10,11 @@ so they work alike on ``Fraction`` coordinates and on lattice words, whose
 coordinates are the ints x*D for a scale D that every denominator divides.
 ``to_lattice``/``from_lattice`` convert between the two, ``lattice_scale``
 finds D, and ``BASE`` = lcm(1..10) = 2520 is the scale of every sampled word.
+
+Being linear, they also work on *packed* words, which carry the lattice words
+of n lanes at once: each coordinate is the int sum of x_i * 2^(K*i) over the
+lanes i, for the lane width K of ``lane_width``.  ``pack`` builds such a word
+and ``unpack`` reads one packed coordinate back into its n lattice ints.
 """
 
 from __future__ import annotations
@@ -248,3 +253,68 @@ def to_lattice(w: Word, scale: int) -> Word:
 def from_lattice(w: Word, scale: int) -> Word:
     """The word of ``Fraction``s x/scale: the inverse of ``to_lattice``."""
     return tuple(Biletter(Fraction(u, scale), Fraction(v, scale)) for u, v in w)
+
+
+# ---------------------------------------------------------------------------
+# Packed lanes
+# ---------------------------------------------------------------------------
+#
+# Every coordinate the engine derives from a checked word w of length r is,
+# up to sign, a difference of two prefix sums of w's u's or of two of w's
+# v's (0 among them): the flexions move u-sums and v-shifts between
+# neighbours, ``reverse`` and ``negate`` keep that form, and
+# ``swap_pullback`` exchanges the two kinds.  The checkers evaluate words
+# whose u's are sums of distinct sampled u's and whose v's are sampled v's or
+# differences of two, so a derived coordinate is at most r*M or 4*M in size,
+# with M the largest sampled coordinate.  ``lane_width`` leaves room for
+# 2*max(r, 2)*M, with a guard bit and a sign bit above it, so lanes never
+# carry into each other.
+
+
+def lane_width(bounds: Bounds, length: int, scale: int) -> int:
+    """Bits per lane for packed words of ``length`` letters sampled within
+    ``bounds`` on the lattice of ``scale``: a packed coordinate holds lane
+    ints x with |x| < 2^(K-2)."""
+    return (2 * max(length, 2) * bounds.max_num * scale).bit_length() + 2
+
+
+def pack(lane_words: Sequence[Word], scale: int, width: int) -> Word:
+    """The packed word of the lattice words of ``lane_words``, lane i at bit
+    ``width * i``; all lanes have one length, and a coordinate x with
+    |x| >= 2^(width-2) raises ``OverflowError``."""
+    limit = 1 << (width - 2)
+    lanes = [to_lattice(w, scale) for w in lane_words]
+    for x in lanes:
+        for c in x:
+            if not -limit < c[0] < limit or not -limit < c[1] < limit:
+                raise OverflowError(f"lattice coordinate past the lane bound 2^{width - 2}: {x!r}")
+
+    def coord(xs):
+        return sum(x << (width * i) for i, x in enumerate(xs))
+
+    return tuple(Biletter(coord(us), coord(vs)) for us, vs in (zip(*col) for col in zip(*lanes)))
+
+
+def unpack(x: int, lanes: int, width: int) -> list[int]:
+    """The ``lanes`` lattice ints of the packed coordinate ``x``.
+
+    A lane x with 2^(width-2) <= |x| < 2^(width-1), past the bound of
+    ``lane_width`` but short of its sign bit, raises ``OverflowError``; a
+    lane past the sign bit would have carried into the next lane, which the
+    bound on derived coordinates rules out.
+    """
+    limit = 1 << (width - 2)
+    mask = (1 << width) - 1
+    sign = 1 << (width - 1)
+    out = []
+    for _ in range(lanes):
+        c = x & mask
+        if c & sign:
+            c -= 1 << width
+        if not -limit < c < limit:
+            raise OverflowError(f"packed coordinate past the lane bound 2^{width - 2}")
+        out.append(c)
+        x = (x - c) >> width
+    if x:
+        raise OverflowError("packed coordinate past the lane bound of its last lane")
+    return out

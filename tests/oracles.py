@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from flexionlab.words import Biletter, Word, fll, flr, ful, fur
+from flexionlab.engine import derived_rng
+from flexionlab.words import Biletter, DivByZero, Word, fll, flr, ful, fur, sample_word
 
 
 def pascal_binom(n: int, k: int) -> int:
@@ -217,3 +218,64 @@ def negelon_sum(r: int, k: int, l: int, h: int) -> Fraction:
                         * pascal_binom(c + d + 1, h)
                     )
     return total
+
+
+def sampled_points(ctx, plan, name: str, shapes, evaluate) -> list[dict]:
+    """The points a sampled checker should report, one sample and one
+    attempt at a time.
+
+    ``evaluate(*parts)`` takes the sampled ``Fraction`` words and returns
+    the two sides, reading graphs through the public ``ctx.eval``.  Each
+    shape ``(label, part_lengths)`` gets ``plan.samples_per_length`` samples
+    (one at total length 0); sample i draws its parts at attempt k from
+    ``derived_rng(plan.seed, name, *label, i, k)``, and a ``DivByZero``
+    moves it to the next attempt, up to ``ctx.retry_cap`` retries.  Each
+    point is a dict of word, split, lhs, rhs, detail and the number of
+    attempts it took.
+    """
+    points = []
+    for label, lengths in shapes:
+        total = sum(lengths)
+        for i in range(plan.samples_per_length if total else 1):
+            lhs = rhs = detail = None
+            for attempt in range(ctx.retry_cap + 1):
+                rng = derived_rng(plan.seed, name, *label, i, attempt)
+                parts = [sample_word(rng, n, plan.bounds) for n in lengths]
+                try:
+                    lhs, rhs = evaluate(*parts)
+                except DivByZero as exc:
+                    detail = str(exc)
+                    continue
+                detail = None
+                break
+            points.append(
+                {
+                    "word": sum(parts, ()),
+                    "split": lengths[0] if len(lengths) == 2 else None,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "detail": detail,
+                    "attempts": attempt + 1,
+                }
+            )
+    return points
+
+
+def fk_expansion_sides(ev, A, B, F, a: Word, b: Word) -> tuple[Fraction, Fraction]:
+    """Both sides of the four-part arit expansion at the split (a, b): the
+    sum of F = arit(B)(A) over the shuffles of (a, b), and the sum over the
+    cuts p.q.r of a, then of b, of A summed over the shuffles of
+    (p ful(q, r), other half) times B(flr(q, r)), minus A summed over the
+    shuffles of (fur(p, q) r, other half) times B(fll(p, q))."""
+    lhs = sum((ev(F, s) for s in shuffle_rec(a, b)), Fraction(0))
+
+    def half(x, y):
+        total = Fraction(0)
+        for p, q, r in splits3(x):
+            if q and r:
+                total += sum((ev(A, s) for s in shuffle_rec(p + ful(q, r), y)), Fraction(0)) * ev(B, flr(q, r))
+            if p and q:
+                total -= sum((ev(A, s) for s in shuffle_rec(fur(p, q) + r, y)), Fraction(0)) * ev(B, fll(p, q))
+        return total
+
+    return lhs, half(a, b) + half(b, a)

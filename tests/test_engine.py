@@ -188,7 +188,7 @@ def test_off_lattice_word_gives_the_oracle_values(ctx, ev):
     assert ev(neg(F), OFF_LATTICE) == _coords(negate(OFF_LATTICE))
     assert ev(LetterMould("v", lambda x: x.v), OFF_LATTICE[:1]) == Fraction(2, 13)
     assert ctx.scale == 2520 * 11 * 13
-    assert tuple(map(ctx.letter, to_lattice(OFF_LATTICE, ctx.scale))) == OFF_LATTICE
+    assert ctx.apply(lambda *letters: letters, *to_lattice(OFF_LATTICE, ctx.scale)) == (OFF_LATTICE,)
 
 
 def test_div_by_zero_trail_keeps_fraction_words(ctx):
@@ -227,15 +227,22 @@ def test_two_lattices_in_one_context_give_the_oracle_values():
 @example([[Fraction(0), Fraction(3, 7)], [Fraction(2, 5)]], 1)
 @example([[Fraction(1, 6), Fraction(-4, 9)], [Fraction(1, 10)], [Fraction(7, 4)]], -1)
 def test_sum_of_products_equals_the_fraction_sum(terms, sign):
-    expected = Fraction(0)
-    for factors in terms:
-        product = Fraction(1)
-        for f in factors:
-            product *= f
-        expected += product
-    got = sum_of_products(terms, sign)
-    assert type(got) is Fraction
-    assert got == sign * expected
+    # lane 0 holds the factors as drawn, lane 1 each factor plus one
+    lanes = [[[f + k for f in factors] for factors in terms] for k in (0, 1)]
+    expected = []
+    for lane in lanes:
+        total = Fraction(0)
+        for factors in lane:
+            product = Fraction(1)
+            for f in factors:
+                product *= f
+            total += product
+        expected.append(sign * total)
+    assert sum_of_products([[(f,) for f in factors] for factors in terms], sign) == (expected[0],)
+    packed = [list(zip(*pair)) for pair in zip(*lanes)]
+    got = sum_of_products(packed, sign, 2)
+    assert all(type(x) is Fraction for x in got)
+    assert got == tuple(expected)
 
 
 def test_sum_of_products_consumes_every_factor_in_order():
@@ -243,11 +250,23 @@ def test_sum_of_products_consumes_every_factor_in_order():
 
     def factor(name, value):
         seen.append(name)
-        return Fraction(value)
+        return (Fraction(value),)
 
     terms = ((factor(f"a{i}", i), factor(f"b{i}", 1)) for i in range(3))
-    assert sum_of_products(terms) == 3
+    assert sum_of_products(terms) == (3,)
     assert seen == ["a0", "b0", "a1", "b1", "a2", "b2"]
+
+
+def test_a_none_factor_poisons_its_lane_only():
+    a = (Fraction(1, 2), None, Fraction(3))
+    b = (Fraction(0), Fraction(5), None)
+    c = (Fraction(2), Fraction(7, 3), Fraction(-1))
+    # a None lane stays None even where another factor of its term is zero
+    assert sum_of_products([(a, c), (b, c)], -1, 3) == (Fraction(-1), None, None)
+    assert sum_of_products([(c,), (b, a)], 1, 3) == (Fraction(2), None, None)
+    assert sum_of_products([], 1, 3) == (0, 0, 0)
+    with pytest.raises(AttributeError):
+        sum_of_products([((1,), (Fraction(1),))])  # an int factor is not a lane value
 
 
 def test_arithmetic_sugar(ev):
@@ -572,11 +591,14 @@ def test_eval_context_rejects_negative_retry_cap():
 def test_sample_points_shapes_words_and_split(ctx):
     p = SamplePlan(max_length=0, samples_per_length=2, seed=7)
     shapes = [(("pair", 2, 1), (2, 1)), (("empty",), (0,)), (("one",), (3,))]
-    seen = []
+    seen = []  # per sample, its parts as Fraction words
 
     def evaluate(*parts):
-        seen.append(parts)
-        return Fraction(0), Fraction(0)
+        # one call per shape: the parts are packed words, one lane per sample
+        lanes = [ctx.apply(lambda *letters: letters, *part) for part in parts]
+        seen.extend(zip(*lanes))
+        zero = (Fraction(0),) * ctx.lanes
+        return zero, zero
 
     rep = sample_points(ctx, p, "shapes", shapes, evaluate)
     # a shape of total length 0 gets one sample, every other shape N
@@ -593,7 +615,6 @@ def test_sample_points_shapes_words_and_split(ctx):
         w = sample_word(derived_rng(7, "shapes", "one", i, 0), 3, p.bounds)
         assert seen[3 + i] == (w,)
         assert pt.word == w and pt.split is None
-
 
 
 def test_sampler_frees_its_context_without_the_cyclic_collector():

@@ -9,8 +9,26 @@ from collections import Counter
 
 import pytest
 
+from fractions import Fraction
+
+from oracles import fk_expansion_sides, sampled_points, shuffle_rec
 from flexionlab import suites
-from flexionlab.engine import LIE, EvalContext, FuncMould, Report, check_identity, zero
+from flexionlab.canonical import recip
+from flexionlab.engine import (
+    LIE,
+    DigestMould,
+    EvalContext,
+    FuncMould,
+    Mu,
+    Report,
+    SamplePlan,
+    check_identity,
+    leng_r,
+    one,
+    push,
+    zero,
+)
+from flexionlab.flexion import ari, arit
 from flexionlab.suites import (
     ALL_SUITE,
     Config,
@@ -284,10 +302,17 @@ SKIP_CHECKERS = {
 TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_check"}
 
 
-@pytest.mark.parametrize("checker", sorted(SKIP_CHECKERS))
-def test_skipped_points_keep_word_split_and_detail(checker):
+@pytest.mark.parametrize(
+    "checker, samples",
+    # one sample per shape keeps the plain checker name as its id
+    [pytest.param(c, 1, id=c) for c in sorted(SKIP_CHECKERS)]
+    + [pytest.param(c, 3, id=f"{c}-samples3") for c in sorted(SKIP_CHECKERS)],
+)
+def test_skipped_points_keep_word_split_and_detail(checker, samples):
+    # with three samples, the points of a shape are the lanes of one walk,
+    # every lane is poisoned, and each is re-run alone until it is skipped
     singular = FuncMould("singular", _singular, LIE)
-    cfg = Config(max_length=3, samples=1, retry_cap=2)
+    cfg = Config(max_length=3, samples=samples, retry_cap=2)
     report = SKIP_CHECKERS[checker](singular, cfg, EvalContext(retry_cap=cfg.retry_cap))
     assert report.points and report.status == "fail"
     for point in report.points:
@@ -299,6 +324,91 @@ def test_skipped_points_keep_word_split_and_detail(checker):
         else:
             assert point.split is None
         assert "forced singular value" in point.detail
+
+
+def _sometimes_singular(w):
+    # singular wherever a letter's u has a numerator divisible by 4: about a
+    # quarter of the sampled letters, and of the letters derived from them
+    total = Fraction(0)
+    for i, x in enumerate(w):
+        total += (i + 1) * x.v * recip(Fraction(x.u.numerator % 4))
+    return total
+
+
+def _lane_table():
+    """Per checker: its report at (plan, ctx), its shapes and the sides of
+    a point through the public ``ctx.eval``, for the oracle sampler."""
+    S = FuncMould("sometimes-singular", _sometimes_singular, LIE)
+    D, D1, D2 = DigestMould(41, tag="lanes"), DigestMould(42, tag="lanes"), DigestMould(43, tag="lanes")
+    L, R = Mu(S, D) + Mu(D, S), Mu(D, S) + Mu(S, D)
+    alt = ari(S, D)
+    sym = one() + S + Mu(S, D)
+    pushed = S + D
+    B = leng_r(D1, 1) + ari(leng_r(D1, 1), leng_r(D2, 1))
+    F = arit(B, S)
+
+    def power(r):
+        out = pushed
+        for _ in range(r + 1):
+            out = push(out)
+        return out
+
+    def lengths(L):
+        return [((r,), (r,)) for r in range(L + 1)]
+
+    def halves(L):
+        return [((p, t - p), (p, t - p)) for t in range(2, L + 1) for p in range(1, t // 2 + 1)]
+
+    def fk_shapes(L):
+        return [((t, la), (la, t - la)) for t in range(2, L + 1) for la in range(1, t)]
+
+    return {
+        "check_identity": (
+            lambda plan, ctx: check_identity(L, R, plan, "lanes", ctx),
+            lengths,
+            lambda ev: lambda w: (ev(L, w), ev(R, w)),
+        ),
+        "check_alternal": (
+            lambda plan, ctx: check_alternal(alt, plan, "lanes", ctx),
+            halves,
+            lambda ev: lambda a, b: (sum((ev(alt, s) for s in shuffle_rec(a, b)), Fraction(0)), Fraction(0)),
+        ),
+        "check_symmetral": (
+            lambda plan, ctx: check_symmetral(sym, plan, "lanes", ctx),
+            halves,
+            lambda ev: lambda a, b: (
+                sum((ev(sym, s) for s in shuffle_rec(a, b)), Fraction(0)),
+                ev(sym, a) * ev(sym, b),
+            ),
+        ),
+        "check_push_order": (
+            lambda plan, ctx: check_push_order(pushed, plan, "lanes", ctx),
+            lengths,
+            lambda ev: lambda w: (ev(power(len(w)), w), ev(pushed, w)),
+        ),
+        "_fk_expansion_check": (
+            lambda plan, ctx: suites._fk_expansion_check(S, B, plan, "lanes", ctx),
+            fk_shapes,
+            lambda ev: lambda a, b: fk_expansion_sides(ev, S, B, F, a, b),
+        ),
+    }
+
+
+@pytest.mark.parametrize("checker", sorted(_lane_table()))
+def test_lane_walks_report_what_one_sample_at_a_time_reports(checker):
+    # three samples per shape are three lanes of one walk; a lane that
+    # divides by zero is re-run alone, so each point must read as the
+    # oracle's, which evaluates one sample and one attempt at a time
+    run, shapes, sides = _lane_table()[checker]
+    plan = SamplePlan(max_length=3, samples_per_length=3, seed=11)
+    report = run(plan, EvalContext(retry_cap=2))
+    oracle_ctx = EvalContext(retry_cap=2)
+    expected = sampled_points(oracle_ctx, plan, "lanes", shapes(3), sides(oracle_ctx.eval))
+    got = [(p.word, p.split, p.lhs, p.rhs, p.detail) for p in report.points]
+    assert got == [(o["word"], o["split"], o["lhs"], o["rhs"], o["detail"]) for o in expected]
+    # some lanes of the walks were poisoned and re-run, and others were not
+    attempts = [o["attempts"] for o in expected if o["word"]]
+    assert 1 in attempts and max(attempts) > 1
 
 
 def test_engine_counters_over_every_item_pin_the_graph_shapes():

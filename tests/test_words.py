@@ -23,8 +23,10 @@ from flexionlab.words import (
     ful,
     fur,
     from_lattice,
+    lane_width,
     lattice_scale,
     negate,
+    pack,
     rat,
     rat_str,
     reverse,
@@ -32,6 +34,7 @@ from flexionlab.words import (
     shuffles,
     swap_pullback,
     to_lattice,
+    unpack,
     usum,
     word,
     word_from_json,
@@ -207,6 +210,76 @@ def test_lattice_roundtrip_gives_the_same_word(w):
     assert scale % BASE == 0
     assert all(scale % c.denominator == 0 for x in w for c in x)
     assert from_lattice(to_lattice(w, scale), scale) == w
+
+
+# -- packed lanes ----------------------------------------------------------------
+
+
+def _lanes_of(packed, lanes, width):
+    """The lattice word of each lane of a packed word."""
+    cols = [(unpack(x.u, lanes, width), unpack(x.v, lanes, width)) for x in packed]
+    return [tuple(Biletter(us[i], vs[i]) for us, vs in cols) for i in range(lanes)]
+
+
+@st.composite
+def lane_ints(draw):
+    """(lanes, length, width, lattice ints per lane) with every int within
+    the lane bound, its extremes included."""
+    lanes = draw(st.integers(1, 4))
+    length = draw(st.integers(0, 4))
+    width = lane_width(Bounds(), length, BASE)
+    bound = (1 << (width - 2)) - 1
+    coord = st.integers(-bound, bound)
+    ints = draw(st.lists(st.lists(st.tuples(coord, coord), min_size=length, max_size=length),
+                         min_size=lanes, max_size=lanes))
+    return lanes, length, width, ints
+
+
+@given(lane_ints())
+@settings(max_examples=80, deadline=None)
+def test_packing_round_trips_up_to_the_lane_bound(case):
+    lanes, length, width, ints = case
+    lane_words = [tuple(Biletter(Fraction(u, BASE), Fraction(v, BASE)) for u, v in w) for w in ints]
+    packed = pack(lane_words, BASE, width)
+    assert len(packed) == length
+    assert _lanes_of(packed, lanes, width) == [to_lattice(w, BASE) for w in lane_words]
+
+
+@given(lane_ints(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_coordinate_past_the_lane_bound_raises(case, data):
+    lanes, length, width, ints = case
+    # past the bound, and short of the sign bit, where a lane would carry
+    limit = 1 << (width - 2)
+    past = data.draw(st.sampled_from([limit, -limit, 2 * limit - 1, 1 - 2 * limit]))
+    lane = data.draw(st.integers(0, lanes - 1))
+    # on packing: one coordinate of one lane past the bound
+    if length:
+        i = data.draw(st.integers(0, length - 1))
+        ints[lane][i] = (past, ints[lane][i][1])
+        lane_words = [tuple(Biletter(Fraction(u, BASE), Fraction(v, BASE)) for u, v in w) for w in ints]
+        with pytest.raises(OverflowError):
+            pack(lane_words, BASE, width)
+    # on unpacking: a packed int whose lane holds a value past the bound
+    coords = [0] * lanes
+    coords[lane] = past
+    with pytest.raises(OverflowError):
+        unpack(sum(x << (width * i) for i, x in enumerate(coords)), lanes, width)
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_flexions_and_swap_of_packed_words_unpack_to_each_lane(lanes, la, lb, seed):
+    rng = random.Random(seed)
+    a = [sample_word(rng, la) for _ in range(lanes)]
+    b = [sample_word(rng, lb) for _ in range(lanes)]
+    width = lane_width(Bounds(), la + lb, BASE)
+    pa, pb = pack(a, BASE, width), pack(b, BASE, width)
+    for f in (ful, fur, fll, flr):
+        got = _lanes_of(f(pa, pb), lanes, width)
+        assert got == [to_lattice(f(x, y), BASE) for x, y in zip(a, b)]
+    got = _lanes_of(swap_pullback(pa + pb), lanes, width)
+    assert got == [to_lattice(swap_pullback(x + y), BASE) for x, y in zip(a, b)]
 
 
 def test_lattice_scale_is_base_on_sampled_words_and_rejects_ints():
