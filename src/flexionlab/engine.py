@@ -54,7 +54,6 @@ sample alone, resampling on division by zero up to the context's retry cap.
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -62,6 +61,12 @@ from fractions import Fraction
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
+
+# ``hashlib`` loads OpenSSL's libcrypto at import (about 3 MiB of RSS) to
+# offer its hashes; the one hash used here, blake2b, is CPython's built-in
+# ``_blake2`` module, which ``hashlib.blake2b`` is on CPython 3.6 to 3.13
+# (tests/test_cli.py asserts the identity, so digests cannot move).
+from _blake2 import blake2b
 
 from .words import (
     BASE,
@@ -409,7 +414,7 @@ class DigestMould(Mould):
         return ctx.apply(self._digest, *w)
 
     def _digest(self, *letters):
-        h = hashlib.blake2b(digest_size=16)
+        h = blake2b(digest_size=16)
         h.update(repr(self.seed).encode())
         for x in letters:
             h.update(f"{x.u.numerator}/{x.u.denominator};{x.v.numerator}/{x.v.denominator}|".encode())
@@ -696,7 +701,7 @@ class SamplePlan:
 
 def derived_rng(*parts) -> random.Random:
     """Deterministic child RNG from a tuple of seeds/labels (process stable)."""
-    h = hashlib.blake2b(":".join(str(p) for p in parts).encode(), digest_size=8)
+    h = blake2b(":".join(str(p) for p in parts).encode(), digest_size=8)
     return random.Random(int.from_bytes(h.digest(), "big"))
 
 

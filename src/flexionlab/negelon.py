@@ -14,6 +14,7 @@ high-order finite differences of low-degree monomials.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -39,23 +40,46 @@ __all__ = [
 ]
 
 
+@functools.cache
+def _pascal(n: int) -> tuple[tuple[int, ...], ...]:
+    """Rows 0..n of Pascal's triangle, each padded with zeros to n+1 entries."""
+    rows = [(1,) + (0,) * n]
+    for _ in range(n):
+        prev = rows[-1]
+        rows.append((1,) + tuple(prev[i - 1] + prev[i] for i in range(1, n + 1)))
+    return tuple(rows)
+
+
+def _column(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[int, ...]:
+    """C(m, k) for m = 0..len(rows)-1; zero outside the triangle."""
+    if not 0 <= k < len(rows):
+        return (0,) * len(rows)
+    return tuple(row[k] for row in rows)
+
+
 def negelon_f(r: int, k: int, l: int, h: int) -> Fraction:
     """The quadruple binomial sum F(r, k, l, h), evaluated literally.
 
     F = sum over 1 <= j <= s <= r of (s+1-j)/(s(s+1)) times
         sum over 0 <= c <= j-1, 0 <= d <= s-j of
         (-1)^(c+d) C(j-1,c) C(s-j,d) C(c,k) C(d+1,l) C(c+d+1,h).
+
+    Every binomial is read from one Pascal table of rows 0..r (no argument
+    exceeds r), the ones in k, l and h from its columns.
     """
     total = Fraction(0)
+    rows = _pascal(r)
+    ck, cl, ch = _column(rows, k), _column(rows, l), _column(rows, h)
     for s in range(1, r + 1):
         for j in range(1, s + 1):
+            left_row, right_row = rows[j - 1], rows[s - j]
             inner = 0
             for c in range(j):
-                left = binom(j - 1, c) * binom(c, k)
+                left = left_row[c] * ck[c]
                 if left == 0:
                     continue
                 for d in range(s - j + 1):
-                    term = left * binom(s - j, d) * binom(d + 1, l) * binom(c + d + 1, h)
+                    term = left * right_row[d] * cl[d + 1] * ch[c + d + 1]
                     if term == 0:
                         continue
                     inner += -term if (c + d) % 2 else term

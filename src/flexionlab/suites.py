@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -1705,6 +1704,8 @@ def run_suites(names, cfg: Config = Config()) -> RunReport:
             s, i, res = _run_item_job(task)
             results[(s, i)] = res
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             for s, i, res in pool.map(_run_item_job, tasks):
                 results[(s, i)] = res

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from flexionlab.engine import derived_rng
-from flexionlab.words import Biletter, DivByZero, Word, fll, flr, ful, fur, sample_word
+from flexionlab.words import Biletter, DivByZero, Word, binom, fll, flr, ful, fur, sample_word
 
 
 def pascal_binom(n: int, k: int) -> int:
@@ -217,6 +217,27 @@ def negelon_sum(r: int, k: int, l: int, h: int) -> Fraction:
                         * pascal_binom(d + 1, l)
                         * pascal_binom(c + d + 1, h)
                     )
+    return total
+
+
+def negelon_binom_sum(r: int, k: int, l: int, h: int) -> Fraction:
+    """The loop of ``negelon.negelon_f`` with every binomial a ``binom``
+    call: the reference for the Pascal table that function reads."""
+    total = Fraction(0)
+    for s in range(1, r + 1):
+        for j in range(1, s + 1):
+            inner = 0
+            for c in range(j):
+                left = binom(j - 1, c) * binom(c, k)
+                if left == 0:
+                    continue
+                for d in range(s - j + 1):
+                    term = left * binom(s - j, d) * binom(d + 1, l) * binom(c + d + 1, h)
+                    if term == 0:
+                        continue
+                    inner += -term if (c + d) % 2 else term
+            if inner:
+                total += Fraction((s + 1 - j) * inner, s * (s + 1))
     return total
 
 

@@ -4,12 +4,29 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 import time
+import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from flexionlab import cli
 from flexionlab.cli import main
+from flexionlab.engine import PointRecord, Report
+from flexionlab.suites import (
+    Config,
+    ItemResult,
+    RunReport,
+    SuiteReport,
+    list_suites,
+    run_suites,
+)
+from flexionlab.words import word
 
 ARGS = ["verify", "--suite", "unit-axioms", "--max-length", "2", "--samples", "1", "--jobs", "1"]
 
@@ -66,3 +83,80 @@ def test_text_report_names_an_item_that_checked_nothing(tmp_path):
     assert main(args + ["--out", str(out)]) == 1
     text = out.read_text()
     assert "  FAIL  generic-alternal (control)\n        expected fail, observed unchecked\n" in text
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _both_routes(args, tmp_path, capsys) -> tuple[str, str]:
+    """The report of ``args`` written through ``--out`` and to stdout."""
+    out = tmp_path / "report.json"
+    assert main(args + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(args) == 0
+    return out.read_text(), capsys.readouterr().out
+
+
+def test_json_report_is_json_dumps_through_both_routes(tmp_path, capsys):
+    args = ["verify", "--suite", "algebra-core", "--max-length", "2", "--samples", "3"]
+    args += ["--jobs", "1", "--report", "json"]
+    doc = run_suites(["algebra-core"], Config(max_length=2, samples=3, jobs=1)).to_json()
+    # two full batches of the writer and a part of a third
+    assert len(list(cli._json_chunks(doc))) > 2 * cli._BATCH
+    to_file, to_stdout = _both_routes(args, tmp_path, capsys)
+    assert to_file == to_stdout == _dumps(doc)
+
+
+def test_list_suites_json_is_json_dumps_through_both_routes(tmp_path, capsys):
+    to_file, to_stdout = _both_routes(["list-suites", "--report", "json"], tmp_path, capsys)
+    assert to_file == to_stdout == _dumps(list_suites())
+
+
+def _synthetic_report(points: int) -> RunReport:
+    """A report of ``points`` points, none of them evaluated."""
+    w = word([(Fraction(1, 2), Fraction(-3, 7)), (Fraction(5), Fraction(2, 9))])
+    records = [PointRecord(f"p{i}", 2, w, Fraction(i, 7), Fraction(i, 7)) for i in range(points)]
+    cfg = Config(jobs=1)
+    result = ItemResult("synthetic", "pass", Report("synthetic", records))
+    return RunReport(cfg, [SuiteReport("synthetic", "none", cfg, [result])])
+
+
+def test_json_writer_holds_a_fraction_of_the_text(tmp_path):
+    doc = _synthetic_report(8000).to_json()
+    size = len(_dumps(doc))
+    assert size >= 2_000_000
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        cli._emit(str(out), cli._json_chunks(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size == size  # the text is ASCII
+    assert peak < size / 4
+
+
+def test_verify_loads_neither_openssl_nor_the_process_pool(tmp_path):
+    out = tmp_path / "report.json"
+    script = f"""if True:
+        import sys
+        from flexionlab.cli import main
+        code = main({ARGS + ["--report", "json", "--out", str(out)]!r})
+        loaded = [m for m in ("_hashlib", "concurrent.futures", "multiprocessing") if m in sys.modules]
+        print(code, loaded)
+        """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "[]"]
+    assert json.loads(out.read_text())["status"] == "pass"
+
+
+def test_engine_blake2b_is_hashlibs():
+    import _blake2
+    import hashlib
+
+    # DigestMould values and derived_rng seeds are hashlib.blake2b digests
+    assert _blake2.blake2b is hashlib.blake2b

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from conftest import plan
-from oracles import negelon_sum, negelon_window_size
+from oracles import negelon_binom_sum, negelon_sum, negelon_window_size
 from flexionlab.negelon import (
     aux_identities,
     mu_factor_check,
@@ -21,6 +21,14 @@ def test_f_agrees_with_independent_summation():
             for l in range(3):
                 for h in range(3):
                     assert negelon_f(r, k, l, h) == negelon_sum(r, k, l, h)
+
+
+def test_f_table_matches_binom_calls():
+    for r, k, l, h in negelon_tuples(8, h_min=0):
+        assert negelon_f(r, k, l, h) == negelon_binom_sum(r, k, l, h)
+    # arguments past the table's edge read zero, as binom gives
+    for args in [(3, -1, 0, 1), (3, 0, 4, 1), (4, 1, 1, 9), (0, 0, 0, 0), (1, 0, 2, 0)]:
+        assert negelon_f(*args) == negelon_binom_sum(*args)
 
 
 def test_f_vanishes_at_window_spots():
