@@ -222,7 +222,7 @@ class RoComponent(Mould):
     def _eval(self, ctx, w):
         r, n = self.r, ctx.lanes
         if len(w) != r:
-            return (Fraction(0),) * n
+            return ctx.zeros
         oz, O = self.oz, self.unit.O
         cuts = ((j, w[: j - 1], w[j - 1 : j], w[j:]) for j in range(1, r + 1))  # p, m, q
         return sum_of_products(
@@ -298,7 +298,7 @@ class DilatorFlow(Mould):
     def _eval(self, ctx, w):
         r, n = len(w), ctx.lanes
         if r == 0:
-            return (Fraction(1),) * n
+            return ctx.ones
         D = self.D
         terms = [(ctx.at(self.inner, w),)]
         terms += ((ctx.at(self, w[:i]), ctx.at(D, w[i:])) for i in range(r))

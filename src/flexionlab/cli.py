@@ -57,7 +57,7 @@ def _text_suite_report(rep: SuiteReport) -> str:
     ]
     for result in rep.results:
         if result.ok:
-            marker = "ok  " if result.expect == "pass" else "ok× "  # expected failure
+            marker = "ok  " if result.expect == "pass" else "okx "  # expected failure
         else:
             marker = "FAIL"
         lines.append(f"  {marker}  {result.name}")
@@ -89,7 +89,7 @@ def _json_chunks(doc) -> Iterable[str]:
 
 def _emit(path: Optional[str], chunks: Iterable[str]) -> None:
     """Write the chunks to ``path``, or to stdout, ``_BATCH`` of them at a time."""
-    fh = open(path, "w") if path else sys.stdout
+    fh = open(path, "w", encoding="utf-8") if path else sys.stdout
     try:
         chunks = iter(chunks)
         while batch := list(itertools.islice(chunks, _BATCH)):

@@ -26,6 +26,15 @@ and every sum with a ``None`` factor is ``None`` in that lane.  With one
 lane a packed int is the lattice int itself and nothing is ever ``None``:
 one lane is the plain scalar engine, and there is no other evaluator.
 
+Each lane count has one shared all-0, all-1 and all-(-1) value
+(``constant_lanes``, held as ``ctx.zeros``, ``ctx.ones`` and ``ctx.negs``).
+A node whose value is such a constant returns the shared one, and the
+kernel returns the shared zeros for a sum that is 0 in every lane, skips a
+factor that is the shared ones and, with sign +1, returns a lone remaining
+factor itself.
+So the memo of a walk holds one object per constant, not a tuple and its
+``Fraction``s per entry; a ``None`` lane poisons its term all the same.
+
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), and its
 empty-word class is derived from those terms at length 0.  ``+``, ``-``,
@@ -99,6 +108,10 @@ _new = object.__new__
 
 Lanes = tuple  # tuple[Optional[Rat], ...]: a value, one entry per lane
 
+_ONE = Fraction(1)
+_NEG = Fraction(-1)
+_ZERO = Fraction(0)
+
 
 def _lift(x) -> "Mould":
     if isinstance(x, Mould):
@@ -140,7 +153,7 @@ class Mould:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _ONE if other == 1 else _NEG if other == -1 else Fraction(other)
             return _combo(f"smul[{rat_str(c)}]", (c, self))
         return NotImplemented
 
@@ -179,6 +192,11 @@ class EvalContext:
     starts from an empty memo of its own, since packed ints of two walks name
     different words, and drops it when it ends.
 
+    ``zeros``, ``ones`` and ``negs`` are the shared all-0, all-1 and all-(-1)
+    values of the current lane count (``constant_lanes``); a node returns
+    them for a constant value, and ``sum_of_products`` knows them by
+    identity, so a constant costs the memo no object of its own.
+
     ``stats`` counts ``evals`` (one per node and word a walk evaluates, for
     all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per frame
     a ``DivByZero`` passes on a one-lane walk, and one per lane a leaf
@@ -193,6 +211,7 @@ class EvalContext:
         self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
         self.scale = BASE
         self.lanes = 1
+        self.zeros, self.ones, self.negs = constant_lanes(1)
         self._width = 0  # bits per lane of a packed coordinate; unused for one lane
         self._letters: dict[Biletter, tuple[Biletter, ...]] = {}
 
@@ -227,10 +246,12 @@ class EvalContext:
         packed = [pack(lane_parts, scale, width) for lane_parts in zip(*samples)]
         saved = self.memo, self.scale, self.lanes, self._width, self._letters
         self.memo, self.scale, self.lanes, self._width, self._letters = {}, scale, len(samples), width, {}
+        self.zeros, self.ones, self.negs = constant_lanes(self.lanes)
         try:
             return evaluate(*packed)
         finally:
             self.memo, self.scale, self.lanes, self._width, self._letters = saved
+            self.zeros, self.ones, self.negs = constant_lanes(self.lanes)
 
     def apply(self, fn: Callable[..., Rat], *letters: Biletter) -> Lanes:
         """``fn`` called once per lane on that lane's ``Fraction`` letters.
@@ -288,6 +309,12 @@ class EvalContext:
         return val
 
 
+@functools.cache
+def constant_lanes(lanes: int) -> tuple[Lanes, Lanes, Lanes]:
+    """The shared all-0, all-1 and all-(-1) values of ``lanes`` lanes."""
+    return (_ZERO,) * lanes, (_ONE,) * lanes, (_NEG,) * lanes
+
+
 def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int = 1) -> Lanes:
     """``sign`` times the sum over ``terms`` of the product of each term's
     factors, lane by lane.
@@ -300,13 +327,27 @@ def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int 
     every term is consumed in order, so a caller that evaluates factors
     lazily in ``terms`` meets the same first ``DivByZero`` as a plain
     ``Fraction`` loop.
+
+    The result allocates only what it must.  A factor that is the shared
+    ones of ``constant_lanes`` is skipped; with ``sign`` 1, one term with one
+    factor left returns that factor itself; a lane that sums to 0 holds the
+    shared ``Fraction`` 0, and a sum that is 0 in every lane is the shared
+    zeros.
     """
-    if lanes > 1:
-        terms = [tuple(factors) for factors in terms]  # each lane reads them again
-    return tuple([_lane_sum(terms, sign, i) for i in range(lanes)])
+    zeros, ones, _ = constant_lanes(lanes)
+    terms = [tuple(factors) for factors in terms]  # each lane reads them again
+    if sign == 1 and len(terms) == 1:
+        rest = [f for f in terms[0] if f is not ones]
+        if len(rest) == 1:
+            return rest[0]
+    out = [_lane_sum(terms, sign, i, ones) for i in range(lanes)]
+    for x in out:
+        if x is not _ZERO:
+            return tuple(out)
+    return zeros
 
 
-def _lane_sum(terms, sign: int, lane: int) -> Optional[Rat]:
+def _lane_sum(terms, sign: int, lane: int, ones: Lanes) -> Optional[Rat]:
     """Lane ``lane`` of ``sum_of_products``, built as a ``Fraction`` from
     its numerator and denominator divided by their gcd."""
     num, den = 0, 1
@@ -315,6 +356,8 @@ def _lane_sum(terms, sign: int, lane: int) -> Optional[Rat]:
         for factors in terms:
             n = d = 1
             for f in factors:
+                if f is ones:
+                    continue
                 f = f[lane]
                 n *= f._numerator
                 d *= f._denominator
@@ -330,6 +373,8 @@ def _lane_sum(terms, sign: int, lane: int) -> Optional[Rat]:
         if f is not None:
             raise
         return None
+    if not num:
+        return _ZERO
     g = gcd(num, den)
     out = _new(Fraction)
     out._numerator, out._denominator = sign * num // g, den // g
@@ -353,7 +398,10 @@ class Scalar(Mould):
         self.c = c
 
     def _eval(self, ctx, w):
-        return (_ZERO if w else self.c,) * ctx.lanes
+        c = self.c
+        if w or not c:
+            return ctx.zeros
+        return ctx.ones if c == 1 else ctx.negs if c == -1 else (c,) * ctx.lanes
 
 
 def one() -> Mould:
@@ -375,7 +423,7 @@ class LetterMould(Mould):
 
     def _eval(self, ctx, w):
         if len(w) != 1:
-            return (_ZERO,) * ctx.lanes
+            return ctx.zeros
         return ctx.apply(self.fn, w[0])
 
 
@@ -410,7 +458,7 @@ class DigestMould(Mould):
 
     def _eval(self, ctx, w):
         if not w:
-            return (_ZERO,) * ctx.lanes
+            return ctx.zeros
         return ctx.apply(self._digest, *w)
 
     def _digest(self, *letters):
@@ -428,9 +476,6 @@ class DigestMould(Mould):
 # Linear nodes
 # ---------------------------------------------------------------------------
 
-_ONE = Fraction(1)
-_NEG = Fraction(-1)
-_ZERO = Fraction(0)
 Terms = Sequence[tuple[Rat, Optional[Mould]]]
 
 
@@ -438,12 +483,16 @@ class Lin(Mould):
     """A linear node: the sum of c B(w) over the pairs (c, B) of ``terms(len(w))``.
 
     The coefficients are ``Fraction``s, and a pair ``(c, None)`` is the
-    constant c.  Sums, differences, scalar multiples, ``pari``, ``der``,
-    ``leng_r`` and the truncated series (expari, logari, adari_series, the
-    dilator extraction, the To series, pushsym) are all ``Lin`` nodes.  The
-    children are evaluated in term order, so the first ``DivByZero`` and its
-    trail are those of a term-by-term sum, and the products are added with
-    one ``sum_of_products``.
+    constant c.  A coefficient that is this module's ``_ONE`` object adds
+    no factor to its term, and one that is ``_NEG`` takes the context's
+    shared negs, so a lone unit term passes its child's value through;
+    builders write their coefficients 1 and -1 as those two objects.  Sums,
+    differences, scalar multiples, ``pari``, ``der``, ``leng_r`` and the
+    truncated series (expari, logari, adari_series, the dilator extraction,
+    the To series, pushsym) are all ``Lin`` nodes.  The children are
+    evaluated in term order, so the first ``DivByZero`` and its trail are
+    those of a term-by-term sum, and the products are added with one
+    ``sum_of_products``.
 
     The empty-word class is derived from ``terms(0)``: a FREE child with a
     nonzero coefficient makes the node FREE; otherwise s, the sum of the
@@ -463,9 +512,14 @@ class Lin(Mould):
         self.terms = terms
 
     def _eval(self, ctx, w):
-        at, n = ctx.at, ctx.lanes
-        terms = self.terms(len(w))
-        return sum_of_products([((c,) * n,) if B is None else ((c,) * n, at(B, w)) for c, B in terms], 1, n)
+        at, n, negs = ctx.at, ctx.lanes, ctx.negs
+        products = []
+        for c, B in self.terms(len(w)):
+            factors = () if B is None else (at(B, w),)
+            if c is not _ONE:
+                factors = (negs if c is _NEG else (c,) * n, *factors)
+            products.append(factors)
+        return sum_of_products(products, 1, n)
 
 
 def _lin_class(terms: Terms) -> str:
@@ -544,7 +598,7 @@ def swap(A: Mould) -> Mould:
 
 def der(A: Mould) -> Mould:
     """len(w) A(w); A is still evaluated at the empty word, with weight 0."""
-    return Lin("der", lambda n: ((Fraction(n), A),))
+    return Lin("der", lambda n: ((_ONE if n == 1 else Fraction(n), A),))
 
 
 def leng_r(A: Mould, r: int) -> Mould:
@@ -675,7 +729,7 @@ class Invmu(Cuts):
         super().__init__(name, GROUP, (True, False), ((A, _first), (self, _second)))
 
     def _eval(self, ctx, w):
-        return Cuts._eval(self, ctx, w) if w else (_ONE,) * ctx.lanes
+        return Cuts._eval(self, ctx, w) if w else ctx.ones
 
 
 def invmu(A: Mould) -> Mould:

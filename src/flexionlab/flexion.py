@@ -47,6 +47,8 @@ from .engine import (
     Lin,
     Mould,
     Mu,
+    _NEG,
+    _ONE,
     invmu,
     iterates,
     lu,
@@ -182,9 +184,6 @@ def _gaxit_plan(r: int, skip_identity: bool = False):
     return tuple(letters), tuple(words), tuple(terms)
 
 
-_NEG = Fraction(-1)
-
-
 def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False):
     """The gaxit sum at the lattice word ``w``: each distinct letter and each
     distinct factor of the plan is built once, the factors are evaluated in
@@ -228,7 +227,7 @@ class Gaxit(Mould):
         if self.inverse:
             value = ctx.at(self.A, w)
             rest = _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
-            return sum_of_products(((value,), ((_NEG,) * ctx.lanes, rest)), 1, ctx.lanes)
+            return sum_of_products(((value,), (ctx.negs, rest)), 1, ctx.lanes)
         return _gaxit_sum(ctx, self.A, self.X, self.Y, w)
 
 
@@ -302,7 +301,7 @@ def expari(A: Mould) -> Mould:
 
     def terms(r):
         if not r:
-            return ((Fraction(1), None),)  # the constant 1
+            return ((_ONE, None),)  # the constant 1
         return [(Fraction(1, factorial(n)), power(n - 1)) for n in range(1, r + 1)]
 
     return Lin("expari", terms)
@@ -323,7 +322,7 @@ def logari(M: Mould) -> Mould:
         if not r:
             return ()
         powers = [(Fraction(-1, factorial(n)), power(n - 1)) for n in range(2, r + 1)]
-        return [(Fraction(1), M), *powers]
+        return [(_ONE, M), *powers]
 
     node = Lin("logari", terms)
     power = iterates(node, lambda P: arit(node, P) + Mu(P, node, proper=2))
@@ -389,6 +388,6 @@ def dilator_of(S: Mould) -> Mould:
     """
     if S.empty_class != GROUP:
         raise ValueError(f"dilator extraction needs group-class S, got {S.empty_class}")
-    node = Lin("dilator_of", lambda r: ((Fraction(r), S), (Fraction(-1), inner)) if r else ())
+    node = Lin("dilator_of", lambda r: ((Fraction(r), S), (_NEG, inner)) if r else ())
     inner = arit(node, S) + Mu(S, node, proper=1)
     return node

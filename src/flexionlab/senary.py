@@ -24,7 +24,6 @@ the nodes of the other modules.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import itemgetter
 
 from .canonical import (
@@ -197,7 +196,7 @@ class ETer(Mould):
         return sum_of_products(
             [
                 (ctx.at(B, w),),
-                ((Fraction(-1),) * n, ctx.at(B, head), ctx.apply(E, last[0])),
+                (ctx.negs, ctx.at(B, head), ctx.apply(E, last[0])),
                 (ctx.at(B, fur(head, last)), ctx.apply(E, fll(head, last)[0])),
             ],
             1,

@@ -268,7 +268,7 @@ def _fk_terms(ctx: EvalContext, A: Mould, B: Mould, a, b) -> list:
     """The products of one half of the four-part expansion: for each cut
     a = p.q.r, A at each shuffle of (p.ful(q, r), b) times B(flr(q, r)), and
     minus A at each shuffle of (fur(p, q).r, b) times B(fll(p, q))."""
-    at, neg = ctx.at, (Fraction(-1),) * ctx.lanes
+    at, neg = ctx.at, ctx.negs
     terms = []
     n = len(a)
     for i in range(n + 1):

@@ -160,3 +160,21 @@ def test_engine_blake2b_is_hashlibs():
 
     # DigestMould values and derived_rng seeds are hashlib.blake2b digests
     assert _blake2.blake2b is hashlib.blake2b
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_text_report_needs_no_utf8_locale(tmp_path, to_file):
+    # under the C locale stdout and files default to ASCII; the text report
+    # must encode there, expected failures ("okx") included
+    out = tmp_path / "report.txt"
+    args = ["verify", "--suite", "senary", "--max-length", "2", "--samples", "1", "--jobs", "1"]
+    if to_file:
+        args += ["--out", str(out)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONIOENCODING"}
+    env.update(PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    run = subprocess.run([sys.executable, "-m", "flexionlab.cli", *args], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr.decode()
+    text = (out.read_bytes() if to_file else run.stdout).decode("ascii")
+    assert "  okx   senary-relation-generic (control)\n" in text
+    assert text.endswith("s wall)\n") and "overall: pass" in text

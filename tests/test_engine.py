@@ -26,6 +26,7 @@ from flexionlab.engine import (
     Scalar,
     anti,
     check_identity,
+    constant_lanes,
     der,
     derived_rng,
     gantar,
@@ -44,6 +45,7 @@ from flexionlab.engine import (
     swap,
     zero,
 )
+from flexionlab.flexion import ari
 from flexionlab.words import (
     BASE,
     EMPTY,
@@ -218,31 +220,109 @@ def test_two_lattices_in_one_context_give_the_oracle_values():
     assert _counts(ctx) == (6, 0)
 
 
+SHARED = ("zeros", "ones", "negs")  # the order of constant_lanes
+
+
+def _factor(f, lanes: int) -> tuple:
+    """A drawn factor as a value of ``lanes`` lanes: a name is that shared
+    constant, and a ``Fraction`` f is f in lane 0, f + 1 in lane 1."""
+    if isinstance(f, str):
+        return constant_lanes(lanes)[SHARED.index(f)]
+    return tuple(f + k for k in range(lanes))
+
+
 @given(
-    st.lists(st.lists(st.fractions(max_denominator=30), max_size=4), max_size=6),
+    st.lists(
+        st.lists(st.fractions(max_denominator=30) | st.sampled_from(SHARED), max_size=4),
+        max_size=6,
+    ),
     st.sampled_from([1, -1]),
 )
 @example([], 1)
 @example([[]], -1)
 @example([[Fraction(0), Fraction(3, 7)], [Fraction(2, 5)]], 1)
 @example([[Fraction(1, 6), Fraction(-4, 9)], [Fraction(1, 10)], [Fraction(7, 4)]], -1)
+@example([["ones", Fraction(2, 3)], ["zeros", Fraction(1, 5)], ["negs", "negs"]], 1)
+@example([["ones", "zeros"]], -1)
 def test_sum_of_products_equals_the_fraction_sum(terms, sign):
-    # lane 0 holds the factors as drawn, lane 1 each factor plus one
-    lanes = [[[f + k for f in factors] for factors in terms] for k in (0, 1)]
     expected = []
-    for lane in lanes:
+    for k in (0, 1):
         total = Fraction(0)
-        for factors in lane:
+        for factors in terms:
             product = Fraction(1)
             for f in factors:
-                product *= f
+                product *= _factor(f, 2)[k]
             total += product
         expected.append(sign * total)
-    assert sum_of_products([[(f,) for f in factors] for factors in terms], sign) == (expected[0],)
-    packed = [list(zip(*pair)) for pair in zip(*lanes)]
-    got = sum_of_products(packed, sign, 2)
-    assert all(type(x) is Fraction for x in got)
-    assert got == tuple(expected)
+    for lanes in (1, 2):
+        zeros, ones, _ = constant_lanes(lanes)
+        values = [[_factor(f, lanes) for f in factors] for factors in terms]
+        got = sum_of_products(values, sign, lanes)
+        assert all(type(x) is Fraction for x in got)
+        assert got == tuple(expected[:lanes])
+        rest = [f for f in values[0] if f is not ones] if len(values) == 1 else []
+        if sign == 1 and len(rest) == 1:
+            assert got is rest[0]  # a lone factor passes through
+        elif not any(expected[:lanes]):
+            assert got is zeros
+
+
+def test_an_all_zero_sum_is_the_shared_zeros():
+    zeros, ones, negs = constant_lanes(3)
+    a = (Fraction(1, 2), Fraction(-3), Fraction(7, 5))
+    assert sum_of_products([(a,), (negs, a)], 1, 3) is zeros
+    assert sum_of_products([(a, zeros), (ones, zeros)], -1, 3) is zeros
+    assert sum_of_products([], 1, 3) is zeros
+    # a lane that sums to 0 holds the shared Fraction 0
+    b = (Fraction(-1, 2), Fraction(3), Fraction(0))
+    got = sum_of_products([(a,), (b,)], 1, 3)
+    assert got == (0, 0, Fraction(7, 5)) and got[0] is got[1] is zeros[0]
+
+
+def test_a_lone_unit_coefficient_term_is_its_factor(ctx):
+    zeros, ones, negs = constant_lanes(2)
+    a = (Fraction(1, 3), Fraction(-2))
+    assert sum_of_products([(a,)], 1, 2) is a
+    assert sum_of_products([(ones, a)], 1, 2) is a
+    assert sum_of_products([(a, ones, ones)], 1, 2) is a
+    assert sum_of_products([(ones, a)], -1, 2) == (Fraction(-1, 3), Fraction(2))
+    assert sum_of_products([(negs, a)], 1, 2) == (Fraction(-1, 3), Fraction(2))
+    # so a Lin node with one unit term holds its child's value object
+    D = DigestMould(9)
+    w = to_lattice(W2, BASE)
+    assert ctx.at(leng_r(D, 2), w) is ctx.at(D, w)
+    assert ctx.at(leng_r(D, 3), w) is constant_lanes(1)[0]
+
+
+def test_a_none_lane_survives_the_shared_constants():
+    zeros, ones, _ = constant_lanes(2)
+    a = (Fraction(4, 7), None)
+    assert sum_of_products([(ones, a)], 1, 2) is a
+    assert sum_of_products([(zeros, a)], 1, 2) == (0, None)
+    assert sum_of_products([(a, zeros), (ones,)], 1, 2) == (1, None)
+    assert sum_of_products([(zeros, a)], -1, 2) == (0, None)
+
+
+def test_a_lane_walk_holds_one_all_zero_value():
+    # ari of a digest and a letter mould is 0 at many words of a walk (the
+    # digest at the empty word, the letter mould off length 1, the products
+    # and sums of those); each of them must be the one shared value, not a
+    # tuple of its own
+    F = ari(DigestMould(1), LetterMould("u+v", lambda x: x.u + x.v))
+    ctx = EvalContext()
+    bounds = SamplePlan().bounds
+    samples = [[sample_word(derived_rng(0, "zeros", i), 3, bounds)] for i in range(4)]
+    held = {}
+
+    def evaluate(w):
+        value = ctx.at(F, w)
+        zeros = [v for v in ctx.memo.values() if v == (0,) * 4]
+        held.update(entries=len(zeros), objects=len({id(v) for v in zeros}))
+        return value, value
+
+    ctx.walk(evaluate, samples, bounds)
+    assert held["entries"] > 5
+    assert held["objects"] == 1
 
 
 def test_sum_of_products_consumes_every_factor_in_order():
