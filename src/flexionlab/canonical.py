@@ -220,7 +220,7 @@ class RoComponent(Mould):
         self.oz = mould_oz(U)
 
     def _eval(self, ctx, w):
-        r, n = self.r, ctx.lanes
+        r = self.r
         if len(w) != r:
             return ctx.zeros
         oz, O = self.oz, self.unit.O
@@ -228,7 +228,7 @@ class RoComponent(Mould):
         return sum_of_products(
             (
                 (
-                    (Fraction(r + 1 - j),) * n,
+                    ctx.const(r + 1 - j),
                     ctx.at(oz, flr(p, m)),
                     ctx.apply(O, ful(p, fur(m, q))[0]),
                     ctx.at(oz, fll(m, q)),
@@ -236,7 +236,7 @@ class RoComponent(Mould):
                 for j, p, m, q in cuts
             ),
             1,
-            n,
+            ctx.lanes,
         )
 
 
@@ -303,7 +303,7 @@ class DilatorFlow(Mould):
         terms = [(ctx.at(self.inner, w),)]
         terms += ((ctx.at(self, w[:i]), ctx.at(D, w[i:])) for i in range(r))
         total = sum_of_products(terms, 1, n)
-        return sum_of_products([(total, (Fraction(1, r),) * n)], 1, n)  # divided by r
+        return sum_of_products([(total, ctx.const(Fraction(1, r)))], 1, n)  # divided by r
 
 
 def solve_dilator_ode(D: Mould) -> Mould:

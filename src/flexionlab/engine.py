@@ -8,36 +8,41 @@ Words run through the engine on an integer lattice.  ``ctx.eval(A, w)``
 takes a word of ``Fraction`` coordinates and converts it once: coordinate x
 becomes the int x*D, with D the context's scale, ``words.BASE`` = 2520 for
 every sampled word.  Nodes recurse through ``ctx.at(A, w)`` on lattice words,
-whose flexions and transforms are int additions, and the memo key is the
-flat tuple ``(uid, u1, v1, u2, v2, ...)`` of lattice ints.
+whose flexions and transforms are int additions.
 
 One walk of the DAG evaluates a node at the words of n *lanes* at once.
-Every value is a tuple of n exact ``Fraction``s, one per lane, and every
-coordinate is a packed int: the sum of x_i * 2^(K*i) over the lattice ints
-x_i of the lanes (``words.pack``), with the lane width K derived from the
-sampling bounds, the word length and the scale.  Packing is linear, so the
-flexions and word transforms run unchanged on packed words, and two packed
-words are equal exactly when every lane is, so the memo key keeps its form.
-``sum_of_products`` is the one arithmetic kernel, lane by lane, and leaves
-call their functions through ``ctx.apply``, once per lane on the lane's
-``Fraction`` letters.  A leaf that divides by zero raises ``DivByZero`` on
-one lane and *poisons* its lane on n > 1: the lane's value becomes ``None``,
-and every sum with a ``None`` factor is ``None`` in that lane.  With one
-lane a packed int is the lattice int itself and nothing is ever ``None``:
-one lane is the plain scalar engine, and there is no other evaluator.
+Every coordinate is a packed int: the sum of x_i * 2^(K*i) over the lattice
+ints x_i of the lanes (``words.pack``), with the lane width K derived from
+the sampling bounds, the word length and the scale.  Packing is linear, so
+the flexions and word transforms run unchanged on packed words, and two
+packed words are equal exactly when every lane is.  Every value is a flat
+tuple of 2n ints ``(n0, d0, n1, d1, ...)``, lane i being the rational
+n_i/d_i in lowest terms with d_i > 0.  ``sum_of_products`` is the one
+arithmetic kernel, lane by lane on those ints, and leaves call their
+functions through ``ctx.apply``, once per lane on the lane's ``Fraction``
+letters, whose ``Fraction`` results it flattens.  ``Fraction``s appear only
+at the boundary: the letters a leaf reads, the result of ``ctx.eval`` and
+the two sides of each point ``sample_points`` records.  A leaf that divides
+by zero raises ``DivByZero`` on one lane; on n > 1 it adds its lane to the
+walk's set ``ctx.poisoned`` and reads 0 there.  The (node, word) visits of
+a walk do not depend on values, so a lane is in that set exactly when its
+one-lane walk raises.  One lane is the plain scalar engine, and there is no
+other evaluator.
 
-Each lane count has one shared all-0, all-1 and all-(-1) value
-(``constant_lanes``, held as ``ctx.zeros``, ``ctx.ones`` and ``ctx.negs``).
-A node whose value is such a constant returns the shared one, and the
-kernel returns the shared zeros for a sum that is 0 in every lane, skips a
-factor that is the shared ones and, with sign +1, returns a lone remaining
-factor itself.
-So the memo of a walk holds one object per constant, not a tuple and its
-``Fraction``s per entry; a ``None`` lane poisons its term all the same.
+Each walk interns its words: ``ctx.word_ids`` maps each distinct packed
+word, as the flat tuple ``(u1, v1, u2, v2, ...)`` of its ints, to a small
+int id, and the memo key of a node at a word is the one int
+``uid << 32 | id``.  Each lane count has one shared all-0, all-1 and
+all-(-1) value (``constant_lanes``, held as ``ctx.zeros``, ``ctx.ones``
+and ``ctx.negs``), and ``ctx.const(c)`` gives the shared value of any
+constant c.  The kernel returns the shared zeros for a sum that is 0 in
+every lane, skips a factor that is the shared ones and, with sign +1,
+returns a lone remaining factor itself.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
-(coefficient, child) pairs its term function gives for len(w), and its
-empty-word class is derived from those terms at length 0.  ``+``, ``-``,
+(coefficient, child) pairs its term function gives for len(w), built once
+per length, and its empty-word class is derived from those terms at length
+0.  ``+``, ``-``,
 scalar ``*``, ``pari``, ``der`` and ``leng_r`` build one, and so do the
 truncated series of the other modules; ``iterates`` builds the lazy
 sequences of nodes (powers, push iterates) that such a series runs over.
@@ -55,9 +60,9 @@ self-referential recursion never reaches the full word.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
 it draws seeded random words per shape, evaluates all samples of a shape in
-one walk, compares two exact values per sample, and re-runs a poisoned
-sample alone, resampling on division by zero up to the context's retry cap.
-``check_identity`` compares two graphs on it.
+one walk, compares two exact values per sample, and re-runs the sample of
+each poisoned lane alone, resampling on division by zero up to the
+context's retry cap.  ``check_identity`` compares two graphs on it.
 """
 
 from __future__ import annotations
@@ -104,13 +109,8 @@ LIE = "lie"
 FREE = "free"
 
 _uid_counter = itertools.count(1)
-_new = object.__new__
 
-Lanes = tuple  # tuple[Optional[Rat], ...]: a value, one entry per lane
-
-_ONE = Fraction(1)
-_NEG = Fraction(-1)
-_ZERO = Fraction(0)
+Lanes = tuple  # tuple[int, ...]: a value, (numerator, denominator) per lane
 
 
 def _lift(x) -> "Mould":
@@ -137,23 +137,23 @@ class Mould:
     # -- arithmetic sugar: + and - are pointwise, scalars act by scaling ----
 
     def __add__(self, other):
-        return _combo("add", (_ONE, self), (_ONE, _lift(other)))
+        return _combo("add", (1, self), (1, _lift(other)))
 
     def __radd__(self, other):
-        return _combo("add", (_ONE, _lift(other)), (_ONE, self))
+        return _combo("add", (1, _lift(other)), (1, self))
 
     def __sub__(self, other):
-        return _combo("sub", (_ONE, self), (_NEG, _lift(other)))
+        return _combo("sub", (1, self), (-1, _lift(other)))
 
     def __rsub__(self, other):
-        return _combo("sub", (_ONE, _lift(other)), (_NEG, self))
+        return _combo("sub", (1, _lift(other)), (-1, self))
 
     def __neg__(self):
         return self * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _ONE if other == 1 else _NEG if other == -1 else Fraction(other)
+            c = Fraction(other)
             return _combo(f"smul[{rat_str(c)}]", (c, self))
         return NotImplemented
 
@@ -166,36 +166,43 @@ class Mould:
 class EvalContext:
     """Memo table plus counters; build one per checked item.
 
-    Every value is a tuple of ``lanes`` exact ``Fraction``s, one per lane,
-    and every word coordinate is a packed int (``words.pack``) that holds the
-    lattice ints of all lanes, so one walk of the DAG evaluates a node at the
-    words of every lane.  Flexions and transforms are linear, so they act on
-    packed words lane by lane, and two packed words are equal exactly when
-    they are equal in every lane.  With one lane a packed int is the lattice
-    int itself, and the context is the plain scalar engine.
+    Every value is a flat tuple of 2 * ``lanes`` ints ``(n0, d0, n1, d1,
+    ...)``, lane i being n_i/d_i in lowest terms with d_i > 0, and every word
+    coordinate is a packed int (``words.pack``) that holds the lattice ints
+    of all lanes, so one walk of the DAG evaluates a node at the words of
+    every lane.  Flexions and transforms are linear, so they act on packed
+    words lane by lane, and two packed words are equal exactly when they are
+    equal in every lane.  With one lane a packed int is the lattice int
+    itself, and the context is the plain scalar engine.
 
     ``eval(A, w)`` is the public one-lane entry: ``w`` holds ``Fraction``
     coordinates (anything else raises ``TypeError``), and it is converted
     once to the context's integer lattice, each coordinate x becoming the int
-    x*scale.  ``scale`` starts at ``words.BASE`` (2520), a multiple of every
-    sampled denominator; a word with another denominator raises it to the
-    lcm, and then the memo is cleared, since equal ints on two lattices are
-    different rationals.  ``walk`` evaluates a function of graphs at the
-    words of n lanes at once.  Nodes recurse through ``at(A, w)``, add their
-    products with ``sum_of_products`` and call their leaf and letter
-    functions through ``apply``.
+    x*scale; the value comes back as a ``Fraction``.  ``scale`` starts at
+    ``words.BASE`` (2520), a multiple of every sampled denominator; a word
+    with another denominator raises it to the lcm, and then the memo is
+    cleared, since equal ints on two lattices are different rationals.
+    ``walk`` evaluates a function of graphs at the words of n lanes at once.
+    Nodes recurse through ``at(A, w)``, add their products with
+    ``sum_of_products``, call their leaf and letter functions through
+    ``apply`` and take constants from ``const``.
 
-    ``memo`` maps ``(uid, u1, v1, u2, v2, ...)``, the node's uid followed by
-    the packed ints of the word, to the node's value there.  One-lane walks
-    share the memo of the context, which lives as long as the context, so a
-    context per item frees it when the item ends.  A walk of n > 1 lanes
-    starts from an empty memo of its own, since packed ints of two walks name
-    different words, and drops it when it ends.
+    ``word_ids`` gives each distinct packed word, as the flat tuple
+    ``(u1, v1, u2, v2, ...)`` of its ints, a small int id, and ``memo`` maps
+    ``uid << 32 | id``, one int per node and word, to the node's value
+    there.  One-lane walks share the memo and word table of the context,
+    which live as long as the context, so a context per item frees them when
+    the item ends.  A walk of n > 1 lanes starts from an empty memo and word
+    table of its own, since packed ints of two walks name different words,
+    and drops them when it ends.
 
-    ``zeros``, ``ones`` and ``negs`` are the shared all-0, all-1 and all-(-1)
-    values of the current lane count (``constant_lanes``); a node returns
-    them for a constant value, and ``sum_of_products`` knows them by
-    identity, so a constant costs the memo no object of its own.
+    ``poisoned`` is the set of lanes of the current walk in which a leaf
+    divided by zero; ``apply`` puts 0 in such a lane, and ``at`` skips it in
+    its empty-word class check.  ``zeros``, ``ones`` and ``negs`` are the
+    shared all-0, all-1 and all-(-1) values of the current lane count
+    (``constant_lanes``); a node returns them for a constant value, and
+    ``sum_of_products`` knows them by identity, so a constant costs the memo
+    no object of its own.
 
     ``stats`` counts ``evals`` (one per node and word a walk evaluates, for
     all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per frame
@@ -206,7 +213,9 @@ class EvalContext:
     def __init__(self, retry_cap: int = 8):
         if retry_cap < 0:
             raise ValueError(f"need retry_cap >= 0, got {retry_cap}")
-        self.memo: dict[tuple[int, ...], Lanes] = {}
+        self.memo: dict[int, Lanes] = {}
+        self.word_ids: dict[tuple[int, ...], int] = {}
+        self.poisoned: set[int] = set()
         self.retry_cap = retry_cap
         self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
         self.scale = BASE
@@ -216,7 +225,8 @@ class EvalContext:
         self._letters: dict[Biletter, tuple[Biletter, ...]] = {}
 
     def eval(self, A: Mould, w: Word) -> Rat:
-        return self.at(A, to_lattice(w, self._rescale(w)))[0]
+        num, den = self.at(A, to_lattice(w, self._rescale(w)))
+        return Fraction(num, den)
 
     def _rescale(self, w: Word) -> int:
         """The context's scale, first raised to a multiple of every
@@ -225,39 +235,50 @@ class EvalContext:
         if scale != self.scale:
             self.scale = scale
             self.memo.clear()
+            self.word_ids.clear()
             self._letters.clear()
         return scale
 
-    def walk(self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]], bounds: Bounds):
+    def walk(
+        self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]], bounds: Bounds
+    ) -> tuple[tuple[Lanes, Lanes], set[int]]:
         """``evaluate(*parts)`` over the lanes of one walk, lane i at the
-        ``Fraction`` words ``samples[i]``; the parts of every lane have the
-        same lengths.  ``evaluate`` reads graphs through ``at`` and returns
-        a pair of lane tuples.  One lane runs on the context's own lattice
-        and memo, and a ``DivByZero`` propagates; with n > 1 lanes a lane
-        whose leaf divides by zero comes back ``None``."""
+        ``Fraction`` words ``samples[i]``, and the walk's set of poisoned
+        lanes; the parts of every lane have the same lengths.  ``evaluate``
+        reads graphs through ``at`` and returns a pair of values.  One lane
+        runs on the context's own lattice and memo, and a ``DivByZero``
+        propagates."""
         if len(samples) == 1:
             (parts,) = samples
             scale = self._rescale(sum(parts, EMPTY))
-            return evaluate(*[to_lattice(part, scale) for part in parts])
+            return evaluate(*[to_lattice(part, scale) for part in parts]), self.poisoned
         scale = BASE
         for parts in samples:
             scale = lattice_scale(sum(parts, EMPTY), scale)
         width = lane_width(bounds, sum(map(len, samples[0])), scale)
         packed = [pack(lane_parts, scale, width) for lane_parts in zip(*samples)]
-        saved = self.memo, self.scale, self.lanes, self._width, self._letters
-        self.memo, self.scale, self.lanes, self._width, self._letters = {}, scale, len(samples), width, {}
+        saved = self.memo, self.word_ids, self.poisoned, self.scale, self.lanes, self._width, self._letters
+        self.memo, self.word_ids, self.poisoned = {}, {}, set()
+        self.scale, self.lanes, self._width, self._letters = scale, len(samples), width, {}
         self.zeros, self.ones, self.negs = constant_lanes(self.lanes)
         try:
-            return evaluate(*packed)
+            return evaluate(*packed), self.poisoned
         finally:
-            self.memo, self.scale, self.lanes, self._width, self._letters = saved
+            self.memo, self.word_ids, self.poisoned, self.scale, self.lanes, self._width, self._letters = saved
             self.zeros, self.ones, self.negs = constant_lanes(self.lanes)
 
-    def apply(self, fn: Callable[..., Rat], *letters: Biletter) -> Lanes:
-        """``fn`` called once per lane on that lane's ``Fraction`` letters.
+    def const(self, c: Rat) -> Lanes:
+        """The shared value that is the int or ``Fraction`` ``c`` in every
+        lane; ``const(1)`` is ``ones``."""
+        return lane_constant(c.numerator, c.denominator, self.lanes)
 
-        A ``DivByZero`` raises on one lane; with n > 1 lanes it makes that
-        lane ``None`` instead, and the other lanes go on.
+    def apply(self, fn: Callable[..., Rat], *letters: Biletter) -> Lanes:
+        """``fn`` called once per lane on that lane's ``Fraction`` letters,
+        its ``Fraction`` results flattened into one value.
+
+        A ``DivByZero`` raises on one lane; with n > 1 lanes it adds that
+        lane to ``poisoned`` and puts 0 there instead, and the other lanes
+        go on.
         """
         cache = self._letters
         lanes = []
@@ -267,14 +288,17 @@ class EvalContext:
                 got = cache[x] = self._unpack(x)
             lanes.append(got)
         out = []
-        for args in zip(*lanes) if letters else itertools.repeat((), self.lanes):
+        for lane, args in enumerate(zip(*lanes) if letters else itertools.repeat((), self.lanes)):
             try:
-                out.append(fn(*args))
+                x = fn(*args)
             except DivByZero:
                 if self.lanes == 1:
                     raise
                 self.stats["div_by_zero"] += 1
-                out.append(None)
+                self.poisoned.add(lane)
+                out += (0, 1)
+                continue
+            out += (x.numerator, x.denominator)
         return tuple(out)
 
     def _unpack(self, x: Biletter) -> tuple[Biletter, ...]:
@@ -288,7 +312,11 @@ class EvalContext:
 
     def at(self, A: Mould, w: Word) -> Lanes:
         """The value of ``A`` at the packed word ``w``, memoized."""
-        key = sum(w, (A.uid,))
+        flat = sum(w, ())
+        wid = self.word_ids.get(flat)
+        if wid is None:
+            wid = self.word_ids[flat] = len(self.word_ids)
+        key = A.uid << 32 | wid
         hit = self.memo.get(key)
         if hit is not None:
             self.stats["memo_hits"] += 1
@@ -301,38 +329,44 @@ class EvalContext:
             exc.trail.append((A.name, from_lattice(w, self.scale)))
             raise
         if not w and A.empty_class != FREE:
-            want = 1 if A.empty_class == GROUP else 0
-            for x in val:
-                if x is not None and x != want:
-                    raise RuntimeError(f"{A.empty_class} mould {A.name} evaluated to {x} at the empty word")
+            want = (1, 1) if A.empty_class == GROUP else (0, 1)
+            for lane in range(self.lanes):
+                got = val[2 * lane : 2 * lane + 2]
+                if got != want and lane not in self.poisoned:
+                    raise RuntimeError(f"{A.empty_class} mould {A.name} evaluated to {Fraction(*got)} at the empty word")
         self.memo[key] = val
         return val
 
 
 @functools.cache
+def lane_constant(num: int, den: int, lanes: int) -> Lanes:
+    """The shared value of ``lanes`` lanes that is num/den in every lane."""
+    return (num, den) * lanes
+
+
+@functools.cache
 def constant_lanes(lanes: int) -> tuple[Lanes, Lanes, Lanes]:
     """The shared all-0, all-1 and all-(-1) values of ``lanes`` lanes."""
-    return (_ZERO,) * lanes, (_ONE,) * lanes, (_NEG,) * lanes
+    return lane_constant(0, 1, lanes), lane_constant(1, 1, lanes), lane_constant(-1, 1, lanes)
 
 
 def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int = 1) -> Lanes:
     """``sign`` times the sum over ``terms`` of the product of each term's
     factors, lane by lane.
 
-    Each factor is a tuple of ``lanes`` ``Fraction``s, and the result is one
-    too.  A ``None`` factor makes its lane ``None``.  The sum of each lane
-    runs on raw numerators and denominators: each product stays an
-    unreduced n/d, the running total keeps the lcm of the denominators so
-    far, and only the result is reduced to lowest terms.  Every factor of
-    every term is consumed in order, so a caller that evaluates factors
-    lazily in ``terms`` meets the same first ``DivByZero`` as a plain
-    ``Fraction`` loop.
+    Each factor is a flat tuple of ``lanes`` (numerator, denominator) int
+    pairs in lowest terms with positive denominators, and the result is one
+    too.  The sum of each lane multiplies and adds ints only: each product
+    stays an unreduced n/d, the running total keeps the lcm of the
+    denominators so far, and only the result is reduced to lowest terms.
+    Every factor of every term is consumed in order, so a caller that
+    evaluates factors lazily in ``terms`` meets the same first ``DivByZero``
+    as a term-by-term sum.
 
     The result allocates only what it must.  A factor that is the shared
     ones of ``constant_lanes`` is skipped; with ``sign`` 1, one term with one
-    factor left returns that factor itself; a lane that sums to 0 holds the
-    shared ``Fraction`` 0, and a sum that is 0 in every lane is the shared
-    zeros.
+    factor left returns that factor itself; a sum that is 0 in every lane is
+    the shared zeros.
     """
     zeros, ones, _ = constant_lanes(lanes)
     terms = [tuple(factors) for factors in terms]  # each lane reads them again
@@ -340,27 +374,17 @@ def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int 
         rest = [f for f in terms[0] if f is not ones]
         if len(rest) == 1:
             return rest[0]
-    out = [_lane_sum(terms, sign, i, ones) for i in range(lanes)]
-    for x in out:
-        if x is not _ZERO:
-            return tuple(out)
-    return zeros
-
-
-def _lane_sum(terms, sign: int, lane: int, ones: Lanes) -> Optional[Rat]:
-    """Lane ``lane`` of ``sum_of_products``, built as a ``Fraction`` from
-    its numerator and denominator divided by their gcd."""
-    num, den = 0, 1
-    f = None
-    try:
+    out = []
+    zero = True
+    for i in range(0, 2 * lanes, 2):
+        j = i + 1
+        num, den = 0, 1
         for factors in terms:
             n = d = 1
             for f in factors:
-                if f is ones:
-                    continue
-                f = f[lane]
-                n *= f._numerator
-                d *= f._denominator
+                if f is not ones:
+                    n *= f[i]
+                    d *= f[j]
             if not n:
                 continue
             if d == den:
@@ -369,16 +393,13 @@ def _lane_sum(terms, sign: int, lane: int, ones: Lanes) -> Optional[Rat]:
                 g = gcd(den, d)
                 num = num * (d // g) + n * (den // g)
                 den = den // g * d
-    except AttributeError:
-        if f is not None:
-            raise
-        return None
-    if not num:
-        return _ZERO
-    g = gcd(num, den)
-    out = _new(Fraction)
-    out._numerator, out._denominator = sign * num // g, den // g
-    return out
+        if num:
+            g = gcd(num, den)
+            out += (sign * num // g, den // g)
+            zero = False
+        else:
+            out += (0, 1)
+    return zeros if zero else tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +419,7 @@ class Scalar(Mould):
         self.c = c
 
     def _eval(self, ctx, w):
-        c = self.c
-        if w or not c:
-            return ctx.zeros
-        return ctx.ones if c == 1 else ctx.negs if c == -1 else (c,) * ctx.lanes
+        return ctx.zeros if w else ctx.const(self.c)
 
 
 def one() -> Mould:
@@ -482,11 +500,12 @@ Terms = Sequence[tuple[Rat, Optional[Mould]]]
 class Lin(Mould):
     """A linear node: the sum of c B(w) over the pairs (c, B) of ``terms(len(w))``.
 
-    The coefficients are ``Fraction``s, and a pair ``(c, None)`` is the
-    constant c.  A coefficient that is this module's ``_ONE`` object adds
-    no factor to its term, and one that is ``_NEG`` takes the context's
-    shared negs, so a lone unit term passes its child's value through;
-    builders write their coefficients 1 and -1 as those two objects.  Sums,
+    The coefficients are ints or ``Fraction``s, and a pair ``(c, None)`` is
+    the constant c.  The terms of each length are built once, on first use,
+    and kept (``terms_at``), so ``terms`` must give the same pairs whenever
+    it is called with the same length.  A coefficient reaches the kernel as
+    the shared ``ctx.const(c)``, so a coefficient 1 adds no factor and a
+    lone unit term passes its child's value through.  Sums,
     differences, scalar multiples, ``pari``, ``der``, ``leng_r`` and the
     truncated series (expari, logari, adari_series, the dilator extraction,
     the To series, pushsym) are all ``Lin`` nodes.  The children are
@@ -505,21 +524,24 @@ class Lin(Mould):
     children at w.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_by_length")
 
     def __init__(self, name: str, terms: Callable[[int], Terms]):
-        super().__init__(name, _lin_class(terms(0)))
         self.terms = terms
+        self._by_length: dict[int, Terms] = {}
+        super().__init__(name, _lin_class(self.terms_at(0)))
+
+    def terms_at(self, r: int) -> Terms:
+        """The (coefficient, child) pairs of length ``r``, built once."""
+        got = self._by_length.get(r)
+        if got is None:
+            got = self._by_length[r] = tuple(self.terms(r))
+        return got
 
     def _eval(self, ctx, w):
-        at, n, negs = ctx.at, ctx.lanes, ctx.negs
-        products = []
-        for c, B in self.terms(len(w)):
-            factors = () if B is None else (at(B, w),)
-            if c is not _ONE:
-                factors = (negs if c is _NEG else (c,) * n, *factors)
-            products.append(factors)
-        return sum_of_products(products, 1, n)
+        at, const = ctx.at, ctx.const
+        products = [(const(c),) if B is None else (const(c), at(B, w)) for c, B in self.terms_at(len(w))]
+        return sum_of_products(products, 1, ctx.lanes)
 
 
 def _lin_class(terms: Terms) -> str:
@@ -584,7 +606,7 @@ def anti(A: Mould) -> Mould:
 
 def pari(A: Mould) -> Mould:
     """(-1)^len(w) A(w)."""
-    even, odd = ((_ONE, A),), ((_NEG, A),)
+    even, odd = ((1, A),), ((-1, A),)
     return Lin("pari", lambda r: odd if r % 2 else even)
 
 
@@ -598,12 +620,12 @@ def swap(A: Mould) -> Mould:
 
 def der(A: Mould) -> Mould:
     """len(w) A(w); A is still evaluated at the empty word, with weight 0."""
-    return Lin("der", lambda n: ((_ONE if n == 1 else Fraction(n), A),))
+    return Lin("der", lambda n: ((n, A),))
 
 
 def leng_r(A: Mould, r: int) -> Mould:
     """A on the words of length ``r``, 0 elsewhere."""
-    terms = ((_ONE, A),)
+    terms = ((1, A),)
     return Lin(f"leng_{r}", lambda n: terms if n == r else ())
 
 
@@ -844,15 +866,17 @@ def sample_points(
     is their concatenation, and a two-part shape records the first part's
     length as ``split``.  A shape of total length 0 gets one sample, any
     other ``plan.samples_per_length``.  ``evaluate`` takes packed words,
-    reads graphs through ``ctx.at`` and returns the two sides as lane tuples.
+    reads graphs through ``ctx.at`` and returns the two sides as values;
+    the point records lane i of each as a ``Fraction``.
 
     The first attempts of all samples of a shape are evaluated as the lanes
-    of one ``ctx.walk``.  A sample whose lane came back ``None`` (a division
-    by zero) is re-run alone, as one lane, from attempt 0: division by zero
-    resamples up to the context's retry cap, and a point that keeps hitting
-    singular words is recorded as skipped, with its last word and the error
-    as ``detail``.  So a point reads the same whatever the number of lanes,
-    and with one sample per shape every walk is the one-lane engine.
+    of one ``ctx.walk``.  The sample of each lane the walk poisoned (a
+    division by zero) is re-run alone, as one lane, from attempt 0: division
+    by zero resamples up to the context's retry cap, and a point that keeps
+    hitting singular words is recorded as skipped, with its last word and
+    the error as ``detail``.  So a point reads the same whatever the number
+    of lanes, and with one sample per shape every walk is the one-lane
+    engine.
     """
     report = Report(identity=name)
     for label, lengths in shapes:
@@ -864,31 +888,36 @@ def sample_points(
             return [sample_word(rng, n, plan.bounds) for n in lengths]
 
         first = [draw(i, 0) for i in range(plan.samples_per_length if length else 1)]
-        lhs = rhs = None
+        sides, poisoned = None, ()
         if len(first) > 1:
-            lhs, rhs = ctx.walk(evaluate, first, plan.bounds)
+            sides, poisoned = ctx.walk(evaluate, first, plan.bounds)
         for i, parts in enumerate(first):
-            if lhs is not None and lhs[i] is not None and rhs[i] is not None:
-                report.points.append(PointRecord(name, length, sum(parts, EMPTY), lhs[i], rhs[i], split=split))
+            if sides is not None and i not in poisoned:
+                report.points.append(PointRecord(name, length, sum(parts, EMPTY), *_lane(sides, i), split=split))
                 continue
             for attempt in range(ctx.retry_cap + 1):
                 if attempt:
                     parts = draw(i, attempt)
                 w = sum(parts, EMPTY)
                 try:
-                    (lhs_i,), (rhs_i,) = ctx.walk(evaluate, [parts], plan.bounds)
+                    alone, _ = ctx.walk(evaluate, [parts], plan.bounds)
                 except DivByZero as exc:
                     # keep the text, not the exception: its traceback holds
                     # this frame, and the cycle would keep ctx's memo alive
                     # past the item until the cyclic collector runs
                     detail = str(exc)
                     continue
-                rec = PointRecord(name, length, w, lhs_i, rhs_i, split=split)
+                rec = PointRecord(name, length, w, *_lane(alone, 0), split=split)
                 break
             else:
                 rec = PointRecord(name, length, w, None, None, split=split, detail=detail)
             report.points.append(rec)
     return report
+
+
+def _lane(sides: tuple[Lanes, Lanes], i: int) -> list[Rat]:
+    """Lane ``i`` of each of two values, as ``Fraction``s."""
+    return [Fraction(side[2 * i], side[2 * i + 1]) for side in sides]
 
 
 def check_identity(

@@ -47,8 +47,6 @@ from .engine import (
     Lin,
     Mould,
     Mu,
-    _NEG,
-    _ONE,
     invmu,
     iterates,
     lu,
@@ -301,7 +299,7 @@ def expari(A: Mould) -> Mould:
 
     def terms(r):
         if not r:
-            return ((_ONE, None),)  # the constant 1
+            return ((1, None),)  # the constant 1
         return [(Fraction(1, factorial(n)), power(n - 1)) for n in range(1, r + 1)]
 
     return Lin("expari", terms)
@@ -322,7 +320,7 @@ def logari(M: Mould) -> Mould:
         if not r:
             return ()
         powers = [(Fraction(-1, factorial(n)), power(n - 1)) for n in range(2, r + 1)]
-        return [(_ONE, M), *powers]
+        return [(1, M), *powers]
 
     node = Lin("logari", terms)
     power = iterates(node, lambda P: arit(node, P) + Mu(P, node, proper=2))
@@ -388,6 +386,6 @@ def dilator_of(S: Mould) -> Mould:
     """
     if S.empty_class != GROUP:
         raise ValueError(f"dilator extraction needs group-class S, got {S.empty_class}")
-    node = Lin("dilator_of", lambda r: ((Fraction(r), S), (_NEG, inner)) if r else ())
+    node = Lin("dilator_of", lambda r: ((r, S), (-1, inner)) if r else ())
     inner = arit(node, S) + Mu(S, node, proper=1)
     return node

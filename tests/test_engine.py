@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import weakref
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -115,6 +116,13 @@ def _counts(ctx):
     return ctx.stats["evals"], ctx.stats["memo_hits"]
 
 
+def _keys(ctx):
+    """The memo keys as ``(uid, u1, v1, ...)`` tuples, each word read back
+    from the context's word table."""
+    words = {wid: flat for flat, wid in ctx.word_ids.items()}
+    return [(key >> 32, *words[key & 0xFFFFFFFF]) for key in ctx.memo]
+
+
 def test_memo_key_is_uid_plus_lattice_ints():
     ctx = EvalContext()
     A = DigestMould(4)
@@ -126,7 +134,9 @@ def test_memo_key_is_uid_plus_lattice_ints():
     assert _counts(ctx) == (1, 1)
     # every coordinate times the base lattice scale 2520 = lcm(1..10)
     assert ctx.scale == BASE == 2520
-    assert list(ctx.memo) == [(A.uid, 6300, 7560, 1260, -5880)]
+    assert ctx.word_ids == {(6300, 7560, 1260, -5880): 0}
+    assert list(ctx.memo) == [A.uid << 32 | 0]
+    assert _keys(ctx) == [(A.uid, 6300, 7560, 1260, -5880)]
 
 
 def test_flexed_word_shares_the_entry_of_the_direct_word():
@@ -138,7 +148,8 @@ def test_flexed_word_shares_the_entry_of_the_direct_word():
     ctx.eval(A, direct)
     ctx.eval(A, flexed)
     assert _counts(ctx) == (1, 1)
-    assert list(ctx.memo) == [(A.uid, 1260, 12600, 10080, -2520)]
+    assert _keys(ctx) == [(A.uid, 1260, 12600, 10080, -2520)]
+    assert len(ctx.word_ids) == 1
 
 
 def test_memo_separates_sign_swap_and_reciprocal():
@@ -154,7 +165,7 @@ def test_memo_separates_sign_swap_and_reciprocal():
     for w in variants:
         ctx.eval(A, w)
     assert _counts(ctx) == (len(variants), 0)
-    assert set(ctx.memo) == {
+    assert set(_keys(ctx)) == {
         (A.uid, 1260, 7560),
         (A.uid, -1260, 7560),
         (A.uid, 7560, 1260),
@@ -190,7 +201,10 @@ def test_off_lattice_word_gives_the_oracle_values(ctx, ev):
     assert ev(neg(F), OFF_LATTICE) == _coords(negate(OFF_LATTICE))
     assert ev(LetterMould("v", lambda x: x.v), OFF_LATTICE[:1]) == Fraction(2, 13)
     assert ctx.scale == 2520 * 11 * 13
-    assert ctx.apply(lambda *letters: letters, *to_lattice(OFF_LATTICE, ctx.scale)) == (OFF_LATTICE,)
+    seen = []
+    value = ctx.apply(lambda *letters: seen.append(letters) or _coords(letters), *to_lattice(OFF_LATTICE, ctx.scale))
+    assert seen == [OFF_LATTICE]
+    assert value == (_coords(OFF_LATTICE).numerator, _coords(OFF_LATTICE).denominator)
 
 
 def test_div_by_zero_trail_keeps_fraction_words(ctx):
@@ -223,12 +237,28 @@ def test_two_lattices_in_one_context_give_the_oracle_values():
 SHARED = ("zeros", "ones", "negs")  # the order of constant_lanes
 
 
+def _flat(*lanes) -> tuple:
+    """The value whose lanes are the rationals ``lanes``."""
+    return tuple(x for f in lanes for x in (f.numerator, f.denominator))
+
+
+def _is_value(v, lanes: int) -> bool:
+    """``v`` is a value of ``lanes`` lanes: a flat tuple of (numerator,
+    denominator) ints, each pair in lowest terms with a positive denominator."""
+    return (
+        type(v) is tuple
+        and len(v) == 2 * lanes
+        and all(type(x) is int for x in v)
+        and all(d > 0 and gcd(n, d) == 1 for n, d in zip(v[::2], v[1::2]))
+    )
+
+
 def _factor(f, lanes: int) -> tuple:
     """A drawn factor as a value of ``lanes`` lanes: a name is that shared
     constant, and a ``Fraction`` f is f in lane 0, f + 1 in lane 1."""
     if isinstance(f, str):
         return constant_lanes(lanes)[SHARED.index(f)]
-    return tuple(f + k for k in range(lanes))
+    return _flat(*(f + k for k in range(lanes)))
 
 
 @given(
@@ -251,15 +281,15 @@ def test_sum_of_products_equals_the_fraction_sum(terms, sign):
         for factors in terms:
             product = Fraction(1)
             for f in factors:
-                product *= _factor(f, 2)[k]
+                product *= Fraction(*_factor(f, 2)[2 * k : 2 * k + 2])
             total += product
         expected.append(sign * total)
     for lanes in (1, 2):
         zeros, ones, _ = constant_lanes(lanes)
         values = [[_factor(f, lanes) for f in factors] for factors in terms]
         got = sum_of_products(values, sign, lanes)
-        assert all(type(x) is Fraction for x in got)
-        assert got == tuple(expected[:lanes])
+        assert _is_value(got, lanes)
+        assert got == _flat(*expected[:lanes])
         rest = [f for f in values[0] if f is not ones] if len(values) == 1 else []
         if sign == 1 and len(rest) == 1:
             assert got is rest[0]  # a lone factor passes through
@@ -269,38 +299,71 @@ def test_sum_of_products_equals_the_fraction_sum(terms, sign):
 
 def test_an_all_zero_sum_is_the_shared_zeros():
     zeros, ones, negs = constant_lanes(3)
-    a = (Fraction(1, 2), Fraction(-3), Fraction(7, 5))
+    a = _flat(Fraction(1, 2), Fraction(-3), Fraction(7, 5))
     assert sum_of_products([(a,), (negs, a)], 1, 3) is zeros
     assert sum_of_products([(a, zeros), (ones, zeros)], -1, 3) is zeros
     assert sum_of_products([], 1, 3) is zeros
-    # a lane that sums to 0 holds the shared Fraction 0
-    b = (Fraction(-1, 2), Fraction(3), Fraction(0))
-    got = sum_of_products([(a,), (b,)], 1, 3)
-    assert got == (0, 0, Fraction(7, 5)) and got[0] is got[1] is zeros[0]
+    # a lane that sums to 0 holds 0/1
+    b = _flat(Fraction(-1, 2), Fraction(3), Fraction(0))
+    assert sum_of_products([(a,), (b,)], 1, 3) == (0, 1, 0, 1, 7, 5)
 
 
 def test_a_lone_unit_coefficient_term_is_its_factor(ctx):
     zeros, ones, negs = constant_lanes(2)
-    a = (Fraction(1, 3), Fraction(-2))
+    a = _flat(Fraction(1, 3), Fraction(-2))
     assert sum_of_products([(a,)], 1, 2) is a
     assert sum_of_products([(ones, a)], 1, 2) is a
     assert sum_of_products([(a, ones, ones)], 1, 2) is a
-    assert sum_of_products([(ones, a)], -1, 2) == (Fraction(-1, 3), Fraction(2))
-    assert sum_of_products([(negs, a)], 1, 2) == (Fraction(-1, 3), Fraction(2))
-    # so a Lin node with one unit term holds its child's value object
+    assert sum_of_products([(ones, a)], -1, 2) == _flat(Fraction(-1, 3), Fraction(2))
+    assert sum_of_products([(negs, a)], 1, 2) == _flat(Fraction(-1, 3), Fraction(2))
+    # a constant is the shared value of its lane count, so a Lin node with
+    # one unit term holds its child's value object
+    assert ctx.const(1) is ctx.const(Fraction(2, 2)) is ctx.ones
+    assert ctx.const(0) is ctx.zeros and ctx.const(-1) is ctx.negs
+    assert ctx.const(Fraction(-2, 4)) is ctx.const(Fraction(-1, 2)) == (-1, 2)
     D = DigestMould(9)
     w = to_lattice(W2, BASE)
     assert ctx.at(leng_r(D, 2), w) is ctx.at(D, w)
     assert ctx.at(leng_r(D, 3), w) is constant_lanes(1)[0]
 
 
-def test_a_none_lane_survives_the_shared_constants():
-    zeros, ones, _ = constant_lanes(2)
-    a = (Fraction(4, 7), None)
-    assert sum_of_products([(ones, a)], 1, 2) is a
-    assert sum_of_products([(zeros, a)], 1, 2) == (0, None)
-    assert sum_of_products([(a, zeros), (ones,)], 1, 2) == (1, None)
-    assert sum_of_products([(zeros, a)], -1, 2) == (0, None)
+# one length-1 word per lane of the poisoning walks below
+LANE_WORDS = [word([("1/2", "3")]), word([("2", "-1/3")]), word([("-5/4", "7")])]
+
+
+def _singular_at(*bad: Biletter) -> FuncMould:
+    """A lie-class leaf that divides by zero exactly at the words whose
+    first letter is in ``bad``."""
+
+    def fn(w):
+        if w and w[0] in bad:
+            raise DivByZero("singular lane")
+        return sum((x.u * (i + 2) for i, x in enumerate(w)), Fraction(0))
+
+    return FuncMould("singular-lane", fn, LIE)
+
+
+def _walk(G, words):
+    """One walk of ``G`` with a lane per word: its value and poisoned set,
+    and the context's div_by_zero count."""
+    ctx = EvalContext()
+    (value, _), poisoned = ctx.walk(lambda w: (ctx.at(G, w), ctx.zeros), [[w] for w in words], SamplePlan().bounds)
+    assert ctx.poisoned == set()  # the walk's set went with the walk
+    return value, poisoned, ctx.stats["div_by_zero"]
+
+
+def test_a_poisoned_lane_survives_the_shared_constants():
+    # the singular leaf passes through a lone unit term, a shared negs
+    # coefficient, a zero coefficient and the zero factor D(empty) of a cut;
+    # in each its lane is poisoned and the other lane reads the one-lane value
+    w0, w1 = LANE_WORDS[:2]
+    S, D = _singular_at(w1[0]), DigestMould(5)
+    for G in (leng_r(S, 1), -S, S * 0, Mu(D, S)):
+        value, poisoned, div_by_zero = _walk(G, [w0, w1])
+        assert poisoned == {1} and div_by_zero == 1
+        assert value[:2] == _flat(EvalContext().eval(G, w0))
+    # apply puts 0 in the lane it poisons
+    assert _walk(S, [w0, w1])[0][2:] == (0, 1)
 
 
 def test_a_lane_walk_holds_one_all_zero_value():
@@ -316,7 +379,7 @@ def test_a_lane_walk_holds_one_all_zero_value():
 
     def evaluate(w):
         value = ctx.at(F, w)
-        zeros = [v for v in ctx.memo.values() if v == (0,) * 4]
+        zeros = [v for v in ctx.memo.values() if v == (0, 1) * 4]
         held.update(entries=len(zeros), objects=len({id(v) for v in zeros}))
         return value, value
 
@@ -325,28 +388,94 @@ def test_a_lane_walk_holds_one_all_zero_value():
     assert held["objects"] == 1
 
 
+def test_the_empty_word_check_skips_poisoned_lanes():
+    # a group-class leaf that divides by zero everywhere poisons every lane
+    # of the walk at the empty word too, where 0 stands in for its value 1:
+    # the class check must let those lanes through to be re-run alone
+    def singular(w):
+        raise DivByZero("always singular")
+
+    S = FuncMould("always-singular", singular, GROUP)
+    p = SamplePlan(max_length=1, samples_per_length=3, seed=4)
+    rep = check_identity(Mu(S, DigestMould(7)), zero(), p, "group-singular", EvalContext(retry_cap=1))
+    assert [pt.status for pt in rep.points] == ["skipped"] * 4
+    assert all("always singular" in pt.detail for pt in rep.points)
+
+
 def test_sum_of_products_consumes_every_factor_in_order():
     seen = []
 
     def factor(name, value):
         seen.append(name)
-        return (Fraction(value),)
+        return (value, 1)
 
     terms = ((factor(f"a{i}", i), factor(f"b{i}", 1)) for i in range(3))
-    assert sum_of_products(terms) == (3,)
+    assert sum_of_products(terms) == (3, 1)
     assert seen == ["a0", "b0", "a1", "b1", "a2", "b2"]
 
 
-def test_a_none_factor_poisons_its_lane_only():
-    a = (Fraction(1, 2), None, Fraction(3))
-    b = (Fraction(0), Fraction(5), None)
-    c = (Fraction(2), Fraction(7, 3), Fraction(-1))
-    # a None lane stays None even where another factor of its term is zero
-    assert sum_of_products([(a, c), (b, c)], -1, 3) == (Fraction(-1), None, None)
-    assert sum_of_products([(c,), (b, a)], 1, 3) == (Fraction(2), None, None)
-    assert sum_of_products([], 1, 3) == (0, 0, 0)
-    with pytest.raises(AttributeError):
-        sum_of_products([((1,), (Fraction(1),))])  # an int factor is not a lane value
+def test_a_leaf_that_divides_by_zero_poisons_its_lane_only():
+    w0, w1, w2 = LANE_WORDS
+    S, T = _singular_at(w1[0]), _singular_at(w2[0])
+    # each singular value is multiplied by the other leaf at the empty word,
+    # 0; the lane is poisoned all the same
+    G = Mu(S, T) + Mu(T, S)
+    value, poisoned, div_by_zero = _walk(G, [w0, w1, w2])
+    assert poisoned == {1, 2} and div_by_zero == 2  # one per leaf and lane
+    assert value[:2] == _flat(EvalContext().eval(G, w0))
+    # one lane raises instead, with the trail of the singular frames
+    with pytest.raises(DivByZero) as exc:
+        EvalContext().eval(G, w1)
+    assert [name for name, _ in exc.value.trail] == ["singular-lane", "mu", "add"]
+    assert sum_of_products([], 1, 3) == (0, 1) * 3
+    with pytest.raises(IndexError):
+        sum_of_products([((Fraction(1),), (Fraction(2),))])  # a tuple of Fractions is not a value
+
+
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through ``gc.get_referents``."""
+    seen, stack = {}, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen[id(obj)] = obj
+            stack.extend(gc.get_referents(obj))
+    return list(seen.values())
+
+
+def test_a_lane_walk_memo_holds_int_keys_and_flat_int_values():
+    # the memo of a walk of 3 lanes: one int key per (node, word), one flat
+    # tuple of (numerator, denominator) ints per value, nothing that is a
+    # Fraction, and one word-table entry per distinct packed word it visits
+    visited = set()
+
+    class Recording(EvalContext):
+        def at(self, A, w):
+            visited.add(sum(w, ()))
+            return super().at(A, w)
+
+    F = ari(DigestMould(1), LetterMould("u+v", lambda x: x.u + x.v))
+    G = F + Fraction(2, 3) * Mu(DigestMould(2), one() + DigestMould(3))
+    ctx = Recording()
+    bounds = SamplePlan().bounds
+    samples = [[sample_word(derived_rng(0, "memo", i), 3, bounds)] for i in range(3)]
+    held = {}
+
+    def evaluate(w):
+        value = ctx.at(G, w)
+        held.update(memo=dict(ctx.memo), word_ids=dict(ctx.word_ids))
+        return value, value
+
+    ctx.walk(evaluate, samples, bounds)
+    memo, word_ids = held["memo"], held["word_ids"]
+    assert len(memo) > 20
+    assert all(type(key) is int for key in memo)
+    assert all(_is_value(value, 3) for value in memo.values())
+    assert not any(isinstance(x, Fraction) for x in _reachable(memo))
+    assert set(word_ids) == visited
+    assert all(type(x) is int for flat in word_ids for x in flat)
+    assert sorted(word_ids.values()) == list(range(len(word_ids)))
+    assert {key & 0xFFFFFFFF for key in memo} == set(word_ids.values())
 
 
 def test_arithmetic_sugar(ev):
@@ -673,12 +802,16 @@ def test_sample_points_shapes_words_and_split(ctx):
     shapes = [(("pair", 2, 1), (2, 1)), (("empty",), (0,)), (("one",), (3,))]
     seen = []  # per sample, its parts as Fraction words
 
+    def letters(part):
+        """The ``Fraction`` letters of each lane of the packed word ``part``."""
+        got = []
+        ctx.apply(lambda *letters: got.append(letters) or 0, *part)
+        return got
+
     def evaluate(*parts):
         # one call per shape: the parts are packed words, one lane per sample
-        lanes = [ctx.apply(lambda *letters: letters, *part) for part in parts]
-        seen.extend(zip(*lanes))
-        zero = (Fraction(0),) * ctx.lanes
-        return zero, zero
+        seen.extend(zip(*map(letters, parts)))
+        return ctx.zeros, ctx.zeros
 
     rep = sample_points(ctx, p, "shapes", shapes, evaluate)
     # a shape of total length 0 gets one sample, every other shape N

@@ -341,6 +341,11 @@ def _lane_table():
     S = FuncMould("sometimes-singular", _sometimes_singular, LIE)
     D, D1, D2 = DigestMould(41, tag="lanes"), DigestMould(42, tag="lanes"), DigestMould(43, tag="lanes")
     L, R = Mu(S, D) + Mu(D, S), Mu(D, S) + Mu(S, D)
+    # Mu(D, S) reads S at the full word only in its cut with an empty left
+    # block, whose other factor D(empty) is the shared zeros, and Mu(D, S, 1)
+    # drops that cut: at length 1 that zero-weighted read is the only one
+    # that can divide by zero, and its lane must be re-run all the same
+    hidden, proper = Mu(D, S), Mu(D, S, proper=1)
     alt = ari(S, D)
     sym = one() + S + Mu(S, D)
     pushed = S + D
@@ -367,6 +372,11 @@ def _lane_table():
             lambda plan, ctx: check_identity(L, R, plan, "lanes", ctx),
             lengths,
             lambda ev: lambda w: (ev(L, w), ev(R, w)),
+        ),
+        "check_identity_behind_a_zero_factor": (
+            lambda plan, ctx: check_identity(hidden, proper, plan, "lanes", ctx),
+            lengths,
+            lambda ev: lambda w: (ev(hidden, w), ev(proper, w)),
         ),
         "check_alternal": (
             lambda plan, ctx: check_alternal(alt, plan, "lanes", ctx),
