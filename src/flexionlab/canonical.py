@@ -8,6 +8,11 @@ series To, the dilator D, the dilator-flow solution S of der(S) =
 preari(S, D), and finally the secondary pair: dotted = invgari(S) and
 plain = swap(dotted).
 
+No node class lives here.  The weight components are one ``engine.Cuts``
+sum over the marked letter of w = p.m.q (``mould_ro``), and the flow is a
+self-referential ``engine.Lin`` over an ``arit`` term and a ``Cuts``
+product, like the solvers of ``flexion``.
+
 Everything is cached per unit so expression graphs (and hence memo entries)
 are shared across identities in a run.
 """
@@ -15,24 +20,26 @@ are shared across identities in a run.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable
 
 from .engine import (
     GROUP,
     LIE,
+    Cuts,
     FuncMould,
     LetterMould,
     Lin,
     Mould,
     derived_rng,
     invmu,
+    leng_r,
     one,
     pari,
-    sum_of_products,
     swap,
 )
-from .flexion import arit, ganit, ganit_inv, invgari
-from .words import Biletter, DivByZero, Rat, Word, fll, flr, ful, fur
+from .flexion import _flr_ab, arit, ganit, ganit_inv, invgari
+from .words import Biletter, DivByZero, Rat, Word, coprime_fraction, fll, ful, fur
 
 UnitFn = Callable[[Biletter], Rat]
 
@@ -41,14 +48,12 @@ def recip(x: Rat) -> Rat:
     """Exact reciprocal of a ``Fraction``; zero raises the trailed division
     error.  The numerator and denominator of x in lowest terms are coprime,
     so the reciprocal is built from them as they are, with no gcd."""
-    n, d = x._numerator, x._denominator
+    n, d = x.numerator, x.denominator
     if not n:
         raise DivByZero("reciprocal of exact zero")
     if n < 0:
         n, d = -n, -d
-    out = object.__new__(Fraction)
-    out._numerator, out._denominator = d, n
-    return out
+    return coprime_fraction(d, n)
 
 
 class FlexionUnit:
@@ -204,51 +209,41 @@ def es_closed(U: FlexionUnit) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-class RoComponent(Mould):
-    """Length-r weight component: sum over the marked letter j of
-    (r+1-j) oz(flr(p, m)) O(ful(p, fur(m, q))) oz(fll(m, q)) where
-    w = p.m.q with m the single letter at position j."""
+def _fll_mq(blocks):
+    return fll(blocks[1], blocks[2])
 
-    __slots__ = ("unit", "r", "oz")
 
-    def __init__(self, U: FlexionUnit, r: int):
-        if r < 1:
-            raise ValueError("ro components start at length 1")
-        super().__init__(f"ro[{U.name},{r}]", LIE)
-        self.unit = U
-        self.r = r
-        self.oz = mould_oz(U)
+def _ful_p_fur_mq(blocks):
+    return ful(blocks[0], fur(blocks[1], blocks[2]))
 
-    def _eval(self, ctx, w):
-        r = self.r
-        if len(w) != r:
-            return ctx.zeros
-        oz, O = self.oz, self.unit.O
-        cuts = ((j, w[: j - 1], w[j - 1 : j], w[j:]) for j in range(1, r + 1))  # p, m, q
-        return sum_of_products(
-            (
-                (
-                    ctx.const(r + 1 - j),
-                    ctx.at(oz, flr(p, m)),
-                    ctx.apply(O, ful(p, fur(m, q))[0]),
-                    ctx.at(oz, fll(m, q)),
-                )
-                for j, p, m, q in cuts
-            ),
-            1,
-            ctx.lanes,
-        )
+
+def mould_ro(U: FlexionUnit) -> Mould:
+    """The weight components ro_r of every length r as one ``Cuts`` sum:
+    over the cuts w = p.m.q with m one letter, the products (len(q)+1)
+    oz(flr(p, m)) O(ful(p, fur(m, q))) oz(fll(m, q)).  The weight
+    len(q)+1 = r+1-j, j the position of m, is a constant ``Lin`` read at q."""
+
+    def build():
+        weight = Lin("ro_weight", lambda n: ((n + 1, None),))
+        oz = mould_oz(U)
+        factors = ((weight, itemgetter(2)), (oz, _flr_ab), (mould_O(U), _ful_p_fur_mq), (oz, _fll_mq))
+        return Cuts(f"ro[{U.name}]", LIE, "*1*", factors)
+
+    return U._cached("ro", build)
 
 
 def ro_component(U: FlexionUnit, r: int) -> Mould:
-    return U._cached(f"ro[{r}]", lambda: RoComponent(U, r))
+    """ro_r: ``mould_ro`` on the words of length r."""
+    if r < 1:
+        raise ValueError("ro components start at length 1")
+    return U._cached(f"ro[{r}]", lambda: leng_r(mould_ro(U), r))
 
 
 def To_series(U: FlexionUnit) -> Mould:
-    """Sum over r of ro_r / (r (r+1)): at length r the one ``Lin`` term ro_r."""
+    """Sum over r of ro_r / (r (r+1)): at length r the one ``Lin`` term ro."""
 
     def terms(r):
-        return ((Fraction(1, r * (r + 1)), ro_component(U, r)),) if r else ()
+        return ((Fraction(1, r * (r + 1)), mould_ro(U)),) if r else ()
 
     return U._cached("To", lambda: Lin(f"To[{U.name}]", terms))
 
@@ -278,36 +273,24 @@ def dilator_D(U: FlexionUnit) -> Mould:
     return U._cached("D", lambda: ganit_oz_inv(U, To_series(U)))
 
 
-class DilatorFlow(Mould):
+def solve_dilator_ode(D: Mould) -> Mould:
     """The unique group-class S with S(empty)=1 and der(S) = preari(S, D).
 
     At length r the equation reads r S(w) = arit(D)(S)(w) + sum_{w=ab}
-    S(a) D(b); every S on the right is at a shorter word except the a=w
-    term, which carries D(empty)=0 and is dropped.
+    S(a) D(b), so S is the ``Lin`` of those two terms over r; every S on
+    the right is at a shorter word, since the a=w term carries D(empty)=0
+    and the ``*+`` cuts leave it out.
     """
+    if D.empty_class != LIE:
+        raise ValueError(f"dilator flow needs a lie-class dilator, got {D.empty_class}")
 
-    __slots__ = ("D", "inner")
+    def terms(r):
+        return ((Fraction(1, r), inner), (Fraction(1, r), product)) if r else ((1, None),)
 
-    def __init__(self, D: Mould):
-        if D.empty_class != LIE:
-            raise ValueError(f"dilator flow needs a lie-class dilator, got {D.empty_class}")
-        super().__init__("dilator_flow", GROUP)
-        self.D = D
-        self.inner = arit(D, self)
-
-    def _eval(self, ctx, w):
-        r, n = len(w), ctx.lanes
-        if r == 0:
-            return ctx.ones
-        D = self.D
-        terms = [(ctx.at(self.inner, w),)]
-        terms += ((ctx.at(self, w[:i]), ctx.at(D, w[i:])) for i in range(r))
-        total = sum_of_products(terms, 1, n)
-        return sum_of_products([(total, ctx.const(Fraction(1, r)))], 1, n)  # divided by r
-
-
-def solve_dilator_ode(D: Mould) -> Mould:
-    return DilatorFlow(D)
+    node = Lin("dilator_flow", terms)
+    inner = arit(D, node)
+    product = Cuts("flow_mu", LIE, "*+", ((node, itemgetter(0)), (D, itemgetter(1))))
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ returns a lone remaining factor itself.
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), built once
 per length, and its empty-word class is derived from those terms at length
-0.  ``+``, ``-``,
-scalar ``*``, ``pari``, ``der`` and ``leng_r`` build one, and so do the
-truncated series of the other modules; ``iterates`` builds the lazy
-sequences of nodes (powers, push iterates) that such a series runs over.
+0.  ``+``, ``-``, scalar ``*``, ``pari``, ``der`` and ``leng_r`` build
+one, and so do e_ter, the dilator flow and the truncated series of the
+other modules; ``iterates`` builds the lazy sequences of nodes (powers,
+push iterates) that such a series runs over.
 
 ``anti``, ``neg``, ``swap`` and ``mantar`` are one ``Transform`` node that
 evaluates its operand at ``reverse(w)``, ``negate(w)`` or
@@ -53,10 +53,17 @@ evaluates its operand at ``reverse(w)``, ``negate(w)`` or
 ``push_inv`` and ``gantar`` are composed from them.
 
 ``Cuts`` is the one node that sums products over the factorizations of w:
-mu, swamu/answamu, amit/anit, the triple-split e_ter inverse and ``Invmu``.
-``Mu(A, B, proper)`` builds the two-block product; ``proper`` 1 drops the
-cut with an empty left block and 2 drops both end cuts, so a solver's
-self-referential recursion never reaches the full word.
+mu, swamu/answamu, amit/anit, ``Invmu``, the triple-split e_ter inverse, the
+two last-letter terms of e_ter, the weight components ro and the product
+term of the dilator flow.  Its spec gives each block a kind: any word,
+nonempty, or exactly one letter.  ``Mu(A, B, proper)`` builds the two-block
+product; ``proper`` 1 drops the cut with an empty left block and 2 drops
+both end cuts, so a solver's self-referential recursion never reaches the
+full word.
+
+The leaves, ``Lin``, ``Transform``, ``Cuts`` (with ``Invmu``) and
+``flexion.Gaxit`` are the node classes; every operator of the other modules
+is a graph of them.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
 it draws seeded random words per shape, evaluates all samples of a shape in
@@ -90,6 +97,7 @@ from .words import (
     Rat,
     Word,
     EMPTY,
+    coprime_fraction,
     from_lattice,
     lane_width,
     lattice_scale,
@@ -225,8 +233,7 @@ class EvalContext:
         self._letters: dict[Biletter, tuple[Biletter, ...]] = {}
 
     def eval(self, A: Mould, w: Word) -> Rat:
-        num, den = self.at(A, to_lattice(w, self._rescale(w)))
-        return Fraction(num, den)
+        return coprime_fraction(*self.at(A, to_lattice(w, self._rescale(w))))
 
     def _rescale(self, w: Word) -> int:
         """The context's scale, first raised to a multiple of every
@@ -506,9 +513,10 @@ class Lin(Mould):
     it is called with the same length.  A coefficient reaches the kernel as
     the shared ``ctx.const(c)``, so a coefficient 1 adds no factor and a
     lone unit term passes its child's value through.  Sums,
-    differences, scalar multiples, ``pari``, ``der``, ``leng_r`` and the
-    truncated series (expari, logari, adari_series, the dilator extraction,
-    the To series, pushsym) are all ``Lin`` nodes.  The children are
+    differences, scalar multiples, ``pari``, ``der``, ``leng_r``, e_ter, the
+    dilator flow, the ro weight len(q)+1 and the truncated series (expari,
+    logari, adari_series, the dilator extraction, the To series, pushsym)
+    are all ``Lin`` nodes.  The children are
     evaluated in term order, so the first ``DivByZero`` and its trail are
     those of a term-by-term sum, and the products are added with one
     ``sum_of_products``.
@@ -654,14 +662,17 @@ def gantar(A: Mould) -> Mould:
 
 
 @functools.cache
-def _cut_plan(r: int, nonempty: tuple[bool, ...]) -> tuple[itemgetter, ...]:
-    """The factorizations of a length-``r`` word into blocks, block i nonempty
-    where ``nonempty[i]`` is set, in lexicographic order of the cut positions;
-    each is an ``itemgetter`` of slices that returns the tuple of its blocks."""
+def _cut_plan(r: int, spec: str) -> tuple[itemgetter, ...]:
+    """The factorizations of a length-``r`` word into ``len(spec)`` blocks,
+    block i of the kind ``spec[i]`` (``*`` any word, ``+`` nonempty, ``1``
+    one letter), in lexicographic order of the cut positions; each is an
+    ``itemgetter`` of slices that returns the tuple of its blocks.  ``spec``
+    is a string, so no two kinds share a cache key."""
     plan = []
-    for cuts in itertools.combinations_with_replacement(range(r + 1), len(nonempty) - 1):
+    for cuts in itertools.combinations_with_replacement(range(r + 1), len(spec) - 1):
         bounds = (0, *cuts, r)
-        if all(lo < hi or not keep for lo, hi, keep in zip(bounds, bounds[1:], nonempty)):
+        lengths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+        if all({"*": True, "+": n > 0, "1": n == 1}[kind] for kind, n in zip(spec, lengths)):
             plan.append(itemgetter(*map(slice, bounds, bounds[1:])))
     return tuple(plan)
 
@@ -669,22 +680,31 @@ def _cut_plan(r: int, nonempty: tuple[bool, ...]) -> tuple[itemgetter, ...]:
 class Cuts(Mould):
     """A sum over the factorizations of w into blocks of products of children.
 
-    The value at w is ``sign`` times the sum, over the cuts of w into
-    ``len(nonempty)`` >= 2 blocks, block i nonempty where ``nonempty[i]`` is
-    set, of the product over the ``(B, assemble)`` pairs of ``factors`` of
+    ``spec`` has one character per block, at least two: ``*`` for any word,
+    ``+`` for a nonempty word and ``1`` for exactly one letter.  The value
+    at w is ``sign`` times the sum, over the cuts of w into blocks of those
+    kinds, of the product over the ``(B, assemble)`` pairs of ``factors`` of
     ``B(assemble(blocks))``, with ``blocks`` the tuple of the cut's blocks.
     ``itemgetter(i)`` reads block i as it is; the flexion products assemble
     their words with one-argument functions of the blocks.  The cuts run in
     lexicographic order and each cut's factors in ``factors`` order, so the
     first ``DivByZero`` and its trail are those of a term-by-term sum.
+
+    mu, swamu and answamu are ``**``, the proper mu forms ``+*`` and
+    ``++``, ``Invmu`` ``+*``, amit ``*++``, anit ``++*``, the dilator flow's
+    product term ``*+``, the two last-letter terms of e_ter ``*1``, the
+    weight components ro ``*1*`` (the marked letter m of w = p m q) and the
+    triple-split e_ter inverse ``***``.
     """
 
-    __slots__ = ("nonempty", "factors")
+    __slots__ = ("spec", "factors")
     sign = 1
 
-    def __init__(self, name: str, empty_class: str, nonempty: tuple[bool, ...], factors):
+    def __init__(self, name: str, empty_class: str, spec: str, factors):
+        if len(spec) < 2 or set(spec) - set("*+1"):
+            raise ValueError(f"a cut spec is two or more of '*+1', got {spec!r}")
         super().__init__(name, empty_class)
-        self.nonempty = nonempty
+        self.spec = spec
         self.factors = factors
 
     def _eval(self, ctx, w):
@@ -692,7 +712,7 @@ class Cuts(Mould):
         factors = self.factors
         values = [
             at(B, assemble(blocks))
-            for cut in _cut_plan(len(w), self.nonempty)
+            for cut in _cut_plan(len(w), self.spec)
             for blocks in (cut(w),)
             for B, assemble in factors
         ]
@@ -713,9 +733,8 @@ def Mu(A: Mould, B: Mould, proper: int = 0) -> Mould:
     which keeps self-referential length recursions well founded.
     """
     name = ("mu", "mu'", "mu''")[proper]
-    nonempty = ((False, False), (True, False), (True, True))[proper]
     cls = LIE if proper else product_class(A, B)
-    return Cuts(name, cls, nonempty, ((A, _first), (B, _second)))
+    return Cuts(name, cls, ("**", "+*", "++")[proper], ((A, _first), (B, _second)))
 
 
 def product_class(A: Mould, B: Mould) -> str:
@@ -748,7 +767,7 @@ class Invmu(Cuts):
     def __init__(self, A: Mould, name: str = "invmu"):
         if A.empty_class != GROUP:
             raise ValueError(f"{name} needs a group-class mould, got {A.empty_class} ({A.name})")
-        super().__init__(name, GROUP, (True, False), ((A, _first), (self, _second)))
+        super().__init__(name, GROUP, "+*", ((A, _first), (self, _second)))
 
     def _eval(self, ctx, w):
         return Cuts._eval(self, ctx, w) if w else ctx.ones
@@ -917,7 +936,7 @@ def sample_points(
 
 def _lane(sides: tuple[Lanes, Lanes], i: int) -> list[Rat]:
     """Lane ``i`` of each of two values, as ``Fraction``s."""
-    return [Fraction(side[2 * i], side[2 * i + 1]) for side in sides]
+    return [coprime_fraction(side[2 * i], side[2 * i + 1]) for side in sides]
 
 
 def check_identity(

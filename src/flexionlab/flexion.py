@@ -86,12 +86,12 @@ def _fur_ab_c(blocks):
 
 def amit(X: Mould, A: Mould) -> Mould:
     """amit(X,A)(w) = sum_{w=abc, b,c nonempty} A(a . ful(b,c)) X(flr(b,c))."""
-    return Cuts("amit", LIE, (False, True, True), ((A, _a_ful_bc), (X, _flr_bc)))
+    return Cuts("amit", LIE, "*++", ((A, _a_ful_bc), (X, _flr_bc)))
 
 
 def anit(X: Mould, A: Mould) -> Mould:
     """anit(X,A)(w) = sum_{w=abc, a,b nonempty} A(fur(a,b) . c) X(fll(a,b))."""
-    return Cuts("anit", LIE, (True, True, False), ((A, _fur_ab_c), (X, _fll_ab)))
+    return Cuts("anit", LIE, "++*", ((A, _fur_ab_c), (X, _fll_ab)))
 
 
 def axit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -353,12 +353,12 @@ def adari_inv(M: Mould, A: Mould) -> Mould:
 
 def swamu(A: Mould, B: Mould) -> Mould:
     """swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b))."""
-    return Cuts("swamu", product_class(A, B), (False, False), ((A, _ful_ab), (B, _flr_ab)))
+    return Cuts("swamu", product_class(A, B), "**", ((A, _ful_ab), (B, _flr_ab)))
 
 
 def answamu(A: Mould, B: Mould) -> Mould:
     """answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b))."""
-    return Cuts("answamu", product_class(A, B), (False, False), ((A, _fur_ab), (B, _fll_ab)))
+    return Cuts("answamu", product_class(A, B), "**", ((A, _fur_ab), (B, _fll_ab)))
 
 
 def gira(A: Mould, B: Mould) -> Mould:

@@ -16,10 +16,10 @@ Conventions:
   - ``senary_defect(B) = e_ter(B) - (push . mantar . e_ter . mantar)(B)``
     vanishes exactly on the transported push-invariants.
 
-``ETer`` is the one node class here: e_ter reads B at the word and at two
-words built from its last-letter split.  The triple-split e_ter inverse is
-an ``engine.Cuts`` sum over w = abc; every other operator is composed from
-the nodes of the other modules.
+No node class lives here: every operator is composed from the nodes of
+``engine`` and ``flexion``.  e_ter is one ``engine.Lin`` over B and two
+``engine.Cuts`` sums over the cuts w = w'x that split off the last letter,
+and the triple-split e_ter inverse is a ``Cuts`` sum over w = abc.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .canonical import (
 from .engine import (
     LIE,
     Cuts,
+    Lin,
     Mould,
     invmu,
     mantar,
@@ -46,11 +47,9 @@ from .engine import (
     pari,
     push,
     push_inv,
-    sum_of_products,
     swap,
 )
 from .flexion import _fll_ab, _fur_ab, adari, answamu, ganit, gaxit, invgari, preari, swamu
-from .words import fll, fur
 
 
 def _require_lie(A: Mould, op: str) -> None:
@@ -172,40 +171,20 @@ def e_swap_inv_3(U: FlexionUnit, B: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-class ETer(Mould):
+def e_ter(U: FlexionUnit, B: Mould) -> Mould:
     """B corrected by two boundary terms involving the unit's letter function:
 
         e_ter(B)(w) = B(w) - B(w')E(x) + B(fur(w', x)) E(fll(w', x))
 
-    where w = w'x splits off the last letter; the empty word passes through
-    and at length 1 the two corrections cancel for every B.
+    where w = w'x splits off the last letter, one ``Lin`` over B and two
+    ``*1`` cut sums; the empty word passes through and at length 1 the two
+    corrections cancel for every B.
     """
-
-    __slots__ = ("B", "E")
-
-    def __init__(self, B: Mould, E):
-        super().__init__("e_ter", B.empty_class)
-        self.B = B
-        self.E = E
-
-    def _eval(self, ctx, w):
-        B, E, n = self.B, self.E, ctx.lanes
-        if not w:
-            return ctx.at(B, w)
-        head, last = w[:-1], w[-1:]
-        return sum_of_products(
-            [
-                (ctx.at(B, w),),
-                (ctx.negs, ctx.at(B, head), ctx.apply(E, last[0])),
-                (ctx.at(B, fur(head, last)), ctx.apply(E, fll(head, last)[0])),
-            ],
-            1,
-            n,
-        )
-
-
-def e_ter(U: FlexionUnit, B: Mould) -> Mould:
-    return ETer(B, U.E)
+    E = mould_E(U)
+    last = Cuts("e_ter_last", LIE, "*1", ((B, itemgetter(0)), (E, itemgetter(1))))
+    flexed = Cuts("e_ter_flexed", LIE, "*1", ((B, _fur_ab), (E, _fll_ab)))
+    terms = ((1, B), (-1, last), (1, flexed))
+    return Lin("e_ter", lambda r: terms)
 
 
 def e_ter_explicit(U: FlexionUnit, B: Mould) -> Mould:
@@ -227,7 +206,7 @@ def e_ter_inv_triple(U: FlexionUnit, B: Mould) -> Mould:
     """
     es = mould_es(U)
     factors = ((B, _fur_ab), (invmu(es), _fll_ab), (es, itemgetter(2)))
-    return Cuts("e_ter_inv_triple", B.empty_class, (False, False, False), factors)
+    return Cuts("e_ter_inv_triple", B.empty_class, "***", factors)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,14 @@ def rat(x: RatLike, den: int | None = None) -> Rat:
     return Fraction(x)
 
 
+def coprime_fraction(n: int, d: int) -> Rat:
+    """The ``Fraction`` n/d of ints n and d > 0 that are already coprime,
+    built without the gcd and type checks of ``Fraction(n, d)``."""
+    out = object.__new__(Fraction)
+    out._numerator, out._denominator = n, d
+    return out
+
+
 def rat_str(x: Rat) -> str:
     """Serialize a rational as 'p' or 'p/q' in lowest terms."""
     if x.denominator == 1:

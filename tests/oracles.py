@@ -112,6 +112,53 @@ def ter_inv_triple_value(ev, B, es, w: Word) -> Fraction:
     )
 
 
+def ter_value(ev, B, E, w: Word) -> Fraction:
+    """e_ter(B)(w) = B(w) - B(w')E(x) + B(fur(w', x)) E(fll(w', x)) for
+    w = w'x, with E the unit's letter function; B(w) at the empty word."""
+    if not w:
+        return ev(B, w)
+    head, last = w[:-1], w[-1:]
+    return ev(B, w) - ev(B, head) * E(last[0]) + ev(B, fur(head, last)) * E(fll(head, last)[0])
+
+
+def ro_value(O, w: Word) -> Fraction:
+    """ro_r(w), r = len(w): the sum over w = p m q, m one letter, of
+    (len(q) + 1) oz(flr(p, m)) O(ful(p, fur(m, q))) oz(fll(m, q)), with O the
+    unit's conjugate letter function and oz the product of O over a word."""
+
+    def oz(u: Word) -> Fraction:
+        total = Fraction(1)
+        for x in u:
+            total *= O(x)
+        return total
+
+    total = Fraction(0)
+    for j in range(len(w)):
+        p, m, q = w[:j], w[j : j + 1], w[j + 1 :]
+        total += (len(q) + 1) * oz(flr(p, m)) * O(ful(p, fur(m, q))[0]) * oz(fll(m, q))
+    return total
+
+
+def flow_value(ev, D, w: Word) -> Fraction:
+    """The dilator flow S(w) from S(empty) = 1 and r S(w) = arit(D)(S)(w) +
+    sum over w = ab, b nonempty, of S(a) D(b), by plain recursion, with
+    arit(D)(S)(w) the sum over w = abc of S(a ful(b, c)) D(flr(b, c)) for b,
+    c nonempty minus S(fur(a, b) c) D(fll(a, b)) for a, b nonempty."""
+    if not w:
+        return Fraction(1)
+
+    def S(u: Word) -> Fraction:
+        return flow_value(ev, D, u)
+
+    total = sum((S(a) * ev(D, b) for a, b in splits2(w) if b), Fraction(0))
+    for a, b, c in splits3(w):
+        if b and c:
+            total += S(a + ful(b, c)) * ev(D, flr(b, c))
+        if a and b:
+            total -= S(fur(a, b) + c) * ev(D, fll(a, b))
+    return total / len(w)
+
+
 def gaxit_terms(w: Word, skip_identity: bool = False) -> list[list[tuple[str, Word]]]:
     """Every term of gaxit(X, Y)(T) at w as its factors, by brute force.
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -16,6 +17,7 @@ from flexionlab.engine import (
     FREE,
     GROUP,
     LIE,
+    Cuts,
     DigestMould,
     EvalContext,
     FuncMould,
@@ -25,6 +27,7 @@ from flexionlab.engine import (
     Report,
     SamplePlan,
     Scalar,
+    _cut_plan,
     anti,
     check_identity,
     constant_lanes,
@@ -864,3 +867,26 @@ def test_proper_mu_drops_its_end_terms(ev, w):
     assert ev(Mu(A, B, proper=2), w) == full - first - last
     assert ev(Mu(A, B, proper=1), EMPTY) == ev(Mu(A, B, proper=2), EMPTY) == 0
     assert [Mu(A, B, k).name for k in (0, 1, 2)] == ["mu", "mu'", "mu''"]
+
+
+def test_cut_plans_list_the_block_lengths_of_every_spec_in_order():
+    # every spec of two or three blocks at r <= 5, against the block lengths
+    # enumerated by brute force in lexicographic order; two kinds that shared
+    # a cache key would give the second spec looked up the first one's plan
+    fits = {"*": lambda n: True, "+": lambda n: n >= 1, "1": lambda n: n == 1}
+    for k in (2, 3):
+        for spec in map("".join, itertools.product("*+1", repeat=k)):
+            for r in range(6):
+                w = tuple(range(r))
+                plan_ = _cut_plan(r, spec)
+                assert all(sum(cut(w), ()) == w for cut in plan_)
+                got = [tuple(map(len, cut(w))) for cut in plan_]
+                want = [
+                    lengths
+                    for lengths in itertools.product(range(r + 1), repeat=k)
+                    if sum(lengths) == r and all(fits[c](n) for c, n in zip(spec, lengths))
+                ]
+                assert got == want, (spec, r)
+    for spec in ("*", "*2", "", "+-"):
+        with pytest.raises(ValueError, match="cut spec"):
+            Cuts("bad", LIE, spec, ())

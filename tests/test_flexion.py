@@ -12,12 +12,15 @@ from oracles import (
     amit_value,
     anit_value,
     answamu_value,
+    flow_value,
     gaxit_terms,
     gaxit_value,
     invmu_value,
     mu_proper_value,
+    ro_value,
     swamu_value,
     ter_inv_triple_value,
+    ter_value,
 )
 from flexionlab.engine import (
     GROUP,
@@ -69,6 +72,7 @@ from flexionlab.flexion import (
     swamu,
 )
 from flexionlab.canonical import (
+    FlexionUnit,
     ess,
     get_unit,
     mould_O,
@@ -76,8 +80,10 @@ from flexionlab.canonical import (
     mould_os,
     mould_oz,
     oss,
+    ro_component,
+    solve_dilator_ode,
 )
-from flexionlab.senary import e_ter_inv_triple
+from flexionlab.senary import e_ter, e_ter_inv_triple
 from flexionlab.words import EMPTY, DivByZero, flr, ful, fur, fll, shuffles, word
 
 POLAR = get_unit("polar")
@@ -564,15 +570,25 @@ def test_arit_shuffle_expansion(ev, ctx):
     assert checked == 16
 
 
-def _singular_off_empty(name, empty_class=GROUP):
-    """Mould of the given class, singular at every nonempty word."""
+def _singular_off_empty(name, empty_class=GROUP, shortest=1):
+    """Mould of the given class, singular at every word of ``shortest`` or
+    more letters and 1 at the shorter nonempty words."""
 
     def fn(w):
-        if w:
+        if len(w) >= shortest:
             raise DivByZero(f"{name} is singular")
-        return Fraction(1 if empty_class == GROUP else 0)
+        return Fraction(1 if w or empty_class == GROUP else 0)
 
     return FuncMould(name, fn, empty_class)
+
+
+def _singular_letter(x):
+    raise DivByZero("E is singular")
+
+
+# a unit whose letter functions are singular everywhere (not registered: it
+# fails the tripartite relation)
+SINGULAR = FlexionUnit("singular", _singular_letter, _singular_letter)
 
 
 @pytest.mark.parametrize(
@@ -604,6 +620,18 @@ def _singular_off_empty(name, empty_class=GROUP):
             lambda left, right: e_ter_inv_triple(POLAR, left),
             "left is singular [at left <- e_ter_inv_triple]",
         ),
+        # e_ter reads B at w, then the e_ter_last cut sum reads B at w minus
+        # its last letter before E at that letter
+        (
+            lambda left, right: e_ter(SINGULAR, DigestMould(93)),
+            "E is singular [at E[singular] <- e_ter_last <- e_ter]",
+        ),
+        # the flow reads arit(D, S) first, which reads D at one letter only;
+        # then its flow_mu cut sum reads S at () and D at the whole word
+        (
+            lambda left, right: solve_dilator_ode(_singular_off_empty("right", LIE, shortest=2)),
+            "right is singular [at right <- flow_mu <- dilator_flow]",
+        ),
         # the first cut reads A at the first letter before invmu at the rest
         (lambda left, right: invmu(left), "left is singular [at left <- invmu]"),
         # the proper products start at a nonempty left block
@@ -619,6 +647,8 @@ def _singular_off_empty(name, empty_class=GROUP):
         "swamu",
         "answamu",
         "e_ter_inv_triple",
+        "e_ter",
+        "flow",
         "invmu",
         "mu-proper-1",
         "mu-proper-2",
@@ -633,6 +663,7 @@ def test_a_skip_names_the_first_singular_factor_in_evaluation_order(build, detai
 
 
 OFF_LATTICE_4 = word([("1/11", "2/13"), ("-3/13", "5/11"), ("7", "-1/2"), ("5/17", "-2/3")])
+FLOW_D = digest(113)  # the flow needs a lie-class dilator
 
 
 @pytest.mark.parametrize(
@@ -650,8 +681,24 @@ OFF_LATTICE_4 = word([("1/11", "2/13"), ("-3/13", "5/11"), ("7", "-1/2"), ("5/17
             lambda A, B: e_ter_inv_triple(POLAR, A),
             lambda ev, A, B, w: ter_inv_triple_value(ev, A, mould_es(POLAR), w),
         ),
+        (lambda A, B: e_ter(POLAR, A), lambda ev, A, B, w: ter_value(ev, A, POLAR.E, w)),
+        (lambda A, B: ro_component(POLAR, 4), lambda ev, A, B, w: ro_value(POLAR.O, w)),
+        (lambda A, B: solve_dilator_ode(FLOW_D), lambda ev, A, B, w: flow_value(ev, FLOW_D, w)),
     ],
-    ids=["mu", "mu-proper-1", "mu-proper-2", "swamu", "answamu", "amit", "anit", "invmu", "e_ter_inv_triple"],
+    ids=[
+        "mu",
+        "mu-proper-1",
+        "mu-proper-2",
+        "swamu",
+        "answamu",
+        "amit",
+        "anit",
+        "invmu",
+        "e_ter_inv_triple",
+        "e_ter",
+        "ro-4",
+        "flow",
+    ],
 )
 def test_cut_sums_match_their_brute_force_oracles(ev, build, oracle):
     # group-class operands are nonzero at the empty word, so the cuts with

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from flexionlab.words import (
     DivByZero,
     binom,
     bl,
+    coprime_fraction,
     fll,
     flr,
     ful,
@@ -62,6 +64,17 @@ def test_rat_parses_strings_and_ints():
 def test_rat_str_lowest_terms():
     assert rat_str(Fraction(4, 6)) == "2/3"
     assert rat_str(Fraction(-3)) == "-3"
+
+
+@given(st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+def test_coprime_fraction_equals_the_fraction_of_its_pair(n, d):
+    g = math.gcd(n, d)
+    n, d = n // g, d // g  # a coprime pair with d > 0
+    x = coprime_fraction(n, d)
+    assert type(x) is Fraction
+    assert x == Fraction(n, d) and (x.numerator, x.denominator) == (n, d)
+    assert hash(x) == hash(Fraction(n, d)) and str(x) == str(Fraction(n, d))
+    assert x + Fraction(1, 3) == Fraction(n, d) + Fraction(1, 3)
 
 
 def test_word_and_bl_build_tuples():
