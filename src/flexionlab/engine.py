@@ -31,13 +31,14 @@ other evaluator.
 
 Each walk interns its words: ``ctx.word_ids`` maps each distinct packed
 word, as the flat tuple ``(u1, v1, u2, v2, ...)`` of its ints, to a small
-int id, and the memo key of a node at a word is the one int
-``uid << 32 | id``.  Each lane count has one shared all-0, all-1 and
-all-(-1) value (``constant_lanes``, held as ``ctx.zeros``, ``ctx.ones``
-and ``ctx.negs``), and ``ctx.const(c)`` gives the shared value of any
-constant c.  The kernel returns the shared zeros for a sum that is 0 in
-every lane, skips a factor that is the shared ones and, with sign +1,
-returns a lone remaining factor itself.
+int id, and the memo holds one table per node, from word id to the node's
+value there.  A table's keys are the id objects of the word table, so a
+memo entry costs one dict slot and no key object.  Each lane count has one
+shared all-0, all-1 and all-(-1) value (``constant_lanes``, held as
+``ctx.zeros``, ``ctx.ones`` and ``ctx.negs``), and ``ctx.const(c)`` gives
+the shared value of any constant c.  The kernel returns the shared zeros
+for a sum that is 0 in every lane, skips a factor that is the shared ones
+and, with sign +1, returns a lone remaining factor itself.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), built once
@@ -147,14 +148,8 @@ class Mould:
     def __add__(self, other):
         return _combo("add", (1, self), (1, _lift(other)))
 
-    def __radd__(self, other):
-        return _combo("add", (1, _lift(other)), (1, self))
-
     def __sub__(self, other):
         return _combo("sub", (1, self), (-1, _lift(other)))
-
-    def __rsub__(self, other):
-        return _combo("sub", (1, _lift(other)), (-1, self))
 
     def __neg__(self):
         return self * -1
@@ -172,7 +167,7 @@ class Mould:
 
 
 class EvalContext:
-    """Memo table plus counters; build one per checked item.
+    """Memo tables plus counters; build one per checked item.
 
     Every value is a flat tuple of 2 * ``lanes`` ints ``(n0, d0, n1, d1,
     ...)``, lane i being n_i/d_i in lowest terms with d_i > 0, and every word
@@ -188,21 +183,26 @@ class EvalContext:
     once to the context's integer lattice, each coordinate x becoming the int
     x*scale; the value comes back as a ``Fraction``.  ``scale`` starts at
     ``words.BASE`` (2520), a multiple of every sampled denominator; a word
-    with another denominator raises it to the lcm, and then the memo is
-    cleared, since equal ints on two lattices are different rationals.
+    with another denominator raises it to the lcm, and then the memo and the
+    word table are cleared, since equal ints on two lattices are different
+    rationals.
     ``walk`` evaluates a function of graphs at the words of n lanes at once.
     Nodes recurse through ``at(A, w)``, add their products with
     ``sum_of_products``, call their leaf and letter functions through
     ``apply`` and take constants from ``const``.
 
     ``word_ids`` gives each distinct packed word, as the flat tuple
-    ``(u1, v1, u2, v2, ...)`` of its ints, a small int id, and ``memo`` maps
-    ``uid << 32 | id``, one int per node and word, to the node's value
-    there.  One-lane walks share the memo and word table of the context,
-    which live as long as the context, so a context per item frees them when
-    the item ends.  A walk of n > 1 lanes starts from an empty memo and word
-    table of its own, since packed ints of two walks name different words,
-    and drops them when it ends.
+    ``(u1, v1, u2, v2, ...)`` of its ints, a small int id.  ``memo`` maps a
+    node's ``uid`` to that node's table, a dict from word id to the node's
+    value at that word; the table's keys are the very id objects that
+    ``word_ids`` holds, so an entry costs one dict slot.  ``len(memo)``
+    counts node tables, not entries.  A node's table is made on its first
+    visit, before its value, so a node whose evaluation raises keeps an
+    empty one.  One-lane walks share the memo and word table of the
+    context, which live as long as the context, so a context per item frees
+    them when the item ends.  A walk of n > 1 lanes starts from an empty
+    memo and word table of its own, since packed ints of two walks name
+    different words, and drops them when it ends.
 
     ``poisoned`` is the set of lanes of the current walk in which a leaf
     divided by zero; ``apply`` puts 0 in such a lane, and ``at`` skips it in
@@ -221,7 +221,7 @@ class EvalContext:
     def __init__(self, retry_cap: int = 8):
         if retry_cap < 0:
             raise ValueError(f"need retry_cap >= 0, got {retry_cap}")
-        self.memo: dict[int, Lanes] = {}
+        self.memo: dict[int, dict[int, Lanes]] = {}
         self.word_ids: dict[tuple[int, ...], int] = {}
         self.poisoned: set[int] = set()
         self.retry_cap = retry_cap
@@ -237,7 +237,9 @@ class EvalContext:
 
     def _rescale(self, w: Word) -> int:
         """The context's scale, first raised to a multiple of every
-        denominator of ``w``; raising it clears the memo."""
+        denominator of ``w``; raising it clears the node tables, the word
+        table and the letter cache, which all hold ints of the old
+        lattice."""
         scale = lattice_scale(w, self.scale)
         if scale != self.scale:
             self.scale = scale
@@ -323,11 +325,14 @@ class EvalContext:
         wid = self.word_ids.get(flat)
         if wid is None:
             wid = self.word_ids[flat] = len(self.word_ids)
-        key = A.uid << 32 | wid
-        hit = self.memo.get(key)
-        if hit is not None:
-            self.stats["memo_hits"] += 1
-            return hit
+        table = self.memo.get(A.uid)
+        if table is None:
+            table = self.memo[A.uid] = {}
+        else:
+            hit = table.get(wid)
+            if hit is not None:
+                self.stats["memo_hits"] += 1
+                return hit
         self.stats["evals"] += 1
         try:
             val = A._eval(self, w)
@@ -341,7 +346,7 @@ class EvalContext:
                 got = val[2 * lane : 2 * lane + 2]
                 if got != want and lane not in self.poisoned:
                     raise RuntimeError(f"{A.empty_class} mould {A.name} evaluated to {Fraction(*got)} at the empty word")
-        self.memo[key] = val
+        table[wid] = val
         return val
 
 

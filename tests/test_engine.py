@@ -49,7 +49,7 @@ from flexionlab.engine import (
     swap,
     zero,
 )
-from flexionlab.flexion import ari
+from flexionlab.flexion import ari, gari
 from flexionlab.words import (
     BASE,
     EMPTY,
@@ -120,13 +120,18 @@ def _counts(ctx):
 
 
 def _keys(ctx):
-    """The memo keys as ``(uid, u1, v1, ...)`` tuples, each word read back
-    from the context's word table."""
+    """The memo entries as ``(uid, u1, v1, ...)`` tuples: the node of each
+    table, then each of its words read back from the context's word table."""
     words = {wid: flat for flat, wid in ctx.word_ids.items()}
-    return [(key >> 32, *words[key & 0xFFFFFFFF]) for key in ctx.memo]
+    return [(uid, *words[wid]) for uid, table in ctx.memo.items() for wid in table]
 
 
-def test_memo_key_is_uid_plus_lattice_ints():
+def _entries(memo) -> int:
+    """The number of (node, word) values in ``memo``, over all node tables."""
+    return sum(map(len, memo.values()))
+
+
+def test_memo_is_a_table_per_node_keyed_by_lattice_word_ids():
     ctx = EvalContext()
     A = DigestMould(4)
     direct = (Biletter(Fraction(5, 2), Fraction(3)), Biletter(Fraction(1, 2), Fraction(-7, 3)))
@@ -138,7 +143,7 @@ def test_memo_key_is_uid_plus_lattice_ints():
     # every coordinate times the base lattice scale 2520 = lcm(1..10)
     assert ctx.scale == BASE == 2520
     assert ctx.word_ids == {(6300, 7560, 1260, -5880): 0}
-    assert list(ctx.memo) == [A.uid << 32 | 0]
+    assert ctx.memo == {A.uid: {0: (value.numerator, value.denominator)}}
     assert _keys(ctx) == [(A.uid, 6300, 7560, 1260, -5880)]
 
 
@@ -168,6 +173,7 @@ def test_memo_separates_sign_swap_and_reciprocal():
     for w in variants:
         ctx.eval(A, w)
     assert _counts(ctx) == (len(variants), 0)
+    assert list(ctx.memo) == [A.uid]
     assert set(_keys(ctx)) == {
         (A.uid, 1260, 7560),
         (A.uid, -1260, 7560),
@@ -185,7 +191,7 @@ def test_non_fraction_coordinates_raise_instead_of_taking_an_entry(letter):
     with pytest.raises(TypeError, match="Fractions"):
         ctx.eval(A, (letter,))
     assert _counts(ctx) == (1, 0)
-    assert len(ctx.memo) == 1
+    assert _entries(ctx.memo) == 1
 
 
 def _coords(w):
@@ -230,10 +236,10 @@ def test_two_lattices_in_one_context_give_the_oracle_values():
     # a new denominator raises the scale and clears the memo: equal ints on
     # two lattices are different rationals
     assert ctx.eval(S, OFF_LATTICE) == _coords(swap_image(OFF_LATTICE))
-    assert ctx.scale == 2520 * 11 * 13 and len(ctx.memo) == 2
+    assert ctx.scale == 2520 * 11 * 13 and _entries(ctx.memo) == 2
     # a base-lattice word lies on the larger lattice too: no second clear
     assert ctx.eval(S, on) == value
-    assert ctx.scale == 2520 * 11 * 13 and len(ctx.memo) == 4
+    assert ctx.scale == 2520 * 11 * 13 and _entries(ctx.memo) == 4
     assert _counts(ctx) == (6, 0)
 
 
@@ -382,7 +388,7 @@ def test_a_lane_walk_holds_one_all_zero_value():
 
     def evaluate(w):
         value = ctx.at(F, w)
-        zeros = [v for v in ctx.memo.values() if v == (0, 1) * 4]
+        zeros = [v for table in ctx.memo.values() for v in table.values() if v == (0, 1) * 4]
         held.update(entries=len(zeros), objects=len({id(v) for v in zeros}))
         return value, value
 
@@ -446,10 +452,11 @@ def _reachable(root) -> list:
     return list(seen.values())
 
 
-def test_a_lane_walk_memo_holds_int_keys_and_flat_int_values():
-    # the memo of a walk of 3 lanes: one int key per (node, word), one flat
-    # tuple of (numerator, denominator) ints per value, nothing that is a
-    # Fraction, and one word-table entry per distinct packed word it visits
+def test_a_lane_walk_memo_holds_node_tables_of_word_ids_and_flat_int_values():
+    # the memo of a walk of 3 lanes: one table per node, keyed by its int
+    # uid, holding one entry per word under the word's int id, one flat tuple
+    # of (numerator, denominator) ints per value, nothing that is a Fraction,
+    # and one word-table entry per distinct packed word it visits
     visited = set()
 
     class Recording(EvalContext):
@@ -466,19 +473,44 @@ def test_a_lane_walk_memo_holds_int_keys_and_flat_int_values():
 
     def evaluate(w):
         value = ctx.at(G, w)
-        held.update(memo=dict(ctx.memo), word_ids=dict(ctx.word_ids))
+        held.update(memo={uid: dict(table) for uid, table in ctx.memo.items()}, word_ids=dict(ctx.word_ids))
         return value, value
 
     ctx.walk(evaluate, samples, bounds)
     memo, word_ids = held["memo"], held["word_ids"]
-    assert len(memo) > 20
-    assert all(type(key) is int for key in memo)
-    assert all(_is_value(value, 3) for value in memo.values())
+    assert _entries(memo) > 20
+    assert all(type(uid) is int for uid in memo)
+    assert all(type(wid) is int for table in memo.values() for wid in table)
+    assert all(_is_value(value, 3) for table in memo.values() for value in table.values())
     assert not any(isinstance(x, Fraction) for x in _reachable(memo))
     assert set(word_ids) == visited
     assert all(type(x) is int for flat in word_ids for x in flat)
     assert sorted(word_ids.values()) == list(range(len(word_ids)))
-    assert {key & 0xFFFFFFFF for key in memo} == set(word_ids.values())
+    assert set().union(*memo.values()) == set(word_ids.values())
+
+
+def test_node_tables_key_their_entries_by_the_word_tables_id_objects():
+    # a memo entry costs one dict slot: its key is the id object that
+    # word_ids already holds, not an equal int of its own.  Ints from -5 to
+    # 256 are shared objects, so the walk must intern more words than that
+    # for the identity check to see a copied key.
+    F = gari(one() + DigestMould(1), one() + DigestMould(2))
+    ctx = EvalContext()
+    bounds = SamplePlan().bounds
+    samples = [[sample_word(derived_rng(0, "ids", i), 6, bounds)] for i in range(3)]
+    held = {}
+
+    def evaluate(w):
+        value = ctx.at(F, w)
+        held.update(tables=list(ctx.memo.values()), ids={wid: wid for wid in ctx.word_ids.values()})
+        return value, value
+
+    ctx.walk(evaluate, samples, bounds)
+    tables, ids = held["tables"], held["ids"]
+    assert max(map(max, filter(None, tables))) > 256
+    for table in tables:
+        assert table.keys() <= ids.keys()
+        assert all(wid is ids[wid] for wid in table)
 
 
 def test_arithmetic_sugar(ev):
