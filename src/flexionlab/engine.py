@@ -4,11 +4,12 @@ A mould is an immutable node in an expression DAG; evaluating (node, word)
 through an EvalContext yields an exact rational.  Every node carries an
 empty-word class: group (value 1 at the empty word), lie (value 0) or free.
 
-Words run through the engine on an integer lattice.  ``ctx.eval(A, w)``
-takes a word of ``Fraction`` coordinates and converts it once: coordinate x
-becomes the int x*D, with D the context's scale, ``words.BASE`` = 2520 for
-every sampled word.  Nodes recurse through ``ctx.at(A, w)`` on lattice words,
-whose flexions and transforms are int additions.
+Words run through the engine on an integer lattice.  A walk takes words of
+``Fraction`` coordinates and converts them once: coordinate x becomes the
+int x*D, with D the walk's scale, the lcm of ``words.BASE`` = 2520 and the
+denominators of its words, so 2520 for every sampled word.  Nodes recurse
+through ``ctx.at(A, w)`` on lattice words, whose flexions and transforms are
+int additions.  ``ctx.eval(A, w)`` is a walk of one lane.
 
 One walk of the DAG evaluates a node at the words of n *lanes* at once.
 Every coordinate is a packed int: the sum of x_i * 2^(K*i) over the lattice
@@ -29,16 +30,19 @@ a walk do not depend on values, so a lane is in that set exactly when its
 one-lane walk raises.  One lane is the plain scalar engine, and there is no
 other evaluator.
 
-Each walk interns its words: ``ctx.word_ids`` maps each distinct packed
-word, as the flat tuple ``(u1, v1, u2, v2, ...)`` of its ints, to a small
-int id, and the memo holds one table per node, from word id to the node's
-value there.  A table's keys are the id objects of the word table, so a
-memo entry costs one dict slot and no key object.  Each lane count has one
-shared all-0, all-1 and all-(-1) value (``constant_lanes``, held as
-``ctx.zeros``, ``ctx.ones`` and ``ctx.negs``), and ``ctx.const(c)`` gives
-the shared value of any constant c.  The kernel returns the shared zeros
-for a sum that is 0 in every lane, skips a factor that is the shared ones
-and, with sign +1, returns a lone remaining factor itself.
+Every walk starts from fresh state, and nothing of it outlives the next
+walk: the memo, the word table, the poisoned set, the scale and the lane
+count belong to the walk.  Each walk interns its words: ``ctx.word_ids``
+maps each distinct packed word, as the flat tuple ``(u1, v1, u2, v2, ...)``
+of its ints, to a small int id, and the memo holds one table per node, from
+word id to the node's value there.  A table's keys are the id objects of the
+word table, so a memo entry costs one dict slot and no key object.  Each
+lane count has one shared all-0, all-1 and all-(-1) value
+(``constant_lanes``, held as ``ctx.zeros``, ``ctx.ones`` and ``ctx.negs``),
+and ``ctx.const(c)`` gives the shared value of any constant c.  The kernel
+returns the shared zeros for a sum that is 0 in every lane, skips a factor
+that is the shared ones and, with sign +1, returns a lone remaining factor
+itself.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), built once
@@ -178,15 +182,13 @@ class EvalContext:
     equal in every lane.  With one lane a packed int is the lattice int
     itself, and the context is the plain scalar engine.
 
-    ``eval(A, w)`` is the public one-lane entry: ``w`` holds ``Fraction``
-    coordinates (anything else raises ``TypeError``), and it is converted
-    once to the context's integer lattice, each coordinate x becoming the int
-    x*scale; the value comes back as a ``Fraction``.  ``scale`` starts at
-    ``words.BASE`` (2520), a multiple of every sampled denominator; a word
-    with another denominator raises it to the lcm, and then the memo and the
-    word table are cleared, since equal ints on two lattices are different
-    rationals.
-    ``walk`` evaluates a function of graphs at the words of n lanes at once.
+    ``walk`` evaluates a function of graphs at the ``Fraction`` words of n
+    lanes at once (other coordinates raise ``TypeError``), and ``eval(A,
+    w)`` is its public one-lane entry, whose value comes back as a
+    ``Fraction``.  A walk converts its words once to its integer lattice,
+    each coordinate x becoming the int x*scale, with ``scale`` the lcm of
+    ``words.BASE`` (2520, a multiple of every sampled denominator) and the
+    denominators of the walk's words.
     Nodes recurse through ``at(A, w)``, add their products with
     ``sum_of_products``, call their leaf and letter functions through
     ``apply`` and take constants from ``const``.
@@ -198,11 +200,10 @@ class EvalContext:
     ``word_ids`` holds, so an entry costs one dict slot.  ``len(memo)``
     counts node tables, not entries.  A node's table is made on its first
     visit, before its value, so a node whose evaluation raises keeps an
-    empty one.  One-lane walks share the memo and word table of the
-    context, which live as long as the context, so a context per item frees
-    them when the item ends.  A walk of n > 1 lanes starts from an empty
-    memo and word table of its own, since packed ints of two walks name
-    different words, and drops them when it ends.
+    empty one.  Every walk starts from an empty memo, word table, poisoned
+    set and letter cache of its own, since equal ints of two walks can name
+    different words; they stay on the context until the next walk replaces
+    them, so after an item the context holds its last walk's entries only.
 
     ``poisoned`` is the set of lanes of the current walk in which a leaf
     divided by zero; ``apply`` puts 0 in such a lane, and ``at`` skips it in
@@ -213,68 +214,59 @@ class EvalContext:
     no object of its own.
 
     ``stats`` counts ``evals`` (one per node and word a walk evaluates, for
-    all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per frame
-    a ``DivByZero`` passes on a one-lane walk, and one per lane a leaf
-    poisons on a walk of n > 1 lanes.
+    all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per
+    singular sample, that is one per one-lane walk a ``DivByZero`` leaves and
+    one per lane a walk of n > 1 lanes poisons.
     """
 
     def __init__(self, retry_cap: int = 8):
         if retry_cap < 0:
             raise ValueError(f"need retry_cap >= 0, got {retry_cap}")
+        self.retry_cap = retry_cap
+        self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
+        self._reset(1, BASE, 0)
+
+    def _reset(self, lanes: int, scale: int, width: int) -> None:
+        """Fresh per-walk state for ``lanes`` lanes on the lattice of
+        ``scale``, ``width`` bits per lane of a packed coordinate (unused
+        for one lane)."""
         self.memo: dict[int, dict[int, Lanes]] = {}
         self.word_ids: dict[tuple[int, ...], int] = {}
         self.poisoned: set[int] = set()
-        self.retry_cap = retry_cap
-        self.stats = {"evals": 0, "memo_hits": 0, "div_by_zero": 0}
-        self.scale = BASE
-        self.lanes = 1
-        self.zeros, self.ones, self.negs = constant_lanes(1)
-        self._width = 0  # bits per lane of a packed coordinate; unused for one lane
         self._letters: dict[Biletter, tuple[Biletter, ...]] = {}
+        self.scale, self.lanes, self._width = scale, lanes, width
+        self.zeros, self.ones, self.negs = constant_lanes(lanes)
 
     def eval(self, A: Mould, w: Word) -> Rat:
-        return coprime_fraction(*self.at(A, to_lattice(w, self._rescale(w))))
-
-    def _rescale(self, w: Word) -> int:
-        """The context's scale, first raised to a multiple of every
-        denominator of ``w``; raising it clears the node tables, the word
-        table and the letter cache, which all hold ints of the old
-        lattice."""
-        scale = lattice_scale(w, self.scale)
-        if scale != self.scale:
-            self.scale = scale
-            self.memo.clear()
-            self.word_ids.clear()
-            self._letters.clear()
-        return scale
+        value, _ = self.walk(lambda x: self.at(A, x), [[w]], None)
+        return coprime_fraction(*value)
 
     def walk(
-        self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]], bounds: Bounds
+        self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]], bounds: Optional[Bounds]
     ) -> tuple[tuple[Lanes, Lanes], set[int]]:
         """``evaluate(*parts)`` over the lanes of one walk, lane i at the
         ``Fraction`` words ``samples[i]``, and the walk's set of poisoned
         lanes; the parts of every lane have the same lengths.  ``evaluate``
-        reads graphs through ``at`` and returns a pair of values.  One lane
-        runs on the context's own lattice and memo, and a ``DivByZero``
-        propagates."""
-        if len(samples) == 1:
-            (parts,) = samples
-            scale = self._rescale(sum(parts, EMPTY))
-            return evaluate(*[to_lattice(part, scale) for part in parts]), self.poisoned
+        reads graphs through ``at`` and returns a pair of values.  The walk
+        starts from fresh state on the lcm lattice of its samples, which it
+        leaves on the context until the next walk; one lane needs no
+        ``bounds``, and there a ``DivByZero`` propagates."""
         scale = BASE
         for parts in samples:
             scale = lattice_scale(sum(parts, EMPTY), scale)
-        width = lane_width(bounds, sum(map(len, samples[0])), scale)
-        packed = [pack(lane_parts, scale, width) for lane_parts in zip(*samples)]
-        saved = self.memo, self.word_ids, self.poisoned, self.scale, self.lanes, self._width, self._letters
-        self.memo, self.word_ids, self.poisoned = {}, {}, set()
-        self.scale, self.lanes, self._width, self._letters = scale, len(samples), width, {}
-        self.zeros, self.ones, self.negs = constant_lanes(self.lanes)
+        if len(samples) == 1:
+            self._reset(1, scale, 0)
+            words = [to_lattice(part, scale) for part in samples[0]]
+        else:
+            self._reset(len(samples), scale, lane_width(bounds, sum(map(len, samples[0])), scale))
+            words = [pack(lane_parts, scale, self._width) for lane_parts in zip(*samples)]
         try:
-            return evaluate(*packed), self.poisoned
-        finally:
-            self.memo, self.word_ids, self.poisoned, self.scale, self.lanes, self._width, self._letters = saved
-            self.zeros, self.ones, self.negs = constant_lanes(self.lanes)
+            out = evaluate(*words)
+        except DivByZero:
+            self.stats["div_by_zero"] += 1
+            raise
+        self.stats["div_by_zero"] += len(self.poisoned)
+        return out, self.poisoned
 
     def const(self, c: Rat) -> Lanes:
         """The shared value that is the int or ``Fraction`` ``c`` in every
@@ -303,7 +295,6 @@ class EvalContext:
             except DivByZero:
                 if self.lanes == 1:
                     raise
-                self.stats["div_by_zero"] += 1
                 self.poisoned.add(lane)
                 out += (0, 1)
                 continue
@@ -337,7 +328,6 @@ class EvalContext:
         try:
             val = A._eval(self, w)
         except DivByZero as exc:
-            self.stats["div_by_zero"] += 1
             exc.trail.append((A.name, from_lattice(w, self.scale)))
             raise
         if not w and A.empty_class != FREE:
@@ -898,9 +888,10 @@ def sample_points(
     division by zero) is re-run alone, as one lane, from attempt 0: division
     by zero resamples up to the context's retry cap, and a point that keeps
     hitting singular words is recorded as skipped, with its last word and
-    the error as ``detail``.  So a point reads the same whatever the number
-    of lanes, and with one sample per shape every walk is the one-lane
-    engine.
+    the error as ``detail``.  Every walk, a re-run too, starts from fresh
+    state, so a point reads the same whatever the number of lanes and
+    whatever walks came before it; with one sample per shape every walk is
+    the one-lane engine.
     """
     report = Report(identity=name)
     for label, lengths in shapes:

@@ -56,6 +56,7 @@ from flexionlab.words import (
     Biletter,
     DivByZero,
     bl,
+    coprime_fraction,
     ful,
     negate,
     reverse,
@@ -104,15 +105,19 @@ def test_digest_mould_deterministic_and_lie(ev):
     assert any(ev(A, w) != ev(C, w) for w in ws)
 
 
+def _walk_values(ctx, A, *words):
+    """``A`` at each of ``words``, as ``Fraction``s, all in one one-lane walk
+    of ``ctx``: the words are the parts of that lane's sample."""
+    values, _ = ctx.walk(lambda *ws: [ctx.at(A, w) for w in ws], [words], None)
+    return [coprime_fraction(*value) for value in values]
+
+
 def test_memoized_evaluation_is_stable():
     ctx = EvalContext()
     A = DigestMould(3)
-    first = ctx.eval(A, W3)
-    evals_before = ctx.stats["evals"]
-    second = ctx.eval(A, W3)
-    assert first == second
-    assert ctx.stats["evals"] == evals_before
-    assert ctx.stats["memo_hits"] >= 1
+    first, second = _walk_values(ctx, A, W3, W3)
+    assert first == second == EvalContext().eval(A, W3)
+    assert _counts(ctx) == (1, 1)
 
 
 def _counts(ctx):
@@ -136,9 +141,8 @@ def test_memo_is_a_table_per_node_keyed_by_lattice_word_ids():
     A = DigestMould(4)
     direct = (Biletter(Fraction(5, 2), Fraction(3)), Biletter(Fraction(1, 2), Fraction(-7, 3)))
     reduced = (Biletter(Fraction(10, 4), Fraction(6, 2)), Biletter(Fraction(2, 4), Fraction(14, -6)))
-    value = ctx.eval(A, direct)
-    assert _counts(ctx) == (1, 0)
-    assert ctx.eval(A, reduced) == value
+    value, again = _walk_values(ctx, A, direct, reduced)
+    assert again == value
     assert _counts(ctx) == (1, 1)
     # every coordinate times the base lattice scale 2520 = lcm(1..10)
     assert ctx.scale == BASE == 2520
@@ -153,8 +157,7 @@ def test_flexed_word_shares_the_entry_of_the_direct_word():
     flexed = ful(word([("1/3", "2")]), word([("1/6", "5"), ("4", "-1")]))
     direct = word([("1/2", "5"), ("4", "-1")])
     assert flexed is not direct
-    ctx.eval(A, direct)
-    ctx.eval(A, flexed)
+    _walk_values(ctx, A, direct, flexed)
     assert _counts(ctx) == (1, 1)
     assert _keys(ctx) == [(A.uid, 1260, 12600, 10080, -2520)]
     assert len(ctx.word_ids) == 1
@@ -170,8 +173,7 @@ def test_memo_separates_sign_swap_and_reciprocal():
         word([("2", "3")]),  # numerator and denominator swapped
         word([("1/2", "1/3")]),
     ]
-    for w in variants:
-        ctx.eval(A, w)
+    _walk_values(ctx, A, *variants)
     assert _counts(ctx) == (len(variants), 0)
     assert list(ctx.memo) == [A.uid]
     assert set(_keys(ctx)) == {
@@ -233,14 +235,42 @@ def test_two_lattices_in_one_context_give_the_oracle_values():
     value = ctx.eval(S, on)
     assert value == _coords(swap_image(on))
     assert ctx.scale == BASE and _counts(ctx) == (2, 0)
-    # a new denominator raises the scale and clears the memo: equal ints on
-    # two lattices are different rationals
-    assert ctx.eval(S, OFF_LATTICE) == _coords(swap_image(OFF_LATTICE))
-    assert ctx.scale == 2520 * 11 * 13 and _entries(ctx.memo) == 2
-    # a base-lattice word lies on the larger lattice too: no second clear
-    assert ctx.eval(S, on) == value
+    # one walk runs on the lcm lattice of all its words: a base-lattice word
+    # lies on the larger lattice too
+    off = _coords(swap_image(OFF_LATTICE))
+    assert _walk_values(ctx, S, on, OFF_LATTICE, on) == [value, off, value]
     assert ctx.scale == 2520 * 11 * 13 and _entries(ctx.memo) == 4
-    assert _counts(ctx) == (6, 0)
+    assert _counts(ctx) == (6, 1)
+
+
+def test_every_walk_starts_from_fresh_state():
+    ctx = EvalContext()
+    A = DigestMould(8)
+    on = word([("1/2", "3"), ("5", "-1/4")])
+    # two walks in a row share no entry: the second evaluates the word again
+    assert _walk_values(ctx, A, on) == _walk_values(ctx, A, on)
+    assert _counts(ctx) == (2, 0)
+    # each walk picks its own scale from its own words
+    ctx.eval(A, OFF_LATTICE)
+    assert ctx.scale == 2520 * 11 * 13
+    ctx.eval(A, on)
+    assert ctx.scale == BASE
+    # after an item its context holds the entries of its last walk only
+    G = Mu(A, DigestMould(9))
+    walks = []
+
+    def evaluate(w):
+        evals = ctx.stats["evals"]
+        value = ctx.at(G, w)
+        walks.append((ctx.memo, ctx.stats["evals"] - evals))
+        return value, value
+
+    shapes = (((r,), (r,)) for r in range(3))
+    sample_points(ctx, SamplePlan(max_length=2, samples_per_length=3, seed=5), "fresh", shapes, evaluate)
+    assert len({id(memo) for memo, _ in walks}) == len(walks) == 3
+    memo, evals = walks[-1]
+    assert ctx.memo is memo and ctx.lanes == 3
+    assert _entries(memo) == evals > 0
 
 
 SHARED = ("zeros", "ones", "negs")  # the order of constant_lanes
@@ -357,7 +387,7 @@ def _walk(G, words):
     and the context's div_by_zero count."""
     ctx = EvalContext()
     (value, _), poisoned = ctx.walk(lambda w: (ctx.at(G, w), ctx.zeros), [[w] for w in words], SamplePlan().bounds)
-    assert ctx.poisoned == set()  # the walk's set went with the walk
+    assert ctx.poisoned is poisoned  # the walk's set stays until the next walk
     return value, poisoned, ctx.stats["div_by_zero"]
 
 
@@ -430,12 +460,17 @@ def test_a_leaf_that_divides_by_zero_poisons_its_lane_only():
     # 0; the lane is poisoned all the same
     G = Mu(S, T) + Mu(T, S)
     value, poisoned, div_by_zero = _walk(G, [w0, w1, w2])
-    assert poisoned == {1, 2} and div_by_zero == 2  # one per leaf and lane
+    assert poisoned == {1, 2} and div_by_zero == 2  # one per poisoned lane
     assert value[:2] == _flat(EvalContext().eval(G, w0))
-    # one lane raises instead, with the trail of the singular frames
+    # two leaves that poison the same lane count one singular sample
+    assert _walk(S + _singular_at(w1[0]), [w0, w1])[1:] == ({1}, 1)
+    # one lane raises instead, with the trail of the singular frames, and
+    # counts one singular sample however many frames the error passes
+    ctx = EvalContext()
     with pytest.raises(DivByZero) as exc:
-        EvalContext().eval(G, w1)
+        ctx.eval(G, w1)
     assert [name for name, _ in exc.value.trail] == ["singular-lane", "mu", "add"]
+    assert ctx.stats["div_by_zero"] == 1
     assert sum_of_products([], 1, 3) == (0, 1) * 3
     with pytest.raises(IndexError):
         sum_of_products([((Fraction(1),), (Fraction(2),))])  # a tuple of Fractions is not a value
