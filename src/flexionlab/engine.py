@@ -14,35 +14,40 @@ int additions.  ``ctx.eval(A, w)`` is a walk of one lane.
 One walk of the DAG evaluates a node at the words of n *lanes* at once.
 Every coordinate is a packed int: the sum of x_i * 2^(K*i) over the lattice
 ints x_i of the lanes (``words.pack``), with the lane width K derived from
-the sampling bounds, the word length and the scale.  Packing is linear, so
-the flexions and word transforms run unchanged on packed words, and two
-packed words are equal exactly when every lane is.  Every value is a flat
-tuple of 2n ints ``(n0, d0, n1, d1, ...)``, lane i being the rational
-n_i/d_i in lowest terms with d_i > 0.  ``sum_of_products`` is the one
-arithmetic kernel, lane by lane on those ints, and leaves call their
-functions through ``ctx.apply``, once per lane on the lane's ``Fraction``
-letters, whose ``Fraction`` results it flattens.  ``Fraction``s appear only
-at the boundary: the letters a leaf reads, the result of ``ctx.eval`` and
-the two sides of each point ``sample_points`` records.  A leaf that divides
-by zero raises ``DivByZero`` on one lane; on n > 1 it adds its lane to the
-walk's set ``ctx.poisoned`` and reads 0 there.  The (node, word) visits of
-a walk do not depend on values, so a lane is in that set exactly when its
-one-lane walk raises.  One lane is the plain scalar engine, and there is no
-other evaluator.
+the walk's own words, their length and their largest lattice coordinate
+(``words.lane_width``).  Packing is linear, so the flexions and word
+transforms run unchanged on packed words, and two packed words are equal
+exactly when every lane is.  Every value is a flat tuple of 2n ints ``(n0,
+d0, n1, d1, ...)``, lane i being the rational n_i/d_i in lowest terms with
+d_i > 0.  ``sum_of_products`` is the one arithmetic kernel, lane by lane on
+those ints, and leaves call their functions through ``ctx.apply``, once per
+lane on the lane's ``Fraction`` letters, whose ``Fraction`` results it
+flattens.  ``Fraction``s appear only at the boundary: the letters a leaf
+reads, the result of ``ctx.eval`` and the two sides of each point
+``sample_points`` records.
+
+One rule holds for every lane count: a leaf that divides by zero poisons
+its lane, reads 0 there, and the walk keeps the lane's first ``DivByZero``
+in ``ctx.poisoned``, a dict from lane to error.  ``at`` pushes and pops a
+(node, word) frame per evaluation, and the error's trail is that path,
+innermost first, each word the lane's ``Fraction`` word.  The (node, word)
+visits of a walk do not depend on values, so a lane's error, trail and all,
+is the one its one-lane walk records.  One lane is the plain scalar engine,
+and there is no other evaluator.
 
 Every walk starts from fresh state, and nothing of it outlives the next
-walk: the memo, the word table, the poisoned set, the scale and the lane
-count belong to the walk.  Each walk interns its words: ``ctx.word_ids``
-maps each distinct packed word, as the flat tuple ``(u1, v1, u2, v2, ...)``
-of its ints, to a small int id, and the memo holds one table per node, from
-word id to the node's value there.  A table's keys are the id objects of the
-word table, so a memo entry costs one dict slot and no key object.  Each
-lane count has one shared all-0, all-1 and all-(-1) value
-(``constant_lanes``, held as ``ctx.zeros``, ``ctx.ones`` and ``ctx.negs``),
-and ``ctx.const(c)`` gives the shared value of any constant c.  The kernel
-returns the shared zeros for a sum that is 0 in every lane, skips a factor
-that is the shared ones and, with sign +1, returns a lone remaining factor
-itself.
+walk: the memo, the word table, the path, the poisoned lanes, the scale,
+the lane width and the lane count belong to the walk.  Each walk interns
+its words: ``ctx.word_ids`` maps each distinct packed word, as the flat
+tuple ``(u1, v1, u2, v2, ...)`` of its ints, to a small int id, and the memo
+holds one table per node, from word id to the node's value there.  A
+table's keys are the id objects of the word table, so a memo entry costs
+one dict slot and no key object.  Each lane count has one shared all-0,
+all-1 and all-(-1) value (``constant_lanes``, held as ``ctx.zeros``,
+``ctx.ones`` and ``ctx.negs``), and ``ctx.const(c)`` gives the shared value
+of any constant c.  The kernel returns the shared zeros for a sum that is 0
+in every lane, skips a factor that is the shared ones and, with sign +1,
+returns a lone remaining factor itself.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), built once
@@ -71,9 +76,9 @@ The leaves, ``Lin``, ``Transform``, ``Cuts`` (with ``Invmu``) and
 is a graph of them.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
-it draws seeded random words per shape, evaluates all samples of a shape in
-one walk, compares two exact values per sample, and re-runs the sample of
-each poisoned lane alone, resampling on division by zero up to the
+it draws seeded random words per shape and compares two exact values per
+sample.  Each attempt is one walk over the samples of the shape still
+pending; a poisoned sample is drawn again at the next attempt, up to the
 context's retry cap.  ``check_identity`` compares two graphs on it.
 """
 
@@ -103,7 +108,6 @@ from .words import (
     Word,
     EMPTY,
     coprime_fraction,
-    from_lattice,
     lane_width,
     lattice_scale,
     negate,
@@ -112,7 +116,6 @@ from .words import (
     reverse,
     sample_word,
     swap_pullback,
-    to_lattice,
     unpack,
     word_to_json,
 )
@@ -185,13 +188,14 @@ class EvalContext:
     ``walk`` evaluates a function of graphs at the ``Fraction`` words of n
     lanes at once (other coordinates raise ``TypeError``), and ``eval(A,
     w)`` is its public one-lane entry, whose value comes back as a
-    ``Fraction``.  A walk converts its words once to its integer lattice,
-    each coordinate x becoming the int x*scale, with ``scale`` the lcm of
-    ``words.BASE`` (2520, a multiple of every sampled denominator) and the
-    denominators of the walk's words.
-    Nodes recurse through ``at(A, w)``, add their products with
-    ``sum_of_products``, call their leaf and letter functions through
-    ``apply`` and take constants from ``const``.
+    ``Fraction``, and which raises the error its walk recorded, taking it
+    out of ``poisoned``.  A walk
+    converts its words once to its integer lattice, each coordinate x
+    becoming the int x*scale, with ``scale`` the lcm of ``words.BASE``
+    (2520, a multiple of every sampled denominator) and the denominators of
+    the walk's words.  Nodes recurse through ``at(A, w)``, add their
+    products with ``sum_of_products``, call their leaf and letter functions
+    through ``apply`` and take constants from ``const``.
 
     ``word_ids`` gives each distinct packed word, as the flat tuple
     ``(u1, v1, u2, v2, ...)`` of its ints, a small int id.  ``memo`` maps a
@@ -199,24 +203,25 @@ class EvalContext:
     value at that word; the table's keys are the very id objects that
     ``word_ids`` holds, so an entry costs one dict slot.  ``len(memo)``
     counts node tables, not entries.  A node's table is made on its first
-    visit, before its value, so a node whose evaluation raises keeps an
-    empty one.  Every walk starts from an empty memo, word table, poisoned
-    set and letter cache of its own, since equal ints of two walks can name
-    different words; they stay on the context until the next walk replaces
-    them, so after an item the context holds its last walk's entries only.
+    visit, before its value.  Every walk starts from an empty memo, word
+    table, path, poisoned record and letter cache of its own, since equal
+    ints of two walks can name different words; they stay on the context
+    until the next walk replaces them, so after an item the context holds
+    its last walk's entries only.
 
-    ``poisoned`` is the set of lanes of the current walk in which a leaf
-    divided by zero; ``apply`` puts 0 in such a lane, and ``at`` skips it in
-    its empty-word class check.  ``zeros``, ``ones`` and ``negs`` are the
-    shared all-0, all-1 and all-(-1) values of the current lane count
-    (``constant_lanes``); a node returns them for a constant value, and
-    ``sum_of_products`` knows them by identity, so a constant costs the memo
-    no object of its own.
+    ``poisoned`` maps each lane of the current walk in which a leaf divided
+    by zero to its first ``DivByZero``, whose trail ``apply`` builds from
+    the path of (node, word) frames that ``at`` keeps, and whose traceback
+    it clears, since its frames hold the context.  ``apply`` puts 0 in such
+    a lane, and ``at`` skips it in its empty-word class check.  ``zeros``,
+    ``ones`` and ``negs`` are the shared all-0, all-1 and all-(-1) values of
+    the current lane count (``constant_lanes``); a node returns them for a
+    constant value, and ``sum_of_products`` knows them by identity, so a
+    constant costs the memo no object of its own.
 
     ``stats`` counts ``evals`` (one per node and word a walk evaluates, for
-    all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per
-    singular sample, that is one per one-lane walk a ``DivByZero`` leaves and
-    one per lane a walk of n > 1 lanes poisons.
+    all its lanes at once), ``memo_hits`` and ``div_by_zero``: one per lane
+    a walk poisons, that is one per singular sample and attempt.
     """
 
     def __init__(self, retry_cap: int = 8):
@@ -228,43 +233,37 @@ class EvalContext:
 
     def _reset(self, lanes: int, scale: int, width: int) -> None:
         """Fresh per-walk state for ``lanes`` lanes on the lattice of
-        ``scale``, ``width`` bits per lane of a packed coordinate (unused
-        for one lane)."""
+        ``scale``, ``width`` bits per lane of a packed coordinate."""
         self.memo: dict[int, dict[int, Lanes]] = {}
         self.word_ids: dict[tuple[int, ...], int] = {}
-        self.poisoned: set[int] = set()
+        self.poisoned: dict[int, DivByZero] = {}
+        self._path: list[tuple[Mould, Word]] = []
         self._letters: dict[Biletter, tuple[Biletter, ...]] = {}
         self.scale, self.lanes, self._width = scale, lanes, width
         self.zeros, self.ones, self.negs = constant_lanes(lanes)
 
     def eval(self, A: Mould, w: Word) -> Rat:
-        value, _ = self.walk(lambda x: self.at(A, x), [[w]], None)
+        value, poisoned = self.walk(lambda x: self.at(A, x), [[w]])
+        if poisoned:
+            raise poisoned.pop(0)  # the traceback it gains holds this context
         return coprime_fraction(*value)
 
     def walk(
-        self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]], bounds: Optional[Bounds]
-    ) -> tuple[tuple[Lanes, Lanes], set[int]]:
+        self, evaluate: Callable[..., tuple[Lanes, Lanes]], samples: Sequence[Sequence[Word]]
+    ) -> tuple[tuple[Lanes, Lanes], dict[int, DivByZero]]:
         """``evaluate(*parts)`` over the lanes of one walk, lane i at the
-        ``Fraction`` words ``samples[i]``, and the walk's set of poisoned
-        lanes; the parts of every lane have the same lengths.  ``evaluate``
-        reads graphs through ``at`` and returns a pair of values.  The walk
-        starts from fresh state on the lcm lattice of its samples, which it
-        leaves on the context until the next walk; one lane needs no
-        ``bounds``, and there a ``DivByZero`` propagates."""
+        ``Fraction`` words ``samples[i]``, and the walk's poisoned lanes,
+        each with its first error; the parts of every lane have the same
+        lengths.  ``evaluate`` reads graphs through ``at`` and returns a
+        pair of values.  The walk starts from fresh state on the lcm lattice
+        of its samples, with the lane width their lengths and coordinates
+        need, and leaves that state on the context until the next walk."""
+        full = [sum(parts, EMPTY) for parts in samples]
         scale = BASE
-        for parts in samples:
-            scale = lattice_scale(sum(parts, EMPTY), scale)
-        if len(samples) == 1:
-            self._reset(1, scale, 0)
-            words = [to_lattice(part, scale) for part in samples[0]]
-        else:
-            self._reset(len(samples), scale, lane_width(bounds, sum(map(len, samples[0])), scale))
-            words = [pack(lane_parts, scale, self._width) for lane_parts in zip(*samples)]
-        try:
-            out = evaluate(*words)
-        except DivByZero:
-            self.stats["div_by_zero"] += 1
-            raise
+        for w in full:
+            scale = lattice_scale(w, scale)
+        self._reset(len(samples), scale, lane_width(full, scale))
+        out = evaluate(*[pack(lane_parts, scale, self._width) for lane_parts in zip(*samples)])
         self.stats["div_by_zero"] += len(self.poisoned)
         return out, self.poisoned
 
@@ -277,9 +276,10 @@ class EvalContext:
         """``fn`` called once per lane on that lane's ``Fraction`` letters,
         its ``Fraction`` results flattened into one value.
 
-        A ``DivByZero`` raises on one lane; with n > 1 lanes it adds that
-        lane to ``poisoned`` and puts 0 there instead, and the other lanes
-        go on.
+        A lane where ``fn`` raises ``DivByZero`` reads 0 and is poisoned,
+        and the other lanes go on.  The lane's first error is kept in
+        ``poisoned``, its trail extended by the frames of the current path,
+        innermost first, each with that lane's ``Fraction`` word.
         """
         cache = self._letters
         lanes = []
@@ -292,10 +292,11 @@ class EvalContext:
         for lane, args in enumerate(zip(*lanes) if letters else itertools.repeat((), self.lanes)):
             try:
                 x = fn(*args)
-            except DivByZero:
-                if self.lanes == 1:
-                    raise
-                self.poisoned.add(lane)
+            except DivByZero as exc:
+                if lane not in self.poisoned:
+                    exc.__traceback__ = None  # its frames hold this context
+                    exc.trail += [(A.name, tuple(self._unpack(c)[lane] for c in w)) for A, w in reversed(self._path)]
+                    self.poisoned[lane] = exc
                 out += (0, 1)
                 continue
             out += (x.numerator, x.denominator)
@@ -325,11 +326,10 @@ class EvalContext:
                 self.stats["memo_hits"] += 1
                 return hit
         self.stats["evals"] += 1
-        try:
-            val = A._eval(self, w)
-        except DivByZero as exc:
-            exc.trail.append((A.name, from_lattice(w, self.scale)))
-            raise
+        path = self._path
+        path.append((A, w))
+        val = A._eval(self, w)
+        path.pop()
         if not w and A.empty_class != FREE:
             want = (1, 1) if A.empty_class == GROUP else (0, 1)
             for lane in range(self.lanes):
@@ -883,15 +883,14 @@ def sample_points(
     reads graphs through ``ctx.at`` and returns the two sides as values;
     the point records lane i of each as a ``Fraction``.
 
-    The first attempts of all samples of a shape are evaluated as the lanes
-    of one ``ctx.walk``.  The sample of each lane the walk poisoned (a
-    division by zero) is re-run alone, as one lane, from attempt 0: division
-    by zero resamples up to the context's retry cap, and a point that keeps
-    hitting singular words is recorded as skipped, with its last word and
-    the error as ``detail``.  Every walk, a re-run too, starts from fresh
-    state, so a point reads the same whatever the number of lanes and
-    whatever walks came before it; with one sample per shape every walk is
-    the one-lane engine.
+    Each attempt is one ``ctx.walk``, whose lanes are the samples of the
+    shape still pending at that attempt: all of them at attempt 0, then
+    those the previous walk poisoned (a division by zero), drawn again.  A
+    sample still poisoned after attempt ``ctx.retry_cap`` is recorded as
+    skipped, with its last word and the text of its last error as
+    ``detail``.  Every walk starts from fresh state, so a point reads the
+    same whatever the number of lanes and whatever walks came before it;
+    with one sample per shape every walk is the one-lane engine.
     """
     report = Report(identity=name)
     for label, lengths in shapes:
@@ -902,31 +901,20 @@ def sample_points(
             rng = derived_rng(plan.seed, name, *label, i, attempt)
             return [sample_word(rng, n, plan.bounds) for n in lengths]
 
-        first = [draw(i, 0) for i in range(plan.samples_per_length if length else 1)]
-        sides, poisoned = None, ()
-        if len(first) > 1:
-            sides, poisoned = ctx.walk(evaluate, first, plan.bounds)
-        for i, parts in enumerate(first):
-            if sides is not None and i not in poisoned:
-                report.points.append(PointRecord(name, length, sum(parts, EMPTY), *_lane(sides, i), split=split))
-                continue
-            for attempt in range(ctx.retry_cap + 1):
-                if attempt:
-                    parts = draw(i, attempt)
-                w = sum(parts, EMPTY)
-                try:
-                    alone, _ = ctx.walk(evaluate, [parts], plan.bounds)
-                except DivByZero as exc:
-                    # keep the text, not the exception: its traceback holds
-                    # this frame, and the cycle would keep ctx's memo alive
-                    # past the item until the cyclic collector runs
-                    detail = str(exc)
-                    continue
-                rec = PointRecord(name, length, w, *_lane(alone, 0), split=split)
+        points: list[PointRecord] = [None] * (plan.samples_per_length if length else 1)
+        pending = range(len(points))
+        for attempt in range(ctx.retry_cap + 1):
+            drawn = [draw(i, attempt) for i in pending]
+            sides, poisoned = ctx.walk(evaluate, drawn)
+            for lane, (i, parts) in enumerate(zip(pending, drawn)):
+                error = poisoned.get(lane)
+                got = _lane(sides, lane) if error is None else (None, None)
+                detail = None if error is None else str(error)
+                points[i] = PointRecord(name, length, sum(parts, EMPTY), *got, split=split, detail=detail)
+            pending = [pending[lane] for lane in sorted(poisoned)]
+            if not pending:
                 break
-            else:
-                rec = PointRecord(name, length, w, None, None, split=split, detail=detail)
-            report.points.append(rec)
+        report.points += points
     return report
 
 

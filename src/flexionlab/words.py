@@ -8,13 +8,14 @@ are the building blocks of every flexion operator downstream.
 The flexions and word transforms only add, subtract and negate coordinates,
 so they work alike on ``Fraction`` coordinates and on lattice words, whose
 coordinates are the ints x*D for a scale D that every denominator divides.
-``to_lattice``/``from_lattice`` convert between the two, ``lattice_scale``
-finds D, and ``BASE`` = lcm(1..10) = 2520 is the scale of every sampled word.
+``to_lattice`` converts a word to the lattice, ``lattice_scale`` finds D,
+and ``BASE`` = lcm(1..10) = 2520 is the scale of every sampled word.
 
 Being linear, they also work on *packed* words, which carry the lattice words
 of n lanes at once: each coordinate is the int sum of x_i * 2^(K*i) over the
-lanes i, for the lane width K of ``lane_width``.  ``pack`` builds such a word
-and ``unpack`` reads one packed coordinate back into its n lattice ints.
+lanes i, for the lane width K that ``lane_width`` derives from the words.
+``pack`` builds such a word and ``unpack`` reads one packed coordinate back
+into its n lattice ints.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ class DivByZero(ZeroDivisionError):
     """Division by an exactly-zero rational during mould evaluation.
 
     Carries a trail of (node name, word) frames identifying the offending
-    sub-expression; the outermost frame is appended last.  Its text is the
-    ``detail`` of every skipped point, so it is part of the report bytes.
+    sub-expression, innermost first: the engine's walk keeps the first error
+    of each singular lane and extends its trail by the walk's path, each
+    frame with that lane's ``Fraction`` word.  Its text is the ``detail`` of
+    every skipped point, so it is part of the report bytes.
     """
 
     def __init__(self, message: str):
@@ -96,10 +99,6 @@ def usum(w: Word) -> Rat:
 
 def word_to_json(w: Word) -> list[list[str]]:
     return [[rat_str(x.u), rat_str(x.v)] for x in w]
-
-
-def word_from_json(data: Sequence[Sequence[str]]) -> Word:
-    return tuple(Biletter(Fraction(u), Fraction(v)) for u, v in data)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +257,6 @@ def to_lattice(w: Word, scale: int) -> Word:
     )
 
 
-def from_lattice(w: Word, scale: int) -> Word:
-    """The word of ``Fraction``s x/scale: the inverse of ``to_lattice``."""
-    return tuple(Biletter(Fraction(u, scale), Fraction(v, scale)) for u, v in w)
-
-
 # ---------------------------------------------------------------------------
 # Packed lanes
 # ---------------------------------------------------------------------------
@@ -274,16 +268,18 @@ def from_lattice(w: Word, scale: int) -> Word:
 # ``swap_pullback`` exchanges the two kinds.  The checkers evaluate words
 # whose u's are sums of distinct sampled u's and whose v's are sampled v's or
 # differences of two, so a derived coordinate is at most r*M or 4*M in size,
-# with M the largest sampled coordinate.  ``lane_width`` leaves room for
-# 2*max(r, 2)*M, with a guard bit and a sign bit above it, so lanes never
-# carry into each other.
+# with M the largest lattice coordinate of the checked words.  ``lane_width``
+# leaves room for 2*max(r, 2)*M, with a guard bit and a sign bit above it, so
+# lanes never carry into each other.
 
 
-def lane_width(bounds: Bounds, length: int, scale: int) -> int:
-    """Bits per lane for packed words of ``length`` letters sampled within
-    ``bounds`` on the lattice of ``scale``: a packed coordinate holds lane
-    ints x with |x| < 2^(K-2)."""
-    return (2 * max(length, 2) * bounds.max_num * scale).bit_length() + 2
+def lane_width(lane_words: Sequence[Word], scale: int) -> int:
+    """Bits per lane K for packing ``lane_words``, one checked word per lane,
+    all of one length r, on the lattice of ``scale``: with M their largest
+    lattice coordinate, a packed coordinate holds lane ints x with
+    |x| < 2^(K-2), and 2^(K-2) > 2*max(r, 2)*M."""
+    largest = max((abs(c) for w in lane_words for x in to_lattice(w, scale) for c in x), default=0)
+    return (2 * max(len(lane_words[0]), 2) * largest).bit_length() + 2
 
 
 def pack(lane_words: Sequence[Word], scale: int, width: int) -> Word:

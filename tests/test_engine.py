@@ -108,7 +108,7 @@ def test_digest_mould_deterministic_and_lie(ev):
 def _walk_values(ctx, A, *words):
     """``A`` at each of ``words``, as ``Fraction``s, all in one one-lane walk
     of ``ctx``: the words are the parts of that lane's sample."""
-    values, _ = ctx.walk(lambda *ws: [ctx.at(A, w) for w in ws], [words], None)
+    values, _ = ctx.walk(lambda *ws: [ctx.at(A, w) for w in ws], [words])
     return [coprime_fraction(*value) for value in values]
 
 
@@ -383,11 +383,11 @@ def _singular_at(*bad: Biletter) -> FuncMould:
 
 
 def _walk(G, words):
-    """One walk of ``G`` with a lane per word: its value and poisoned set,
-    and the context's div_by_zero count."""
+    """One walk of ``G`` with a lane per word: its value, its poisoned lanes
+    with their errors, and the context's div_by_zero count."""
     ctx = EvalContext()
-    (value, _), poisoned = ctx.walk(lambda w: (ctx.at(G, w), ctx.zeros), [[w] for w in words], SamplePlan().bounds)
-    assert ctx.poisoned is poisoned  # the walk's set stays until the next walk
+    (value, _), poisoned = ctx.walk(lambda w: (ctx.at(G, w), ctx.zeros), [[w] for w in words])
+    assert ctx.poisoned is poisoned  # the walk's record stays until the next walk
     return value, poisoned, ctx.stats["div_by_zero"]
 
 
@@ -399,7 +399,7 @@ def test_a_poisoned_lane_survives_the_shared_constants():
     S, D = _singular_at(w1[0]), DigestMould(5)
     for G in (leng_r(S, 1), -S, S * 0, Mu(D, S)):
         value, poisoned, div_by_zero = _walk(G, [w0, w1])
-        assert poisoned == {1} and div_by_zero == 1
+        assert poisoned.keys() == {1} and div_by_zero == 1
         assert value[:2] == _flat(EvalContext().eval(G, w0))
     # apply puts 0 in the lane it poisons
     assert _walk(S, [w0, w1])[0][2:] == (0, 1)
@@ -422,7 +422,7 @@ def test_a_lane_walk_holds_one_all_zero_value():
         held.update(entries=len(zeros), objects=len({id(v) for v in zeros}))
         return value, value
 
-    ctx.walk(evaluate, samples, bounds)
+    ctx.walk(evaluate, samples)
     assert held["entries"] > 5
     assert held["objects"] == 1
 
@@ -430,7 +430,7 @@ def test_a_lane_walk_holds_one_all_zero_value():
 def test_the_empty_word_check_skips_poisoned_lanes():
     # a group-class leaf that divides by zero everywhere poisons every lane
     # of the walk at the empty word too, where 0 stands in for its value 1:
-    # the class check must let those lanes through to be re-run alone
+    # the class check must let those lanes through to be resampled
     def singular(w):
         raise DivByZero("always singular")
 
@@ -460,12 +460,14 @@ def test_a_leaf_that_divides_by_zero_poisons_its_lane_only():
     # 0; the lane is poisoned all the same
     G = Mu(S, T) + Mu(T, S)
     value, poisoned, div_by_zero = _walk(G, [w0, w1, w2])
-    assert poisoned == {1, 2} and div_by_zero == 2  # one per poisoned lane
+    assert poisoned.keys() == {1, 2} and div_by_zero == 2  # one per poisoned lane
     assert value[:2] == _flat(EvalContext().eval(G, w0))
     # two leaves that poison the same lane count one singular sample
-    assert _walk(S + _singular_at(w1[0]), [w0, w1])[1:] == ({1}, 1)
-    # one lane raises instead, with the trail of the singular frames, and
-    # counts one singular sample however many frames the error passes
+    _, poisoned, div_by_zero = _walk(S + _singular_at(w1[0]), [w0, w1])
+    assert poisoned.keys() == {1} and div_by_zero == 1
+    # eval raises the error its one-lane walk recorded, with the trail of
+    # the singular frames, and counts one singular sample however many
+    # frames the error passes
     ctx = EvalContext()
     with pytest.raises(DivByZero) as exc:
         ctx.eval(G, w1)
@@ -474,6 +476,40 @@ def test_a_leaf_that_divides_by_zero_poisons_its_lane_only():
     assert sum_of_products([], 1, 3) == (0, 1) * 3
     with pytest.raises(IndexError):
         sum_of_products([((Fraction(1),), (Fraction(2),))])  # a tuple of Fractions is not a value
+
+
+def _singular_on_thirds(w):
+    # singular wherever a letter's u has a numerator divisible by 3, so the
+    # transforms above it meet the pole at other words in other frames
+    if any(x.u.numerator % 3 == 0 for x in w):
+        raise DivByZero("u numerator divisible by 3")
+    return sum((x.v * (i + 1) for i, x in enumerate(w)), Fraction(0))
+
+
+def test_a_poisoned_lane_keeps_the_error_its_word_raises_alone():
+    # each poisoned lane of a 3-lane walk keeps its first error, whose text
+    # and trail, names and Fraction words, are those of ctx.eval of that
+    # lane's word alone
+    S = FuncMould("thirds-singular", _singular_on_thirds, LIE)
+    G = pari(Mu(DigestMould(9), swap(S)) + der(anti(S)))
+    bounds = SamplePlan().bounds
+    words = [sample_word(derived_rng(2, "trails", i), 3, bounds) for i in range(3)]
+    ctx = EvalContext()
+    _, poisoned = ctx.walk(lambda w: (ctx.at(G, w), ctx.zeros), [[w] for w in words])
+    assert 0 < len(poisoned) < 3
+    for lane, w in enumerate(words):
+        alone = EvalContext()
+        if lane not in poisoned:
+            alone.eval(G, w)
+            continue
+        with pytest.raises(DivByZero) as exc:
+            alone.eval(G, w)
+        kept = poisoned[lane]
+        assert str(kept) == str(exc.value)
+        assert kept.trail == exc.value.trail
+        assert kept.trail[0][0] == "thirds-singular" and kept.trail[-1] == ("pari", w)
+        assert all(isinstance(c, Fraction) for _, tw in kept.trail for x in tw for c in x)
+        assert len({tw for _, tw in kept.trail}) > 1
 
 
 def _reachable(root) -> list:
@@ -511,7 +547,7 @@ def test_a_lane_walk_memo_holds_node_tables_of_word_ids_and_flat_int_values():
         held.update(memo={uid: dict(table) for uid, table in ctx.memo.items()}, word_ids=dict(ctx.word_ids))
         return value, value
 
-    ctx.walk(evaluate, samples, bounds)
+    ctx.walk(evaluate, samples)
     memo, word_ids = held["memo"], held["word_ids"]
     assert _entries(memo) > 20
     assert all(type(uid) is int for uid in memo)
@@ -540,7 +576,7 @@ def test_node_tables_key_their_entries_by_the_word_tables_id_objects():
         held.update(tables=list(ctx.memo.values()), ids={wid: wid for wid in ctx.word_ids.values()})
         return value, value
 
-    ctx.walk(evaluate, samples, bounds)
+    ctx.walk(evaluate, samples)
     tables, ids = held["tables"], held["ids"]
     assert max(map(max, filter(None, tables))) > 256
     for table in tables:
@@ -919,9 +955,46 @@ def test_sampler_frees_its_context_without_the_cyclic_collector():
         rep = check_identity(S, zero(), p, "free", ctx)
         del ctx
         assert ref() is None
+        # nor must the error that eval raises
+        ctx = Tracked()
+        ref = weakref.ref(ctx)
+        with pytest.raises(DivByZero):
+            ctx.eval(S, W1)
+        del ctx
+        assert ref() is None
     finally:
         gc.enable()
     assert [pt.status for pt in rep.points] == ["skipped"] * 3
+
+def test_a_sample_singular_at_its_first_draw_costs_one_more_walk():
+    # every round of attempts is one walk over the samples still pending: a
+    # sample singular at attempt 0 only is drawn again in the second walk,
+    # and counts one singular sample
+    class Counting(EvalContext):
+        walks = 0
+
+        def walk(self, *args):
+            self.walks += 1
+            return super().walk(*args)
+
+    p = SamplePlan(max_length=0, samples_per_length=3, seed=6)
+    shapes = [(("two",), (2,))]
+    bad = sample_word(derived_rng(6, "walks", "two", 1, 0), 2, p.bounds)
+
+    def fn(w):
+        if w == bad:
+            raise DivByZero("first draw of sample 1")
+        return Fraction(0)
+
+    S = FuncMould("first-draw-singular", fn, LIE)
+    for singular, walks in ((False, 1), (True, 2)):
+        ctx = Counting()
+        G = S if singular else DigestMould(4)
+        rep = sample_points(ctx, p, "walks", shapes, lambda w: (ctx.at(G, w), ctx.at(G, w)))
+        assert [pt.status for pt in rep.points] == ["pass"] * 3
+        assert ctx.walks == walks and ctx.stats["div_by_zero"] == int(singular)
+    assert rep.points[1].word == sample_word(derived_rng(6, "walks", "two", 1, 1), 2, p.bounds)
+
 
 @pytest.mark.parametrize("w", [W1, W2, W3])
 def test_proper_mu_drops_its_end_terms(ev, w):

@@ -310,7 +310,7 @@ TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_check"}
 )
 def test_skipped_points_keep_word_split_and_detail(checker, samples):
     # with three samples, the points of a shape are the lanes of one walk,
-    # every lane is poisoned, and each is re-run alone until it is skipped
+    # every lane is poisoned, and each is resampled until it is skipped
     singular = FuncMould("singular", _singular, LIE)
     cfg = Config(max_length=3, samples=samples, retry_cap=2)
     report = SKIP_CHECKERS[checker](singular, cfg, EvalContext(retry_cap=cfg.retry_cap))
@@ -344,7 +344,7 @@ def _lane_table():
     # Mu(D, S) reads S at the full word only in its cut with an empty left
     # block, whose other factor D(empty) is the shared zeros, and Mu(D, S, 1)
     # drops that cut: at length 1 that zero-weighted read is the only one
-    # that can divide by zero, and its lane must be re-run all the same
+    # that can divide by zero, and its lane must be resampled all the same
     hidden, proper = Mu(D, S), Mu(D, S, proper=1)
     alt = ari(S, D)
     sym = one() + S + Mu(S, D)
@@ -407,8 +407,9 @@ def _lane_table():
 @pytest.mark.parametrize("checker", sorted(_lane_table()))
 def test_lane_walks_report_what_one_sample_at_a_time_reports(checker):
     # three samples per shape are three lanes of one walk; a lane that
-    # divides by zero is re-run alone, so each point must read as the
-    # oracle's, which evaluates one sample and one attempt at a time
+    # divides by zero is resampled in the next walk with the other pending
+    # lanes, so each point must read as the oracle's, which evaluates one
+    # sample and one attempt at a time
     run, shapes, sides = _lane_table()[checker]
     plan = SamplePlan(max_length=3, samples_per_length=3, seed=11)
     report = run(plan, EvalContext(retry_cap=2))
@@ -416,7 +417,7 @@ def test_lane_walks_report_what_one_sample_at_a_time_reports(checker):
     expected = sampled_points(oracle_ctx, plan, "lanes", shapes(3), sides(oracle_ctx.eval))
     got = [(p.word, p.split, p.lhs, p.rhs, p.detail) for p in report.points]
     assert got == [(o["word"], o["split"], o["lhs"], o["rhs"], o["detail"]) for o in expected]
-    # some lanes of the walks were poisoned and re-run, and others were not
+    # some lanes of the walks were poisoned and resampled, and others were not
     attempts = [o["attempts"] for o in expected if o["word"]]
     assert 1 in attempts and max(attempts) > 1
 
@@ -425,8 +426,8 @@ def test_engine_counters_over_every_item_pin_the_graph_shapes():
     # Summed over every item, each with a fresh context.  A change in the
     # shape of any graph (a node more or less, a child evaluated at another
     # word) moves these counts even when every value stays the same.  At one
-    # sample every walk is one lane and starts from an empty memo, and
-    # div_by_zero counts the singular samples.
+    # sample every walk is one lane and starts from an empty memo, a singular
+    # walk runs to its end, and div_by_zero counts the singular samples.
     cfg = Config(max_length=3, samples=1, jobs=1)
     total = Counter()
     for suite in SUITES.values():
@@ -434,7 +435,7 @@ def test_engine_counters_over_every_item_pin_the_graph_shapes():
             ctx = EvalContext(retry_cap=cfg.retry_cap)
             item.run(cfg, ctx)
             total.update(ctx.stats)
-    assert total == {"evals": 151963, "memo_hits": 128286, "div_by_zero": 2}
+    assert total == {"evals": 152460, "memo_hits": 128765, "div_by_zero": 2}
 
 
 def test_items_that_check_nothing_are_not_ok():

@@ -24,7 +24,6 @@ from flexionlab.words import (
     flr,
     ful,
     fur,
-    from_lattice,
     lane_width,
     lattice_scale,
     negate,
@@ -39,7 +38,6 @@ from flexionlab.words import (
     unpack,
     usum,
     word,
-    word_from_json,
     word_to_json,
 )
 
@@ -222,7 +220,9 @@ def test_lattice_roundtrip_gives_the_same_word(w):
     scale = lattice_scale(w)
     assert scale % BASE == 0
     assert all(scale % c.denominator == 0 for x in w for c in x)
-    assert from_lattice(to_lattice(w, scale), scale) == w
+    lattice = to_lattice(w, scale)
+    assert all(type(c) is int for x in lattice for c in x)
+    assert tuple(Biletter(Fraction(u, scale), Fraction(v, scale)) for u, v in lattice) == w
 
 
 # -- packed lanes ----------------------------------------------------------------
@@ -237,10 +237,16 @@ def _lanes_of(packed, lanes, width):
 @st.composite
 def lane_ints(draw):
     """(lanes, length, width, lattice ints per lane) with every int within
-    the lane bound, its extremes included."""
+    the lane bound, its extremes included; the width is the one
+    ``lane_width`` gives words of that length whose largest lattice
+    coordinate is a drawn M."""
     lanes = draw(st.integers(1, 4))
     length = draw(st.integers(0, 4))
-    width = lane_width(Bounds(), length, BASE)
+    M = draw(st.integers(0, Bounds().max_num * BASE))
+    width = lane_width([(Biletter(Fraction(M, BASE), Fraction(-M, BASE)),) * length], BASE)
+    if length:
+        # room for every coordinate derived from a word of that length
+        assert 1 << (width - 2) > 2 * max(length, 2) * M
     bound = (1 << (width - 2)) - 1
     coord = st.integers(-bound, bound)
     ints = draw(st.lists(st.lists(st.tuples(coord, coord), min_size=length, max_size=length),
@@ -280,19 +286,29 @@ def test_a_coordinate_past_the_lane_bound_raises(case, data):
         unpack(sum(x << (width * i) for i, x in enumerate(coords)), lanes, width)
 
 
-@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**32))
-@settings(max_examples=60, deadline=None)
-def test_flexions_and_swap_of_packed_words_unpack_to_each_lane(lanes, la, lb, seed):
+SAMPLE_BOUNDS = [Bounds(), Bounds(1, 1), Bounds(1, 10), Bounds(30, 1), Bounds(7, 3)]
+
+
+@given(
+    st.integers(1, 4), st.integers(0, 3), st.integers(0, 3), st.sampled_from(SAMPLE_BOUNDS), st.integers(0, 2**32)
+)
+@settings(max_examples=80, deadline=None)
+def test_flexions_and_swap_of_packed_words_unpack_to_each_lane(lanes, la, lb, bounds, seed):
+    # the scale and the width come from the lanes' words, as in a walk
     rng = random.Random(seed)
-    a = [sample_word(rng, la) for _ in range(lanes)]
-    b = [sample_word(rng, lb) for _ in range(lanes)]
-    width = lane_width(Bounds(), la + lb, BASE)
-    pa, pb = pack(a, BASE, width), pack(b, BASE, width)
+    a = [sample_word(rng, la, bounds) for _ in range(lanes)]
+    b = [sample_word(rng, lb, bounds) for _ in range(lanes)]
+    full = [x + y for x, y in zip(a, b)]
+    scale = BASE
+    for w in full:
+        scale = lattice_scale(w, scale)
+    width = lane_width(full, scale)
+    pa, pb = pack(a, scale, width), pack(b, scale, width)
     for f in (ful, fur, fll, flr):
         got = _lanes_of(f(pa, pb), lanes, width)
-        assert got == [to_lattice(f(x, y), BASE) for x, y in zip(a, b)]
+        assert got == [to_lattice(f(x, y), scale) for x, y in zip(a, b)]
     got = _lanes_of(swap_pullback(pa + pb), lanes, width)
-    assert got == [to_lattice(swap_pullback(x + y), BASE) for x, y in zip(a, b)]
+    assert got == [to_lattice(swap_pullback(x + y), scale) for x, y in zip(a, b)]
 
 
 def test_lattice_scale_is_base_on_sampled_words_and_rejects_ints():
@@ -384,13 +400,16 @@ def test_word_json_roundtrip_explicit():
     w = word([("1/2", "-3"), ("5", "7/9")])
     data = word_to_json(w)
     assert data == [["1/2", "-3"], ["5", "7/9"]]
-    assert word_from_json(json.loads(json.dumps(data))) == w
+    assert word(json.loads(json.dumps(data))) == w
 
 
 @given(w=words)
 @settings(max_examples=40, deadline=None)
 def test_word_json_roundtrip(w):
-    assert word_from_json(word_to_json(w)) == w
+    # 'p' or 'p/q' strings in lowest terms, which ``word`` reads back
+    data = word_to_json(w)
+    assert all(c == rat_str(Fraction(c)) for pair in data for c in pair)
+    assert word(data) == w
 
 
 # -- errors -------------------------------------------------------------------------
