@@ -20,7 +20,6 @@ are shared across identities in a run.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import itemgetter
 from typing import Callable
 
 from .engine import (
@@ -31,6 +30,10 @@ from .engine import (
     LetterMould,
     Lin,
     Mould,
+    _a,
+    _b,
+    _c,
+    cut_plan,
     derived_rng,
     invmu,
     leng_r,
@@ -84,9 +87,18 @@ class FlexionUnit:
         return m
 
 
+def tripartite_sides(U: FlexionUnit, x1: Biletter, x2: Biletter) -> tuple[Rat, Rat]:
+    """The two sides of the tripartite relation at the letters x1, x2:
+    E(x1)E(x2) and E(u1+u2 ; v1)E(u2 ; v2-v1) + E(u1+u2 ; v2)E(u1 ; v1-v2)."""
+    E, (u1, v1), (u2, v2) = U.E, x1, x2
+    lhs = E(x1) * E(x2)
+    rhs = E(Biletter(u1 + u2, v1)) * E(Biletter(u2, v2 - v1)) + E(Biletter(u1 + u2, v2)) * E(Biletter(u1, v1 - v2))
+    return lhs, rhs
+
+
 def check_tripartite(U: FlexionUnit, seed: int = 0, samples: int = 20) -> bool:
-    """E(w1)E(w2) = E(w1+w2 ; v1)E(u2 ; v2-v1) + E(u1+u2 ; v2)E(u1 ; v1-v2)
-    at sampled letters; resamples singular configurations."""
+    """The tripartite relation (``tripartite_sides``) at sampled letters;
+    resamples singular configurations."""
     rng = derived_rng("tripartite", U.name, seed)
     checked = 0
     attempts = 0
@@ -97,10 +109,7 @@ def check_tripartite(U: FlexionUnit, seed: int = 0, samples: int = 20) -> bool:
         vals = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(4)]
         u1, v1, u2, v2 = vals
         try:
-            lhs = U.E(Biletter(u1, v1)) * U.E(Biletter(u2, v2))
-            rhs = U.E(Biletter(u1 + u2, v1)) * U.E(Biletter(u2, v2 - v1)) + U.E(
-                Biletter(u1 + u2, v2)
-            ) * U.E(Biletter(u1, v1 - v2))
+            lhs, rhs = tripartite_sides(U, Biletter(u1, v1), Biletter(u2, v2))
         except DivByZero:
             continue
         if lhs != rhs:
@@ -225,9 +234,8 @@ def mould_ro(U: FlexionUnit) -> Mould:
 
     def build():
         weight = Lin("ro_weight", lambda n: ((n + 1, None),))
-        oz = mould_oz(U)
-        factors = ((weight, itemgetter(2)), (oz, _flr_ab), (mould_O(U), _ful_p_fur_mq), (oz, _fll_mq))
-        return Cuts(f"ro[{U.name}]", LIE, "*1*", factors)
+        plan = cut_plan("*1*", ((1, _c), (2, _flr_ab), (3, _ful_p_fur_mq), (2, _fll_mq)))
+        return Cuts(f"ro[{U.name}]", LIE, plan, (weight, mould_oz(U), mould_O(U)))
 
     return U._cached("ro", build)
 
@@ -289,7 +297,7 @@ def solve_dilator_ode(D: Mould) -> Mould:
 
     node = Lin("dilator_flow", terms)
     inner = arit(D, node)
-    product = Cuts("flow_mu", LIE, "*+", ((node, itemgetter(0)), (D, itemgetter(1))))
+    product = Cuts("flow_mu", LIE, cut_plan("*+", ((1, _a), (2, _b))), (node, D))
     return node
 
 

@@ -62,18 +62,19 @@ evaluates its operand at ``reverse(w)``, ``negate(w)`` or
 ``swap_pullback(w)``, mantar with the parity sign (-1)^(len(w)-1); ``push``,
 ``push_inv`` and ``gantar`` are composed from them.
 
-``Cuts`` is the one node that sums products over the factorizations of w:
-mu, swamu/answamu, amit/anit, ``Invmu``, the triple-split e_ter inverse, the
-two last-letter terms of e_ter, the weight components ro and the product
-term of the dilator flow.  Its spec gives each block a kind: any word,
-nonempty, or exactly one letter.  ``Mu(A, B, proper)`` builds the two-block
-product; ``proper`` 1 drops the cut with an empty left block and 2 drops
-both end cuts, so a solver's self-referential recursion never reaches the
-full word.
+``Cuts`` is the one node that sums products of children at words derived
+from w: the cut sums of ``cut_plan`` (mu, invmu, swamu/answamu, amit/anit,
+the e_ter terms and inverse, ro, the flow's product) and the gaxit family
+of ``flexion``.  Its plan, compiled once per pattern and word length by
+running the word assemblies on a symbolic word (``compile_plan``), lists
+each derived letter, distinct factor and term once.  ``Mu(A, B, proper)``
+builds the two-block product; ``proper`` 1 drops the cut with an empty left
+block and 2 drops both end cuts, so a solver's self-referential recursion
+never reaches the full word.
 
-The leaves, ``Lin``, ``Transform``, ``Cuts`` (with ``Invmu``) and
-``flexion.Gaxit`` are the node classes; every operator of the other modules
-is a graph of them.
+The node classes are the leaves ``Scalar``, ``LetterMould``, ``FuncMould``
+and ``DigestMould``, and ``Lin``, ``Transform`` and ``Cuts``; every operator
+of the other modules is a graph of them.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
 it draws seeded random words per shape and compares two exact values per
@@ -91,7 +92,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 # ``hashlib`` loads OpenSSL's libcrypto at import (about 3 MiB of RSS) to
 # offer its hashes; the one hash used here, blake2b, is CPython's built-in
@@ -116,6 +117,7 @@ from .words import (
     reverse,
     sample_word,
     swap_pullback,
+    to_lattice,
     unpack,
     word_to_json,
 )
@@ -258,12 +260,12 @@ class EvalContext:
         pair of values.  The walk starts from fresh state on the lcm lattice
         of its samples, with the lane width their lengths and coordinates
         need, and leaves that state on the context until the next walk."""
-        full = [sum(parts, EMPTY) for parts in samples]
         scale = BASE
-        for w in full:
-            scale = lattice_scale(w, scale)
-        self._reset(len(samples), scale, lane_width(full, scale))
-        out = evaluate(*[pack(lane_parts, scale, self._width) for lane_parts in zip(*samples)])
+        for parts in samples:
+            scale = lattice_scale(sum(parts, EMPTY), scale)
+        lattice = [[to_lattice(part, scale) for part in parts] for parts in samples]
+        self._reset(len(samples), scale, lane_width([sum(parts, EMPTY) for parts in lattice]))
+        out = evaluate(*[pack(lane_parts, self._width) for lane_parts in zip(*lattice)])
         self.stats["div_by_zero"] += len(self.poisoned)
         return out, self.poisoned
 
@@ -367,15 +369,15 @@ def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int 
 
     The result allocates only what it must.  A factor that is the shared
     ones of ``constant_lanes`` is skipped; with ``sign`` 1, one term with one
-    factor left returns that factor itself; a sum that is 0 in every lane is
-    the shared zeros.
+    factor left returns that factor itself, and one with none left the shared
+    ones; a sum that is 0 in every lane is the shared zeros.
     """
     zeros, ones, _ = constant_lanes(lanes)
     terms = [tuple(factors) for factors in terms]  # each lane reads them again
     if sign == 1 and len(terms) == 1:
         rest = [f for f in terms[0] if f is not ones]
-        if len(rest) == 1:
-            return rest[0]
+        if len(rest) < 2:
+            return rest[0] if rest else ones
     out = []
     zero = True
     for i in range(0, 2 * lanes, 2):
@@ -652,70 +654,133 @@ def gantar(A: Mould) -> Mould:
 
 
 # ---------------------------------------------------------------------------
-# Sums over the factorizations of w
+# Sums of products
 # ---------------------------------------------------------------------------
 
 
+class _URun(NamedTuple):
+    """U[hi] - U[lo], the u-sum of the letters lo..hi-1 of a compiled word."""
+
+    lo: int
+    hi: int
+
+    def __add__(self, other):
+        if other == 0:  # the start of ``sum``
+            return self
+        if self.hi != other.lo and other.hi != self.lo:
+            raise ValueError(f"u-runs {tuple(self)} and {tuple(other)} are not adjacent")
+        return _URun(min(self.lo, other.lo), max(self.hi, other.hi))
+
+    __radd__ = __add__
+
+
+class _VDiff(NamedTuple):
+    """V[k] - V[s], a v of a compiled word, with V[r] = 0 at length r."""
+
+    k: int
+    s: int
+
+    def __sub__(self, other):
+        if self.s != other.s:
+            raise ValueError(f"v-differences {tuple(self)} and {tuple(other)} have different shifts")
+        return _VDiff(self.k, other.k)
+
+
+def _getter(indices: tuple[int, ...]) -> itemgetter:
+    """``itemgetter(*indices)``, but a slice for fewer than two, so that it always gives a sequence."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return itemgetter(slice(indices[0], indices[0] + 1) if indices else slice(0))
+
+
+def compile_plan(terms: Callable[[Word], Iterable]) -> Callable[[int], tuple]:
+    """The plan function of a sum of products: ``plan(r)`` compiles, once
+    per r, the ``(negated, factors)`` terms that ``terms(word)`` yields for
+    a symbolic word of length r, each factor a ``(role, word)`` pair.
+
+    Letter k of the symbolic word is ``(_URun(k, k + 1), _VDiff(k, r))``, so
+    the flexions give letters ``(U[hi] - U[lo], V[k] - V[s])``; any other
+    coordinate raises ``ValueError``.  ``plan(r)`` is ``(letters, words,
+    terms)``: the recipes ``(lo, hi, k, s)`` of the letters that are not
+    w's own, numbered from r; each distinct ``(role, letter indices)`` once,
+    in first use, as ``(role, getter)`` over the letter table; and per term
+    a getter over the words' values, which ``ctx.negs`` follows.
+    """
+
+    @functools.cache
+    def plan(r: int) -> tuple:
+        word = tuple(Biletter(_URun(k, k + 1), _VDiff(k, r)) for k in range(r))
+        letters = {x: k for k, x in enumerate(word)}  # letter -> index in the table
+        words: dict = {}  # (role, letter indices) -> index of its value
+        raw = []
+        for negated, factors in terms(word):
+            keys = [(role, tuple(letters.setdefault(x, len(letters)) for x in u)) for role, u in factors]
+            raw.append((tuple(words.setdefault(key, len(words)) for key in keys), negated))
+        recipes = tuple((*x.u, *x.v) for x in itertools.islice(letters, r, None))
+        getters = tuple(_getter((*ids, len(words)) if negated else ids) for ids, negated in raw)
+        return recipes, tuple((role, _getter(ids)) for role, ids in words), getters
+
+    return plan
+
+
 @functools.cache
-def _cut_plan(r: int, spec: str) -> tuple[itemgetter, ...]:
-    """The factorizations of a length-``r`` word into ``len(spec)`` blocks,
-    block i of the kind ``spec[i]`` (``*`` any word, ``+`` nonempty, ``1``
-    one letter), in lexicographic order of the cut positions; each is an
-    ``itemgetter`` of slices that returns the tuple of its blocks.  ``spec``
-    is a string, so no two kinds share a cache key."""
-    plan = []
-    for cuts in itertools.combinations_with_replacement(range(r + 1), len(spec) - 1):
-        bounds = (0, *cuts, r)
-        lengths = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-        if all({"*": True, "+": n > 0, "1": n == 1}[kind] for kind, n in zip(spec, lengths)):
-            plan.append(itemgetter(*map(slice, bounds, bounds[1:])))
-    return tuple(plan)
+def cut_plan(spec: str, factors: tuple[tuple[int, Callable[[tuple], Word]], ...], inverse: bool = False):
+    """The plan function of a sum over the cuts of w into blocks.
+
+    ``spec`` has one character per block, at least two: ``*`` any word,
+    ``+`` a nonempty word, ``1`` one letter.  Each cut into blocks of those
+    kinds, in lexicographic order, is a term whose factor ``(role,
+    assemble)`` reads its role at ``assemble(blocks)``.  With ``inverse``
+    the value is 1 at the empty word minus the sum: invmu solving mu(A, X) =
+    1 for itself.  Shared assembly functions share one plan: mu, swamu and
+    answamu are ``**``, proper mu ``+*`` and ``++``, invmu ``+*``, amit
+    ``*++``, anit ``++*``, the flow's product ``*+``, the e_ter terms
+    ``*1``, ro ``*1*`` (w = p m q) and the triple-split e_ter inverse ``***``.
+    """
+    if len(spec) < 2 or set(spec) - set("*+1"):
+        raise ValueError(f"a cut spec is two or more of '*+1', got {spec!r}")
+
+    def terms(word):
+        r = len(word)
+        if inverse and not r:
+            yield False, ()  # the empty product
+        for cuts in itertools.combinations_with_replacement(range(r + 1), len(spec) - 1):
+            bounds = (0, *cuts, r)
+            blocks = tuple(word[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+            if all({"*": True, "+": len(b) > 0, "1": len(b) == 1}[kind] for kind, b in zip(spec, blocks)):
+                yield inverse, [(role, assemble(blocks)) for role, assemble in factors]
+
+    return compile_plan(terms)
 
 
 class Cuts(Mould):
-    """A sum over the factorizations of w into blocks of products of children.
-
-    ``spec`` has one character per block, at least two: ``*`` for any word,
-    ``+`` for a nonempty word and ``1`` for exactly one letter.  The value
-    at w is ``sign`` times the sum, over the cuts of w into blocks of those
-    kinds, of the product over the ``(B, assemble)`` pairs of ``factors`` of
-    ``B(assemble(blocks))``, with ``blocks`` the tuple of the cut's blocks.
-    ``itemgetter(i)`` reads block i as it is; the flexion products assemble
-    their words with one-argument functions of the blocks.  The cuts run in
-    lexicographic order and each cut's factors in ``factors`` order, so the
-    first ``DivByZero`` and its trail are those of a term-by-term sum.
-
-    mu, swamu and answamu are ``**``, the proper mu forms ``+*`` and
-    ``++``, ``Invmu`` ``+*``, amit ``*++``, anit ``++*``, the dilator flow's
-    product term ``*+``, the two last-letter terms of e_ter ``*1``, the
-    weight components ro ``*1*`` (the marked letter m of w = p m q) and the
-    triple-split e_ter inverse ``***``.
+    """The one node that sums products: its value at w is the sum of the
+    terms of ``plan(len(w))`` (``compile_plan``), role 0 being the node
+    itself and role i >= 1 ``children[i - 1]``; the cut sums of
+    ``cut_plan`` and the gaxit family of ``flexion``.  Each distinct factor
+    is evaluated once, in first use, the order of a term-by-term sum, so
+    the first ``DivByZero`` and its trail are that sum's; the products are
+    added with one ``sum_of_products``.
     """
 
-    __slots__ = ("spec", "factors")
-    sign = 1
+    __slots__ = ("plan", "children")
 
-    def __init__(self, name: str, empty_class: str, spec: str, factors):
-        if len(spec) < 2 or set(spec) - set("*+1"):
-            raise ValueError(f"a cut spec is two or more of '*+1', got {spec!r}")
+    def __init__(self, name: str, empty_class: str, plan: Callable[[int], tuple], children: tuple):
         super().__init__(name, empty_class)
-        self.spec = spec
-        self.factors = factors
+        self.plan, self.children = plan, children
 
     def _eval(self, ctx, w):
-        at = ctx.at
-        factors = self.factors
-        values = [
-            at(B, assemble(blocks))
-            for cut in _cut_plan(len(w), self.spec)
-            for blocks in (cut(w),)
-            for B, assemble in factors
-        ]
-        terms = zip(*[iter(values)] * len(factors))  # one tuple of factors per cut
-        return sum_of_products(terms, self.sign, ctx.lanes)
+        letters, words, terms = self.plan(len(w))
+        if letters:  # over the prefix u-sums U and the v's V of w, V[r] = 0
+            U, V = [0, *itertools.accumulate(x.u for x in w)], [*(x.v for x in w), 0]
+            w = (*w, *[Biletter(U[hi] - U[lo], V[k] - V[s]) for lo, hi, k, s in letters])
+        at, moulds = ctx.at, (self, *self.children)
+        values = [at(moulds[role], get(w)) for role, get in words]
+        values.append(ctx.negs)
+        return sum_of_products([term(values) for term in terms], 1, ctx.lanes)
 
 
-_first, _second = itemgetter(0), itemgetter(1)
+_a, _b, _c = map(itemgetter, range(3))  # the blocks of a cut w = abc, as they are
 
 
 def Mu(A: Mould, B: Mould, proper: int = 0) -> Mould:
@@ -729,7 +794,7 @@ def Mu(A: Mould, B: Mould, proper: int = 0) -> Mould:
     """
     name = ("mu", "mu'", "mu''")[proper]
     cls = LIE if proper else product_class(A, B)
-    return Cuts(name, cls, ("**", "+*", "++")[proper], ((A, _first), (B, _second)))
+    return Cuts(name, cls, cut_plan(("**", "+*", "++")[proper], ((1, _a), (2, _b))), (A, B))
 
 
 def product_class(A: Mould, B: Mould) -> str:
@@ -753,23 +818,14 @@ def lu(A: Mould, B: Mould) -> Mould:
     return Mu(A, B) - Mu(B, A)
 
 
-class Invmu(Cuts):
-    """mu-inverse: X(empty)=1, X(w) = -sum_{w=ab, a nonempty} A(a) X(b)."""
-
-    __slots__ = ()
-    sign = -1
-
-    def __init__(self, A: Mould, name: str = "invmu"):
-        if A.empty_class != GROUP:
-            raise ValueError(f"{name} needs a group-class mould, got {A.empty_class} ({A.name})")
-        super().__init__(name, GROUP, "+*", ((A, _first), (self, _second)))
-
-    def _eval(self, ctx, w):
-        return Cuts._eval(self, ctx, w) if w else ctx.ones
+_invmu_plan = cut_plan("+*", ((1, _a), (0, _b)), True)
 
 
 def invmu(A: Mould) -> Mould:
-    return Invmu(A)
+    """mu-inverse: X(empty)=1, X(w) = -sum_{w=ab, a nonempty} A(a) X(b)."""
+    if A.empty_class != GROUP:
+        raise ValueError(f"invmu needs a group-class mould, got {A.empty_class} ({A.name})")
+    return Cuts("invmu", GROUP, _invmu_plan, (A,))
 
 
 # ---------------------------------------------------------------------------

@@ -6,22 +6,16 @@ its inverse and quotient, the exponential/logarithm pair expari/logari, the
 inner action adari, the twisted products swamu/answamu, and the swap
 conjugates gira/preira/girat.
 
-amit, anit, swamu and answamu are ``engine.Cuts`` nodes: sums over the
-two- or three-block factorizations of w, whose factors read children at
-words that one-argument functions assemble from a cut's blocks (``_ful_ab``
-and the like).  invgari is the ``engine.Invmu`` of its own garit graph.
+amit, anit, swamu and answamu are ``engine.cut_plan`` sums over the two-
+or three-block factorizations of w, whose factors read children at words
+that one-argument functions assemble from a cut's blocks (``_ful_ab`` and
+the like).  invgari is the invmu plan over its own garit graph.  gaxit and
+gaxit_inv are ``engine.Cuts`` nodes of the block/gap plan ``_gaxit_plan``,
+written with the flexions of its definition and compiled once per length.
 
 expari, logari, adari_series and the dilator extraction are ``engine.Lin``
 series: at length r each is a weighted sum of at most r + 1 nodes at the
 same word, whose powers or iterates ``engine.iterates`` builds on first use.
-
-The gaxit sum at a word of length r depends on the word only through its
-u prefix sums and v coordinates, so it is compiled once per length into
-index tables (``_gaxit_plan``).  One ``Gaxit`` node is both gaxit and, with
-``inverse`` set, gaxit_inv; it evaluates each distinct factor of a call
-once, in first-use order (T, then X1..Xs, then Y1..Ys, term after term), so
-a skip names the same first singular factor as a term-by-term sum, and adds
-the products with one reduction.
 
 Solvable inverses (invgari, logari, gaxit_inv, dilator extraction) are
 length recursions: at word length r the unknown enters linearly with unit
@@ -43,20 +37,21 @@ from .engine import (
     GROUP,
     LIE,
     Cuts,
-    Invmu,
     Lin,
     Mould,
     Mu,
+    _invmu_plan,
+    compile_plan,
+    cut_plan,
     invmu,
     iterates,
     lu,
     one,
     product_class,
     push,
-    sum_of_products,
     swap,
 )
-from .words import Biletter, Word, fll, flr, ful, fur
+from .words import fll, flr, ful, fur
 
 
 # ---------------------------------------------------------------------------
@@ -86,12 +81,12 @@ def _fur_ab_c(blocks):
 
 def amit(X: Mould, A: Mould) -> Mould:
     """amit(X,A)(w) = sum_{w=abc, b,c nonempty} A(a . ful(b,c)) X(flr(b,c))."""
-    return Cuts("amit", LIE, "*++", ((A, _a_ful_bc), (X, _flr_bc)))
+    return Cuts("amit", LIE, cut_plan("*++", ((1, _a_ful_bc), (2, _flr_bc))), (A, X))
 
 
 def anit(X: Mould, A: Mould) -> Mould:
     """anit(X,A)(w) = sum_{w=abc, a,b nonempty} A(fur(a,b) . c) X(fll(a,b))."""
-    return Cuts("anit", LIE, "++*", ((A, _fur_ab_c), (X, _fll_ab)))
+    return Cuts("anit", LIE, cut_plan("++*", ((1, _fur_ab_c), (2, _fll_ab))), (A, X))
 
 
 def axit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -122,135 +117,79 @@ def ari(A: Mould, B: Mould) -> Mould:
 
 
 @functools.cache
-def _gaxit_plan(r: int, skip_identity: bool = False):
-    """The gaxit sum at word length ``r``, compiled once: ``(letters, words, terms)``.
+def _gaxit_plan(inverse: bool):
+    """The plan of gaxit(X, Y)(A), roles A 1, X 2 and Y 3, or of gaxit_inv.
 
     Kept positions form a nonempty subset; its maximal runs are the blocks.
     The gap before the first block is a1, the gap after the last is cs, and
     each interior gap is split every way into c_i . a_{i+1}.  A term is
     T(inner) X(flr(a1, b1))...X(flr(as, bs)) Y(fll(b1, c1))...Y(fll(bs, cs)),
-    where the inner word concatenates ful(a_i, fur(b_i, c_i)).  At r = 0 the
-    one term is T at the empty word, the identity term.
-
-    Letter i < r is the word's own letter i; ``letters`` lists the others,
-    numbered from r, each ``(lo, hi, k, s)`` the letter
-    ``(U[hi] - U[lo], V[k] - V[s])`` over the prefix u-sums U and the v
-    coordinates V of the word, with ``V[r] = 0``.  So T's letters sum the u
-    of their absorbed gaps, X's word is a_i shifted by its block's first v,
-    and Y's word is c_i shifted by its block's last v.  ``words`` lists
-    every distinct factor once as ``(role, letter indices)``, role 0, 1 or 2
-    picking T, X or Y.  ``terms`` holds each term as a tuple of indices into
-    ``words``, which are numbered in first use (T, then X1..Xs, then
-    Y1..Ys, term after term), so evaluating ``words`` in order meets the
-    first singular factor of the term-by-term sum.
+    the inner word the concatenated ful(a_i, fur(b_i, c_i)), and T is A; at
+    length 0 the one term is T at the empty word.  gaxit_inv solves
+    gaxit(X,Y)(B) = A by length recursion: B(w) is A(w) minus every term but
+    the identity (all positions kept), with T the node itself.
     """
-    if r == 0:
-        return ((), (), ()) if skip_identity else ((), ((0, ()),), ((0,),))
-    letters: dict = {}  # recipe -> letter index, from r up
-    words: dict = {}  # (role, letter indices) -> word index, in first use
-    terms = []
+    T = 0 if inverse else 1
 
-    def letter(lo, hi, k, s):
-        if (lo, hi, s) == (k, k + 1, r):
-            return k
-        return letters.setdefault((lo, hi, k, s), r + len(letters))
+    def terms(word):
+        r = len(word)
+        full = (1 << r) - 1
+        if inverse:
+            yield False, [(1, word)]
+        for mask in range(1, full + 1) if r else (0,):
+            if inverse and mask == full:
+                continue
+            runs = []  # [p, q) per block
+            for i in range(r):
+                if mask >> i & 1:
+                    if runs and runs[-1][1] == i:
+                        runs[-1][1] = i + 1
+                    else:
+                        runs.append([i, i + 1])
+            gaps = [range(q, p + 1) for (_, q), (p, _) in zip(runs, runs[1:])]
+            for cuts in itertools.product(*gaps):
+                a = [word[lo:p] for (p, _), lo in zip(runs, (0, *cuts))]
+                b = [word[p:q] for p, q in runs]
+                c = [word[q:hi] for (_, q), hi in zip(runs, (*cuts, r))]
+                inner = sum((ful(x, fur(y, z)) for x, y, z in zip(a, b, c)), ())
+                xs, ys = [(2, flr(x, y)) for x, y in zip(a, b)], [(3, fll(y, z)) for y, z in zip(b, c)]
+                yield inverse, [(T, inner), *xs, *ys]
 
-    def use(role, indices):
-        return words.setdefault((role, tuple(indices)), len(words))
-
-    full = (1 << r) - 1
-    for mask in range(1, full + 1):
-        if skip_identity and mask == full:
-            continue
-        runs = []  # [p, q) per block
-        for i in range(r):
-            if mask >> i & 1:
-                if runs and runs[-1][1] == i:
-                    runs[-1][1] = i + 1
-                else:
-                    runs.append([i, i + 1])
-        gaps = [range(q, p + 1) for (_, q), (p, _) in zip(runs, runs[1:])]
-        for cuts in itertools.product(*gaps):
-            starts = (0, *cuts)  # a_i spans starts[i]..p_i
-            ends = (*cuts, r)  # c_i spans q_i..ends[i]
-            inner = []
-            for (p, q), lo, hi in zip(runs, starts, ends):
-                inner += [letter(lo if k == p else k, hi if k == q - 1 else k + 1, k, r) for k in range(p, q)]
-            xs = [[letter(j, j + 1, j, p) for j in range(lo, p)] for (p, _), lo in zip(runs, starts)]
-            ys = [[letter(j, j + 1, j, q - 1) for j in range(q, hi)] for (_, q), hi in zip(runs, ends)]
-            terms.append((use(0, inner), *[use(1, x) for x in xs], *[use(2, y) for y in ys]))
-    return tuple(letters), tuple(words), tuple(terms)
+    return compile_plan(terms)
 
 
-def _gaxit_sum(ctx, T: Mould, X: Mould, Y: Mould, w: Word, skip_identity: bool = False):
-    """The gaxit sum at the lattice word ``w``: each distinct letter and each
-    distinct factor of the plan is built once, the factors are evaluated in
-    plan order, and the products are summed with one reduction."""
-    letters, words, terms = _gaxit_plan(len(w), skip_identity)
-    U = [0]
-    for x in w:
-        U.append(U[-1] + x.u)
-    V = [x.v for x in w]
-    V.append(0)
-    table = [*w, *[Biletter(U[hi] - U[lo], V[k] - V[s]) for lo, hi, k, s in letters]]
-    moulds = (T, X, Y)
-    values = [ctx.at(moulds[role], tuple([table[i] for i in indices])) for role, indices in words]
-    return sum_of_products((map(values.__getitem__, term) for term in terms), 1, ctx.lanes)
-
-
-class Gaxit(Mould):
-    """gaxit(X,Y)(A): block/gap sum with X acting from the left gaps and Y
-    from the right gaps; the blocks absorb their gaps' u-sums.
-
-    With ``inverse`` set the node is gaxit_inv, which solves gaxit(X,Y)(B) = A
-    for B by length recursion: every non-identity term evaluates B at
-    strictly shorter words, and the identity term (all positions kept, no
-    gaps) has unit coefficient for group-class X, Y.
-    """
-
-    __slots__ = ("X", "Y", "A", "inverse")
-
-    def __init__(self, X: Mould, Y: Mould, A: Mould, inverse: bool = False):
-        name = "gaxit_inv" if inverse else "gaxit"
-        for m, side in ((X, "X"), (Y, "Y")):
-            if m.empty_class != GROUP:
-                raise ValueError(f"{name} needs group-class {side}, got {m.empty_class} ({m.name})")
-        super().__init__(name, A.empty_class)
-        self.X = X
-        self.Y = Y
-        self.A = A
-        self.inverse = inverse
-
-    def _eval(self, ctx, w):
-        if self.inverse:
-            value = ctx.at(self.A, w)
-            rest = _gaxit_sum(ctx, self, self.X, self.Y, w, skip_identity=True)
-            return sum_of_products(((value,), (ctx.negs, rest)), 1, ctx.lanes)
-        return _gaxit_sum(ctx, self.A, self.X, self.Y, w)
+def _gaxit(X: Mould, Y: Mould, A: Mould, inverse: bool = False) -> Mould:
+    """gaxit(X,Y)(A) or gaxit_inv: X acts from the left gaps and Y from the
+    right gaps, and the blocks absorb their gaps' u-sums."""
+    name = "gaxit_inv" if inverse else "gaxit"
+    for m, side in ((X, "X"), (Y, "Y")):
+        if m.empty_class != GROUP:
+            raise ValueError(f"{name} needs group-class {side}, got {m.empty_class} ({m.name})")
+    return Cuts(name, A.empty_class, _gaxit_plan(inverse), (A, X, Y))
 
 
 def gaxit(X: Mould, Y: Mould, A: Mould) -> Mould:
-    return Gaxit(X, Y, A)
+    return _gaxit(X, Y, A)
 
 
 def gamit(X: Mould, A: Mould) -> Mould:
-    return Gaxit(X, one(), A)
+    return _gaxit(X, one(), A)
 
 
 def ganit(Y: Mould, A: Mould) -> Mould:
-    return Gaxit(one(), Y, A)
+    return _gaxit(one(), Y, A)
 
 
 def gaxit_inv(X: Mould, Y: Mould, A: Mould) -> Mould:
-    return Gaxit(X, Y, A, inverse=True)
+    return _gaxit(X, Y, A, inverse=True)
 
 
 def gamit_inv(X: Mould, A: Mould) -> Mould:
-    return Gaxit(X, one(), A, inverse=True)
+    return _gaxit(X, one(), A, inverse=True)
 
 
 def ganit_inv(Y: Mould, A: Mould) -> Mould:
-    return Gaxit(one(), Y, A, inverse=True)
+    return _gaxit(one(), Y, A, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +198,7 @@ def ganit_inv(Y: Mould, A: Mould) -> Mould:
 
 
 def garit(S: Mould, A: Mould) -> Mould:
-    return Gaxit(S, invmu(S), A)
+    return _gaxit(S, invmu(S), A)
 
 
 def gari(A: Mould, B: Mould) -> Mould:
@@ -269,14 +208,14 @@ def gari(A: Mould, B: Mould) -> Mould:
 def invgari(A: Mould) -> Mould:
     """gari-inverse: the unique group-class X with gari(A, X) = 1.
 
-    gari(A,X) = mu(garit(X)(A), X) = 1 means X = invmu(garit(X)(A)), so this
-    is an ``Invmu`` whose operand is the self-referential garit graph; the
-    operand consumes X only at strictly shorter words, so the recursion
-    terminates.
+    gari(A,X) = mu(garit(X)(A), X) = 1 means X = invmu(garit(X)(A)): the
+    invmu plan over the self-referential garit graph, which reads X only at
+    strictly shorter words, so the recursion terminates.
     """
-    node = Invmu(A, "invgari")
-    (_, first), rest = node.factors  # the operand reads the first block
-    node.factors = ((garit(node, A), first), rest)
+    if A.empty_class != GROUP:
+        raise ValueError(f"invgari needs a group-class mould, got {A.empty_class} ({A.name})")
+    node = Cuts("invgari", GROUP, _invmu_plan, ())
+    node.children = (garit(node, A),)
     return node
 
 
@@ -353,12 +292,12 @@ def adari_inv(M: Mould, A: Mould) -> Mould:
 
 def swamu(A: Mould, B: Mould) -> Mould:
     """swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b))."""
-    return Cuts("swamu", product_class(A, B), "**", ((A, _ful_ab), (B, _flr_ab)))
+    return Cuts("swamu", product_class(A, B), cut_plan("**", ((1, _ful_ab), (2, _flr_ab))), (A, B))
 
 
 def answamu(A: Mould, B: Mould) -> Mould:
     """answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b))."""
-    return Cuts("answamu", product_class(A, B), "**", ((A, _fur_ab), (B, _fll_ab)))
+    return Cuts("answamu", product_class(A, B), cut_plan("**", ((1, _fur_ab), (2, _fll_ab))), (A, B))
 
 
 def gira(A: Mould, B: Mould) -> Mould:

@@ -24,8 +24,6 @@ and the triple-split e_ter inverse is a ``Cuts`` sum over w = abc.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .canonical import (
     FlexionUnit,
     ganit_oz_inv,
@@ -39,6 +37,10 @@ from .engine import (
     Cuts,
     Lin,
     Mould,
+    _a,
+    _b,
+    _c,
+    cut_plan,
     invmu,
     mantar,
     mu,
@@ -181,8 +183,8 @@ def e_ter(U: FlexionUnit, B: Mould) -> Mould:
     corrections cancel for every B.
     """
     E = mould_E(U)
-    last = Cuts("e_ter_last", LIE, "*1", ((B, itemgetter(0)), (E, itemgetter(1))))
-    flexed = Cuts("e_ter_flexed", LIE, "*1", ((B, _fur_ab), (E, _fll_ab)))
+    last = Cuts("e_ter_last", LIE, cut_plan("*1", ((1, _a), (2, _b))), (B, E))
+    flexed = Cuts("e_ter_flexed", LIE, cut_plan("*1", ((1, _fur_ab), (2, _fll_ab))), (B, E))
     terms = ((1, B), (-1, last), (1, flexed))
     return Lin("e_ter", lambda r: terms)
 
@@ -205,8 +207,8 @@ def e_ter_inv_triple(U: FlexionUnit, B: Mould) -> Mould:
         B(fur(a, b)) . invmu(es)(fll(a, b)) . es(c)  summed over w = abc.
     """
     es = mould_es(U)
-    factors = ((B, _fur_ab), (invmu(es), _fll_ab), (es, itemgetter(2)))
-    return Cuts("e_ter_inv_triple", B.empty_class, "***", factors)
+    plan = cut_plan("***", ((1, _fur_ab), (2, _fll_ab), (3, _c)))
+    return Cuts("e_ter_inv_triple", B.empty_class, plan, (B, invmu(es), es))
 
 
 # ---------------------------------------------------------------------------

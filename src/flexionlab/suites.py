@@ -63,6 +63,7 @@ from .canonical import (
     recip,
     ro_component,
     solve_dilator_ode,
+    tripartite_sides,
 )
 from .engine import (
     DigestMould,
@@ -156,7 +157,7 @@ from .symmetry import (
     o_alternal_routes_agree,
     pushsym,
 )
-from .words import EMPTY, bl, flr, fll, ful, fur, shuffles, word
+from .words import EMPTY, flr, fll, ful, fur, shuffles, word
 
 __all__ = [
     "Config",
@@ -476,18 +477,9 @@ def _suite_unit_axioms() -> Suite:
             (w_conj, Fraction(1, 3), Fraction(1, 2) - Fraction(1, 6)),
         ]
         P, C = _polar(), get_unit("polar-conjugate")
-
-        def lhs_rhs(U, w):
-            w1, w2 = w
-            lhs = U.E(w1) * U.E(w2)
-            rhs = U.E(bl(w1.u + w2.u, w1.v)) * U.E(bl(w2.u, w2.v - w1.v)) + U.E(
-                bl(w1.u + w2.u, w2.v)
-            ) * U.E(bl(w1.u, w1.v - w2.v))
-            return lhs, rhs
-
         checked = []
         for (w, want_lhs, want_rhs), U in zip(rows, (P, C)):
-            lhs, rhs = lhs_rhs(U, w)
+            lhs, rhs = tripartite_sides(U, *w)
             checked.append((w, lhs, rhs))
             # pin the arithmetic itself, not just lhs == rhs
             checked.append((w, lhs, want_lhs))

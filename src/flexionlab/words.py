@@ -13,9 +13,9 @@ and ``BASE`` = lcm(1..10) = 2520 is the scale of every sampled word.
 
 Being linear, they also work on *packed* words, which carry the lattice words
 of n lanes at once: each coordinate is the int sum of x_i * 2^(K*i) over the
-lanes i, for the lane width K that ``lane_width`` derives from the words.
-``pack`` builds such a word and ``unpack`` reads one packed coordinate back
-into its n lattice ints.
+lanes i, for the lane width K that ``lane_width`` derives from the lattice
+words.  ``pack`` builds such a word from the lattice words of the lanes and
+``unpack`` reads one packed coordinate back into its n lattice ints.
 """
 
 from __future__ import annotations
@@ -273,30 +273,32 @@ def to_lattice(w: Word, scale: int) -> Word:
 # lanes never carry into each other.
 
 
-def lane_width(lane_words: Sequence[Word], scale: int) -> int:
-    """Bits per lane K for packing ``lane_words``, one checked word per lane,
-    all of one length r, on the lattice of ``scale``: with M their largest
-    lattice coordinate, a packed coordinate holds lane ints x with
-    |x| < 2^(K-2), and 2^(K-2) > 2*max(r, 2)*M."""
-    largest = max((abs(c) for w in lane_words for x in to_lattice(w, scale) for c in x), default=0)
+def lane_width(lane_words: Sequence[Word]) -> int:
+    """Bits per lane K for packing the lattice words ``lane_words``, one
+    checked word per lane, all of one length r: with M their largest
+    coordinate, a packed coordinate holds lane ints x with |x| < 2^(K-2),
+    and 2^(K-2) > 2*max(r, 2)*M."""
+    largest = max((abs(c) for w in lane_words for x in w for c in x), default=0)
     return (2 * max(len(lane_words[0]), 2) * largest).bit_length() + 2
 
 
-def pack(lane_words: Sequence[Word], scale: int, width: int) -> Word:
-    """The packed word of the lattice words of ``lane_words``, lane i at bit
+def pack(lane_words: Sequence[Word], width: int) -> Word:
+    """The packed word of the lattice words ``lane_words``, lane i at bit
     ``width * i``; all lanes have one length, and a coordinate x with
-    |x| >= 2^(width-2) raises ``OverflowError``."""
+    |x| >= 2^(width-2) raises ``OverflowError``.  One lane is its own
+    packed word."""
     limit = 1 << (width - 2)
-    lanes = [to_lattice(w, scale) for w in lane_words]
-    for x in lanes:
+    for x in lane_words:
         for c in x:
             if not -limit < c[0] < limit or not -limit < c[1] < limit:
                 raise OverflowError(f"lattice coordinate past the lane bound 2^{width - 2}: {x!r}")
+    if len(lane_words) == 1:
+        return lane_words[0]
 
     def coord(xs):
         return sum(x << (width * i) for i, x in enumerate(xs))
 
-    return tuple(Biletter(coord(us), coord(vs)) for us, vs in (zip(*col) for col in zip(*lanes)))
+    return tuple(Biletter(coord(us), coord(vs)) for us, vs in (zip(*col) for col in zip(*lane_words)))
 
 
 def unpack(x: int, lanes: int, width: int) -> list[int]:

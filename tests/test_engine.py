@@ -23,14 +23,18 @@ from flexionlab.engine import (
     FuncMould,
     LetterMould,
     Lin,
+    Mould,
     Mu,
     Report,
     SamplePlan,
     Scalar,
-    _cut_plan,
+    _a,
+    _b,
+    _c,
     anti,
     check_identity,
     constant_lanes,
+    cut_plan,
     der,
     derived_rng,
     gantar,
@@ -57,6 +61,8 @@ from flexionlab.words import (
     DivByZero,
     bl,
     coprime_fraction,
+    fll,
+    flr,
     ful,
     negate,
     reverse,
@@ -1010,17 +1016,23 @@ def test_proper_mu_drops_its_end_terms(ev, w):
 
 
 def test_cut_plans_list_the_block_lengths_of_every_spec_in_order():
-    # every spec of two or three blocks at r <= 5, against the block lengths
-    # enumerated by brute force in lexicographic order; two kinds that shared
-    # a cache key would give the second spec looked up the first one's plan
+    # every spec of two or three blocks at r <= 5, each cut's blocks read
+    # back through the plan's getters, against the block lengths enumerated
+    # by brute force in lexicographic order; two kinds that shared a cache
+    # key would give the second spec looked up the first one's plan
     fits = {"*": lambda n: True, "+": lambda n: n >= 1, "1": lambda n: n == 1}
     for k in (2, 3):
+        blocks = tuple(enumerate((_a, _b, _c)[:k], 1))  # block i in role i + 1
         for spec in map("".join, itertools.product("*+1", repeat=k)):
             for r in range(6):
                 w = tuple(range(r))
-                plan_ = _cut_plan(r, spec)
-                assert all(sum(cut(w), ()) == w for cut in plan_)
-                got = [tuple(map(len, cut(w))) for cut in plan_]
+                letters, words, terms = cut_plan(spec, blocks)(r)
+                assert letters == ()  # blocks as they are derive no letter
+                factors = [[words[i] for i in term(range(len(words) + 1))] for term in terms]
+                assert all([role for role, _ in cut] == list(range(1, k + 1)) for cut in factors)
+                cuts = [tuple(get(w) for _, get in cut) for cut in factors]
+                assert all(sum(cut, ()) == w for cut in cuts)
+                got = [tuple(map(len, cut)) for cut in cuts]
                 want = [
                     lengths
                     for lengths in itertools.product(range(r + 1), repeat=k)
@@ -1029,4 +1041,36 @@ def test_cut_plans_list_the_block_lengths_of_every_spec_in_order():
                 assert got == want, (spec, r)
     for spec in ("*", "*2", "", "+-"):
         with pytest.raises(ValueError, match="cut spec"):
-            Cuts("bad", LIE, spec, ())
+            cut_plan(spec, ())
+
+
+def test_a_plan_compiles_only_assemblies_with_letter_recipes():
+    # a derived letter is (U[hi] - U[lo], V[k] - V[s]): the u-sum of one run
+    # and the difference of two v's; u-sums of two runs that are not
+    # adjacent, or v's of two different shifts, have no such recipe
+    def ful_across_m(blocks):  # the u-sum of p moved past the letter m
+        return ful(blocks[0], blocks[2])
+
+    def fll_of_flr(blocks):  # two shifts in a row
+        return fll(blocks[0], flr(blocks[1], blocks[2]))
+
+    with pytest.raises(ValueError, match="not adjacent"):
+        cut_plan("+1+", ((1, ful_across_m),))(3)
+    with pytest.raises(ValueError, match="different shifts"):
+        cut_plan("+++", ((1, fll_of_flr),))(3)
+    # the flexions of adjacent blocks give one recipe per distinct letter
+    letters, words, terms = cut_plan("**", ((1, lambda b: ful(b[0], b[1])), (2, lambda b: flr(b[0], b[1]))))(2)
+    assert letters == ((0, 2, 1, 2), (0, 1, 0, 1))  # ful and flr of the cut at 1
+    assert len(words) == 6 and len(terms) == 3
+
+
+def test_the_node_classes_are_the_seven_of_one_op_vocabulary():
+    import flexionlab.suites  # noqa: F401  (imports every module that builds nodes)
+
+    found, stack = set(), [Mould]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            if cls.__module__.startswith("flexionlab"):
+                found.add(cls.__name__)
+            stack.append(cls)
+    assert found == {"Scalar", "LetterMould", "FuncMould", "DigestMould", "Lin", "Transform", "Cuts"}

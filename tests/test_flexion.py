@@ -44,7 +44,6 @@ from flexionlab.engine import (
 )
 from flexionlab.flexion import (
     _gaxit_plan,
-    _gaxit_sum,
     adari,
     adari_inv,
     adari_series,
@@ -255,14 +254,16 @@ def test_gaxit_plan_has_a_fibonacci_number_of_terms():
         fib.append(fib[-1] + fib[-2])
     for r in range(1, 7):
         w = words_of_length(r, 1, seed=r)[0]
-        assert len(_gaxit_plan(r)[-1]) == len(gaxit_terms(w)) == fib[2 * r]
-        assert len(_gaxit_plan(r, True)[-1]) == len(gaxit_terms(w, True)) == fib[2 * r] - 1
+        assert len(_gaxit_plan(False)(r)[-1]) == len(gaxit_terms(w)) == fib[2 * r]
+        # gaxit_inv: A at w, then every term but the identity
+        assert len(_gaxit_plan(True)(r)[-1]) - 1 == len(gaxit_terms(w, True)) == fib[2 * r] - 1
 
 
 class _Recorder:
     """A stand-in one-lane context that records each factor lookup and returns 1/1."""
 
     lanes = 1
+    negs = (-1, 1)
 
     def __init__(self):
         self.calls = []
@@ -272,20 +273,21 @@ class _Recorder:
         return (1, 1)
 
 
-@pytest.mark.parametrize("skip_identity", [False, True])
-def test_gaxit_evaluates_each_distinct_factor_once_in_first_use_order(skip_identity):
-    T, X, Y = digest(90), group(91), group(92)
-    moulds = {"T": T, "X": X, "Y": Y}
+@pytest.mark.parametrize("inverse", [False, True])
+def test_gaxit_evaluates_each_distinct_factor_once_in_first_use_order(inverse):
+    A, X, Y = digest(90), group(91), group(92)
+    node = gaxit_inv(X, Y, A) if inverse else gaxit(X, Y, A)
+    moulds = {"T": node if inverse else A, "X": X, "Y": Y}
     for r in range(6):
         w = words_of_length(r, 1, seed=50 + r)[0]
-        terms = gaxit_terms(w, skip_identity)
-        expected = []
+        terms = gaxit_terms(w, inverse)
+        expected = [(A, w)] if inverse else []  # gaxit_inv reads A at w first
         for term in terms:
             for role, u in term:
                 if (moulds[role], u) not in expected:
                     expected.append((moulds[role], u))
         ctx = _Recorder()
-        assert _gaxit_sum(ctx, T, X, Y, w, skip_identity) == (len(terms), 1)
+        assert node._eval(ctx, w) == ((1 - len(terms) if inverse else len(terms)), 1)
         assert ctx.calls == expected
 
 

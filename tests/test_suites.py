@@ -23,12 +23,13 @@ from flexionlab.engine import (
     Report,
     SamplePlan,
     check_identity,
+    cut_plan,
     leng_r,
     one,
     push,
     zero,
 )
-from flexionlab.flexion import ari, arit
+from flexionlab.flexion import _gaxit_plan, ari, arit
 from flexionlab.suites import (
     ALL_SUITE,
     Config,
@@ -230,9 +231,11 @@ def test_runs_are_deterministic():
 
 
 def test_parallel_run_matches_sequential():
-    seq = run_suites(["unit-axioms", "negelon"], SMALL).to_json()
+    # the swamu suite's product nodes make each worker compile its own plans
+    names = ["unit-axioms", "negelon", "swamu"]
+    seq = run_suites(names, SMALL).to_json()
     par_cfg = Config(max_length=3, samples=2, jobs=2)
-    par = run_suites(["unit-axioms", "negelon"], par_cfg).to_json()
+    par = run_suites(names, par_cfg).to_json()
     # the jobs knob is echoed in the config but must not affect any result
     seq["config"].pop("jobs")
     par["config"].pop("jobs")
@@ -428,6 +431,8 @@ def test_engine_counters_over_every_item_pin_the_graph_shapes():
     # word) moves these counts even when every value stays the same.  At one
     # sample every walk is one lane and starts from an empty memo, a singular
     # walk runs to its end, and div_by_zero counts the singular samples.
+    # A product node reads each distinct factor of a call once, so a factor
+    # that several terms share is one memo lookup per call, not one per term.
     cfg = Config(max_length=3, samples=1, jobs=1)
     total = Counter()
     for suite in SUITES.values():
@@ -435,7 +440,19 @@ def test_engine_counters_over_every_item_pin_the_graph_shapes():
             ctx = EvalContext(retry_cap=cfg.retry_cap)
             item.run(cfg, ctx)
             total.update(ctx.stats)
-    assert total == {"evals": 152460, "memo_hits": 128765, "div_by_zero": 2}
+    assert total == {"evals": 152460, "memo_hits": 126729, "div_by_zero": 2}
+
+
+def test_a_second_run_compiles_no_new_plan():
+    # a plan is cached per pattern of shared objects and per length, so a run
+    # that builds the same graphs again finds every plan compiled; an
+    # assembly made anew for each node (an inline itemgetter) would add a
+    # cache entry per node and run
+    cfg = Config(max_length=3, samples=1, jobs=1)
+    run_suites("all", cfg)
+    sizes = cut_plan.cache_info().currsize, _gaxit_plan.cache_info().currsize
+    run_suites("all", cfg)
+    assert (cut_plan.cache_info().currsize, _gaxit_plan.cache_info().currsize) == sizes
 
 
 def test_items_that_check_nothing_are_not_ok():

@@ -243,7 +243,7 @@ def lane_ints(draw):
     lanes = draw(st.integers(1, 4))
     length = draw(st.integers(0, 4))
     M = draw(st.integers(0, Bounds().max_num * BASE))
-    width = lane_width([(Biletter(Fraction(M, BASE), Fraction(-M, BASE)),) * length], BASE)
+    width = lane_width([(Biletter(M, -M),) * length])
     if length:
         # room for every coordinate derived from a word of that length
         assert 1 << (width - 2) > 2 * max(length, 2) * M
@@ -258,10 +258,10 @@ def lane_ints(draw):
 @settings(max_examples=80, deadline=None)
 def test_packing_round_trips_up_to_the_lane_bound(case):
     lanes, length, width, ints = case
-    lane_words = [tuple(Biletter(Fraction(u, BASE), Fraction(v, BASE)) for u, v in w) for w in ints]
-    packed = pack(lane_words, BASE, width)
+    lane_words = [tuple(Biletter(u, v) for u, v in w) for w in ints]
+    packed = pack(lane_words, width)
     assert len(packed) == length
-    assert _lanes_of(packed, lanes, width) == [to_lattice(w, BASE) for w in lane_words]
+    assert _lanes_of(packed, lanes, width) == lane_words
 
 
 @given(lane_ints(), st.data())
@@ -276,9 +276,9 @@ def test_a_coordinate_past_the_lane_bound_raises(case, data):
     if length:
         i = data.draw(st.integers(0, length - 1))
         ints[lane][i] = (past, ints[lane][i][1])
-        lane_words = [tuple(Biletter(Fraction(u, BASE), Fraction(v, BASE)) for u, v in w) for w in ints]
+        lane_words = [tuple(Biletter(u, v) for u, v in w) for w in ints]
         with pytest.raises(OverflowError):
-            pack(lane_words, BASE, width)
+            pack(lane_words, width)
     # on unpacking: a packed int whose lane holds a value past the bound
     coords = [0] * lanes
     coords[lane] = past
@@ -302,8 +302,9 @@ def test_flexions_and_swap_of_packed_words_unpack_to_each_lane(lanes, la, lb, bo
     scale = BASE
     for w in full:
         scale = lattice_scale(w, scale)
-    width = lane_width(full, scale)
-    pa, pb = pack(a, scale, width), pack(b, scale, width)
+    width = lane_width([to_lattice(w, scale) for w in full])
+    pa = pack([to_lattice(w, scale) for w in a], width)
+    pb = pack([to_lattice(w, scale) for w in b], width)
     for f in (ful, fur, fll, flr):
         got = _lanes_of(f(pa, pb), lanes, width)
         assert got == [to_lattice(f(x, y), scale) for x, y in zip(a, b)]
