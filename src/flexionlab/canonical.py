@@ -8,13 +8,16 @@ series To, the dilator D, the dilator-flow solution S of der(S) =
 preari(S, D), and finally the secondary pair: dotted = invgari(S) and
 plain = swap(dotted).
 
-No node class lives here.  The weight components are one ``engine.Cuts``
-sum over the marked letter of w = p.m.q (``mould_ro``), and the flow is a
-self-referential ``engine.Lin`` over an ``arit`` term and a ``Cuts``
-product, like the solvers of ``flexion``.
+No node class lives here.  The unit letters E and O and the closed forms
+of oz, os and es are ``engine.FuncMould`` leaves.  The weight components
+are one ``engine.Cuts`` sum over the marked letter of w = p.m.q
+(``mould_ro``), and the flow is a self-referential ``engine.Lin`` over an
+``arit`` term and a ``Cuts`` product, like the solvers of ``flexion``.
 
-Everything is cached per unit so expression graphs (and hence memo entries)
-are shared across identities in a run.
+Everything is cached per unit, so a named mould is one node per process.
+Memos belong to a walk, so the cache shares no values across identities;
+it makes a walk that reaches a mould through several operators keep one
+memo table for it, and builds the mould's term tables once.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .engine import (
     LIE,
     Cuts,
     FuncMould,
-    LetterMould,
     Lin,
     Mould,
     _a,
@@ -42,7 +44,7 @@ from .engine import (
     swap,
 )
 from .flexion import _flr_ab, arit, ganit, ganit_inv, invgari
-from .words import Biletter, DivByZero, Rat, Word, coprime_fraction, fll, ful, fur
+from .words import Biletter, DivByZero, Rat, coprime_fraction, fll, ful, fur
 
 UnitFn = Callable[[Biletter], Rat]
 
@@ -148,11 +150,11 @@ _REGISTRY["polar-conjugate"] = _polar.conjugate()
 
 def mould_E(U: FlexionUnit) -> Mould:
     """The unit as a length-1 mould (0 at every other length)."""
-    return U._cached("E", lambda: LetterMould(f"E[{U.name}]", U.E))
+    return U._cached("E", lambda: FuncMould(f"E[{U.name}]", U.E, LIE, 1))
 
 
 def mould_O(U: FlexionUnit) -> Mould:
-    return U._cached("O", lambda: LetterMould(f"O[{U.name}]", U.O))
+    return U._cached("O", lambda: FuncMould(f"O[{U.name}]", U.O, LIE, 1))
 
 
 def mould_oz(U: FlexionUnit) -> Mould:
@@ -167,7 +169,7 @@ def mould_ez(U: FlexionUnit) -> Mould:
 def oz_closed(U: FlexionUnit) -> Mould:
     """Independent closed form of oz: the plain product of O over the letters."""
 
-    def fn(w: Word) -> Rat:
+    def fn(*w: Biletter) -> Rat:
         total = Fraction(1)
         for x in w:
             total *= U.O(x)
@@ -179,7 +181,7 @@ def oz_closed(U: FlexionUnit) -> Mould:
 def mould_os(U: FlexionUnit) -> Mould:
     """os(w) = prod_i O(u1+...+ui ; v_i - v_{i-1}) with v_0 := 0."""
 
-    def fn(w: Word) -> Rat:
+    def fn(*w: Biletter) -> Rat:
         total = Fraction(1)
         acc_u = Fraction(0)
         prev_v = Fraction(0)
@@ -200,7 +202,7 @@ def mould_es(U: FlexionUnit) -> Mould:
 def es_closed(U: FlexionUnit) -> Mould:
     """Derived closed form of es: prod_i E(u1+...+ui ; v_i - v_{i+1}), v_{r+1} := 0."""
 
-    def fn(w: Word) -> Rat:
+    def fn(*w: Biletter) -> Rat:
         total = Fraction(1)
         acc_u = Fraction(0)
         r = len(w)

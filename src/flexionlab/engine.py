@@ -46,16 +46,24 @@ one dict slot and no key object.  Each lane count has one shared all-0,
 all-1 and all-(-1) value (``constant_lanes``, held as ``ctx.zeros``,
 ``ctx.ones`` and ``ctx.negs``), and ``ctx.const(c)`` gives the shared value
 of any constant c.  The kernel returns the shared zeros for a sum that is 0
-in every lane, skips a factor that is the shared ones and, with sign +1,
-returns a lone remaining factor itself.
+in every lane, skips a factor that is the shared ones and returns the
+lone remaining factor of a one-term sum itself; a negated term carries a
+``ctx.negs`` factor.
+
+``FuncMould`` is the one leaf: a function of the word's letters, called
+through ``ctx.apply``.  A lie-class leaf is 0 at the empty word and a leaf
+of a set ``length`` is 0 at every other length, neither calling its
+function there.  The unit letters, the seeded digests (``DigestMould``) and
+the closed forms of ``canonical`` are leaves.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), built once
 per length, and its empty-word class is derived from those terms at length
-0.  ``+``, ``-``, scalar ``*``, ``pari``, ``der`` and ``leng_r`` build
-one, and so do e_ter, the dilator flow and the truncated series of the
-other modules; ``iterates`` builds the lazy sequences of nodes (powers,
-push iterates) that such a series runs over.
+0.  A constant is a term with no child, and ``Scalar(c)`` is the ``Lin``
+with the one term c at length 0.  ``+``, ``-``, scalar ``*``, ``pari``,
+``der`` and ``leng_r`` build one, and so do e_ter, the dilator flow and the
+truncated series of the other modules; ``iterates`` builds the lazy
+sequences of nodes (powers, push iterates) that such a series runs over.
 
 ``anti``, ``neg``, ``swap`` and ``mantar`` are one ``Transform`` node that
 evaluates its operand at ``reverse(w)``, ``negate(w)`` or
@@ -72,9 +80,8 @@ builds the two-block product; ``proper`` 1 drops the cut with an empty left
 block and 2 drops both end cuts, so a solver's self-referential recursion
 never reaches the full word.
 
-The node classes are the leaves ``Scalar``, ``LetterMould``, ``FuncMould``
-and ``DigestMould``, and ``Lin``, ``Transform`` and ``Cuts``; every operator
-of the other modules is a graph of them.
+The node classes are ``FuncMould``, ``Lin``, ``Transform`` and ``Cuts``;
+every operator of the other modules is a graph of them.
 
 ``sample_points`` is the one sampling loop behind every randomized checker:
 it draws seeded random words per shape and compares two exact values per
@@ -103,7 +110,6 @@ from _blake2 import blake2b
 from .words import (
     BASE,
     Biletter,
-    Bounds,
     DivByZero,
     Rat,
     Word,
@@ -354,9 +360,9 @@ def constant_lanes(lanes: int) -> tuple[Lanes, Lanes, Lanes]:
     return lane_constant(0, 1, lanes), lane_constant(1, 1, lanes), lane_constant(-1, 1, lanes)
 
 
-def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int = 1) -> Lanes:
-    """``sign`` times the sum over ``terms`` of the product of each term's
-    factors, lane by lane.
+def sum_of_products(terms: Iterable[Iterable[Lanes]], lanes: int = 1) -> Lanes:
+    """The sum over ``terms`` of the product of each term's factors, lane by
+    lane.
 
     Each factor is a flat tuple of ``lanes`` (numerator, denominator) int
     pairs in lowest terms with positive denominators, and the result is one
@@ -368,13 +374,13 @@ def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int 
     as a term-by-term sum.
 
     The result allocates only what it must.  A factor that is the shared
-    ones of ``constant_lanes`` is skipped; with ``sign`` 1, one term with one
-    factor left returns that factor itself, and one with none left the shared
-    ones; a sum that is 0 in every lane is the shared zeros.
+    ones of ``constant_lanes`` is skipped; one term with one factor left
+    returns that factor itself, and one with none left the shared ones; a
+    sum that is 0 in every lane is the shared zeros.
     """
     zeros, ones, _ = constant_lanes(lanes)
     terms = [tuple(factors) for factors in terms]  # each lane reads them again
-    if sign == 1 and len(terms) == 1:
+    if len(terms) == 1:
         rest = [f for f in terms[0] if f is not ones]
         if len(rest) < 2:
             return rest[0] if rest else ones
@@ -399,7 +405,7 @@ def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int 
                 den = den // g * d
         if num:
             g = gcd(num, den)
-            out += (sign * num // g, den // g)
+            out += (num // g, den // g)
             zero = False
         else:
             out += (0, 1)
@@ -411,19 +417,11 @@ def sum_of_products(terms: Iterable[Iterable[Lanes]], sign: int = 1, lanes: int 
 # ---------------------------------------------------------------------------
 
 
-class Scalar(Mould):
-    """c at the empty word, 0 elsewhere (the unit mould for c=1)."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, c):
-        c = Fraction(c)
-        cls = LIE if c == 0 else (GROUP if c == 1 else FREE)
-        super().__init__(f"scalar[{rat_str(c)}]", cls)
-        self.c = c
-
-    def _eval(self, ctx, w):
-        return ctx.zeros if w else ctx.const(self.c)
+def Scalar(c) -> Mould:
+    """c at the empty word, 0 elsewhere (the unit mould for c=1): a ``Lin``
+    whose one term, at length 0, is the constant c."""
+    c = Fraction(c)
+    return Lin(f"scalar[{rat_str(c)}]", lambda r: () if r else ((c, None),))
 
 
 def one() -> Mould:
@@ -434,64 +432,46 @@ def zero() -> Mould:
     return Scalar(0)
 
 
-class LetterMould(Mould):
-    """Length-1 concentrated mould given by a function of a single bi-letter."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, name: str, fn: Callable[[Biletter], Rat]):
-        super().__init__(name, LIE)
-        self.fn = fn
-
-    def _eval(self, ctx, w):
-        if len(w) != 1:
-            return ctx.zeros
-        return ctx.apply(self.fn, w[0])
-
-
 class FuncMould(Mould):
-    """General mould defined by an explicit word function."""
+    """The one leaf: ``fn`` of a word's letters, called through ``ctx.apply``.
 
-    __slots__ = ("fn",)
+    ``fn`` takes the ``Fraction`` letters as positional arguments.  The leaf
+    is 0 without calling ``fn`` at the empty word when it is lie-class, and
+    at every length other than ``length`` when that is set: the unit
+    letters E and O are lie-class leaves of length 1.
+    """
 
-    def __init__(self, name: str, fn: Callable[[Word], Rat], empty_class: str):
+    __slots__ = ("fn", "length")
+
+    def __init__(self, name: str, fn: Callable[..., Rat], empty_class: str, length: Optional[int] = None):
         super().__init__(name, empty_class)
-        self.fn = fn
+        self.fn, self.length = fn, length
 
     def _eval(self, ctx, w):
-        return ctx.apply(self._on_letters, *w)
+        if (not w and self.empty_class == LIE) or (self.length is not None and len(w) != self.length):
+            return ctx.zeros
+        return ctx.apply(self.fn, *w)
 
-    def _on_letters(self, *letters):
-        return self.fn(letters)
 
-
-class DigestMould(Mould):
-    """Deterministic pseudorandom lie-class mould: a seeded digest of the word.
+def DigestMould(seed: int, tag: str = "") -> Mould:
+    """Deterministic pseudorandom lie-class leaf: a seeded digest of the word.
 
     Values are bounded rationals depending on the exact word, stable across
     processes (blake2b, not Python's salted hash).
     """
+    name = f"generic[{seed}{',' + tag if tag else ''}]"
+    return FuncMould(name, functools.partial(_digest, repr((seed, tag)).encode()), LIE)
 
-    __slots__ = ("seed",)
 
-    def __init__(self, seed: int, tag: str = ""):
-        super().__init__(f"generic[{seed}{',' + tag if tag else ''}]", LIE)
-        self.seed = (seed, tag)
-
-    def _eval(self, ctx, w):
-        if not w:
-            return ctx.zeros
-        return ctx.apply(self._digest, *w)
-
-    def _digest(self, *letters):
-        h = blake2b(digest_size=16)
-        h.update(repr(self.seed).encode())
-        for x in letters:
-            h.update(f"{x.u.numerator}/{x.u.denominator};{x.v.numerator}/{x.v.denominator}|".encode())
-        d = int.from_bytes(h.digest(), "big")
-        num = d % 41 - 20
-        den = (d >> 16) % 7 + 1
-        return Fraction(num, den)
+def _digest(seed: bytes, *letters: Biletter) -> Rat:
+    h = blake2b(digest_size=16)
+    h.update(seed)
+    for x in letters:
+        h.update(f"{x.u.numerator}/{x.u.denominator};{x.v.numerator}/{x.v.denominator}|".encode())
+    d = int.from_bytes(h.digest(), "big")
+    num = d % 41 - 20
+    den = (d >> 16) % 7 + 1
+    return Fraction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +526,7 @@ class Lin(Mould):
     def _eval(self, ctx, w):
         at, const = ctx.at, ctx.const
         products = [(const(c),) if B is None else (const(c), at(B, w)) for c, B in self.terms_at(len(w))]
-        return sum_of_products(products, 1, ctx.lanes)
+        return sum_of_products(products, ctx.lanes)
 
 
 def _lin_class(terms: Terms) -> str:
@@ -601,7 +581,7 @@ class Transform(Mould):
     def _eval(self, ctx, w):
         val = ctx.at(self.A, self.f(w))
         if self.parity and not len(w) % 2:
-            return sum_of_products(((val,),), -1, ctx.lanes)
+            return sum_of_products(((ctx.negs, val),), ctx.lanes)
         return val
 
 
@@ -777,7 +757,7 @@ class Cuts(Mould):
         at, moulds = ctx.at, (self, *self.children)
         values = [at(moulds[role], get(w)) for role, get in words]
         values.append(ctx.negs)
-        return sum_of_products([term(values) for term in terms], 1, ctx.lanes)
+        return sum_of_products([term(values) for term in terms], ctx.lanes)
 
 
 _a, _b, _c = map(itemgetter, range(3))  # the blocks of a cut w = abc, as they are
@@ -838,7 +818,6 @@ class SamplePlan:
     max_length: int = 4
     samples_per_length: int = 4
     seed: int = 0
-    bounds: Bounds = Bounds()
 
     def __post_init__(self):
         if self.max_length < 0 or self.samples_per_length < 1:
@@ -955,7 +934,7 @@ def sample_points(
 
         def draw(i, attempt):
             rng = derived_rng(plan.seed, name, *label, i, attempt)
-            return [sample_word(rng, n, plan.bounds) for n in lengths]
+            return [sample_word(rng, n) for n in lengths]
 
         points: list[PointRecord] = [None] * (plan.samples_per_length if length else 1)
         pending = range(len(points))

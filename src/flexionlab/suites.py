@@ -299,9 +299,9 @@ def _fk_expansion_check(
     )
 
     def evaluate(a, b):
-        lhs = sum_of_products([(ctx.at(F, s),) for s in shuffles(a, b)], 1, ctx.lanes)
+        lhs = sum_of_products([(ctx.at(F, s),) for s in shuffles(a, b)], ctx.lanes)
         rhs = _fk_terms(ctx, A, B, a, b) + _fk_terms(ctx, A, B, b, a)
-        return lhs, sum_of_products(rhs, 1, ctx.lanes)
+        return lhs, sum_of_products(rhs, ctx.lanes)
 
     return sample_points(ctx, plan, name, shapes, evaluate)
 

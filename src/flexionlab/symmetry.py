@@ -162,8 +162,8 @@ def _check_shuffle(
 
     def evaluate(a, b):
         n = ctx.lanes
-        lhs = sum_of_products([(ctx.at(A, s),) for s in shuffles(a, b)], 1, n)
-        rhs = sum_of_products([(ctx.at(A, a), ctx.at(A, b))] if symmetral else [], 1, n)
+        lhs = sum_of_products([(ctx.at(A, s),) for s in shuffles(a, b)], n)
+        rhs = sum_of_products([(ctx.at(A, a), ctx.at(A, b))] if symmetral else [], n)
         return lhs, rhs
 
     return sample_points(ctx, plan, name, shapes, evaluate)

@@ -308,7 +308,7 @@ def sampled_points(ctx, plan, name: str, shapes, evaluate) -> list[dict]:
             lhs = rhs = detail = None
             for attempt in range(ctx.retry_cap + 1):
                 rng = derived_rng(plan.seed, name, *label, i, attempt)
-                parts = [sample_word(rng, n, plan.bounds) for n in lengths]
+                parts = [sample_word(rng, n) for n in lengths]
                 try:
                     lhs, rhs = evaluate(*parts)
                 except DivByZero as exc:

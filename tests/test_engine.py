@@ -21,7 +21,6 @@ from flexionlab.engine import (
     DigestMould,
     EvalContext,
     FuncMould,
-    LetterMould,
     Lin,
     Mould,
     Mu,
@@ -93,11 +92,34 @@ def test_scalar_classes():
 
 
 def test_letter_mould_concentrated_at_length_1(ev):
-    L = LetterMould("u-part", lambda x: x.u)
+    L = FuncMould("u-part", lambda x: x.u, LIE, 1)
     assert ev(L, W1) == 2
     assert ev(L, EMPTY) == 0
     assert ev(L, W2) == 0
     assert L.empty_class == LIE
+
+
+def test_a_leaf_calls_its_function_only_where_it_can_be_nonzero(ev):
+    # a lie-class leaf is 0 at the empty word and a leaf of a set length is
+    # 0 at every other length, neither calling its function there
+    calls = []
+
+    def fn(*letters):
+        calls.append(letters)
+        return Fraction(len(letters) + 1)
+
+    lie, free = FuncMould("lie", fn, LIE), FuncMould("free", fn, FREE)
+    assert ev(lie, EMPTY) == 0 and calls == []
+    assert ev(free, EMPTY) == 1 and calls == [()]
+    assert ev(lie, W2) == 3 and calls[-1] == W2
+    calls.clear()
+    letter = FuncMould("letter", fn, LIE, 1)
+    assert [ev(letter, w) for w in (EMPTY, W1, W2, W3)] == [0, 2, 0, 0]
+    assert calls == [W1]
+    calls.clear()
+    pinned = FuncMould("pinned", fn, FREE, 2)
+    assert [ev(pinned, w) for w in (EMPTY, W1, W2, W3)] == [0, 0, 3, 0]
+    assert calls == [W2]
 
 
 def test_digest_mould_deterministic_and_lie(ev):
@@ -202,7 +224,7 @@ def test_non_fraction_coordinates_raise_instead_of_taking_an_entry(letter):
     assert _entries(ctx.memo) == 1
 
 
-def _coords(w):
+def _coords(*w):
     """A word function that reads every coordinate (an independent oracle)."""
     return sum(((i + 1) * x.u - x.u * x.v for i, x in enumerate(w)), Fraction(1))
 
@@ -214,18 +236,18 @@ def test_off_lattice_word_gives_the_oracle_values(ctx, ev):
     A, B = DigestMould(91), DigestMould(92)
     F = FuncMould("coords", _coords, FREE)
     assert ev(Mu(A, B), OFF_LATTICE) == mu2_value(ev, A, B, OFF_LATTICE)
-    assert ev(swap(F), OFF_LATTICE) == _coords(swap_image(OFF_LATTICE))
-    assert ev(neg(F), OFF_LATTICE) == _coords(negate(OFF_LATTICE))
-    assert ev(LetterMould("v", lambda x: x.v), OFF_LATTICE[:1]) == Fraction(2, 13)
+    assert ev(swap(F), OFF_LATTICE) == _coords(*swap_image(OFF_LATTICE))
+    assert ev(neg(F), OFF_LATTICE) == _coords(*negate(OFF_LATTICE))
+    assert ev(FuncMould("v", lambda x: x.v, LIE, 1), OFF_LATTICE[:1]) == Fraction(2, 13)
     assert ctx.scale == 2520 * 11 * 13
     seen = []
-    value = ctx.apply(lambda *letters: seen.append(letters) or _coords(letters), *to_lattice(OFF_LATTICE, ctx.scale))
+    value = ctx.apply(lambda *letters: seen.append(letters) or _coords(*letters), *to_lattice(OFF_LATTICE, ctx.scale))
     assert seen == [OFF_LATTICE]
-    assert value == (_coords(OFF_LATTICE).numerator, _coords(OFF_LATTICE).denominator)
+    assert value == (_coords(*OFF_LATTICE).numerator, _coords(*OFF_LATTICE).denominator)
 
 
 def test_div_by_zero_trail_keeps_fraction_words(ctx):
-    def singular(w):
+    def singular(*w):
         raise DivByZero("always singular")
 
     w = word([("1/2", "3"), ("1/11", "-1")])
@@ -239,11 +261,11 @@ def test_two_lattices_in_one_context_give_the_oracle_values():
     S = swap(FuncMould("coords", _coords, FREE))
     on = word([("1/2", "3"), ("5", "-1/4")])
     value = ctx.eval(S, on)
-    assert value == _coords(swap_image(on))
+    assert value == _coords(*swap_image(on))
     assert ctx.scale == BASE and _counts(ctx) == (2, 0)
     # one walk runs on the lcm lattice of all its words: a base-lattice word
     # lies on the larger lattice too
-    off = _coords(swap_image(OFF_LATTICE))
+    off = _coords(*swap_image(OFF_LATTICE))
     assert _walk_values(ctx, S, on, OFF_LATTICE, on) == [value, off, value]
     assert ctx.scale == 2520 * 11 * 13 and _entries(ctx.memo) == 4
     assert _counts(ctx) == (6, 1)
@@ -330,13 +352,14 @@ def test_sum_of_products_equals_the_fraction_sum(terms, sign):
             total += product
         expected.append(sign * total)
     for lanes in (1, 2):
-        zeros, ones, _ = constant_lanes(lanes)
-        values = [[_factor(f, lanes) for f in factors] for factors in terms]
-        got = sum_of_products(values, sign, lanes)
+        zeros, ones, negs = constant_lanes(lanes)
+        signs = [] if sign == 1 else [negs]  # a negated term carries a negs factor
+        values = [signs + [_factor(f, lanes) for f in factors] for factors in terms]
+        got = sum_of_products(values, lanes)
         assert _is_value(got, lanes)
         assert got == _flat(*expected[:lanes])
         rest = [f for f in values[0] if f is not ones] if len(values) == 1 else []
-        if sign == 1 and len(rest) == 1:
+        if len(rest) == 1:
             assert got is rest[0]  # a lone factor passes through
         elif not any(expected[:lanes]):
             assert got is zeros
@@ -345,22 +368,22 @@ def test_sum_of_products_equals_the_fraction_sum(terms, sign):
 def test_an_all_zero_sum_is_the_shared_zeros():
     zeros, ones, negs = constant_lanes(3)
     a = _flat(Fraction(1, 2), Fraction(-3), Fraction(7, 5))
-    assert sum_of_products([(a,), (negs, a)], 1, 3) is zeros
-    assert sum_of_products([(a, zeros), (ones, zeros)], -1, 3) is zeros
-    assert sum_of_products([], 1, 3) is zeros
+    assert sum_of_products([(a,), (negs, a)], 3) is zeros
+    assert sum_of_products([(negs, a, zeros), (negs, ones, zeros)], 3) is zeros
+    assert sum_of_products([], 3) is zeros
     # a lane that sums to 0 holds 0/1
     b = _flat(Fraction(-1, 2), Fraction(3), Fraction(0))
-    assert sum_of_products([(a,), (b,)], 1, 3) == (0, 1, 0, 1, 7, 5)
+    assert sum_of_products([(a,), (b,)], 3) == (0, 1, 0, 1, 7, 5)
 
 
 def test_a_lone_unit_coefficient_term_is_its_factor(ctx):
     zeros, ones, negs = constant_lanes(2)
     a = _flat(Fraction(1, 3), Fraction(-2))
-    assert sum_of_products([(a,)], 1, 2) is a
-    assert sum_of_products([(ones, a)], 1, 2) is a
-    assert sum_of_products([(a, ones, ones)], 1, 2) is a
-    assert sum_of_products([(ones, a)], -1, 2) == _flat(Fraction(-1, 3), Fraction(2))
-    assert sum_of_products([(negs, a)], 1, 2) == _flat(Fraction(-1, 3), Fraction(2))
+    assert sum_of_products([(a,)], 2) is a
+    assert sum_of_products([(ones, a)], 2) is a
+    assert sum_of_products([(a, ones, ones)], 2) is a
+    assert sum_of_products([(negs, ones, a)], 2) == _flat(Fraction(-1, 3), Fraction(2))
+    assert sum_of_products([(negs, a)], 2) == _flat(Fraction(-1, 3), Fraction(2))
     # a constant is the shared value of its lane count, so a Lin node with
     # one unit term holds its child's value object
     assert ctx.const(1) is ctx.const(Fraction(2, 2)) is ctx.ones
@@ -380,7 +403,7 @@ def _singular_at(*bad: Biletter) -> FuncMould:
     """A lie-class leaf that divides by zero exactly at the words whose
     first letter is in ``bad``."""
 
-    def fn(w):
+    def fn(*w):
         if w and w[0] in bad:
             raise DivByZero("singular lane")
         return sum((x.u * (i + 2) for i, x in enumerate(w)), Fraction(0))
@@ -412,14 +435,13 @@ def test_a_poisoned_lane_survives_the_shared_constants():
 
 
 def test_a_lane_walk_holds_one_all_zero_value():
-    # ari of a digest and a letter mould is 0 at many words of a walk (the
-    # digest at the empty word, the letter mould off length 1, the products
+    # ari of a digest and a one-letter leaf is 0 at many words of a walk (the
+    # digest at the empty word, the one-letter leaf off length 1, the products
     # and sums of those); each of them must be the one shared value, not a
     # tuple of its own
-    F = ari(DigestMould(1), LetterMould("u+v", lambda x: x.u + x.v))
+    F = ari(DigestMould(1), FuncMould("u+v", lambda x: x.u + x.v, LIE, 1))
     ctx = EvalContext()
-    bounds = SamplePlan().bounds
-    samples = [[sample_word(derived_rng(0, "zeros", i), 3, bounds)] for i in range(4)]
+    samples = [[sample_word(derived_rng(0, "zeros", i), 3)] for i in range(4)]
     held = {}
 
     def evaluate(w):
@@ -437,7 +459,7 @@ def test_the_empty_word_check_skips_poisoned_lanes():
     # a group-class leaf that divides by zero everywhere poisons every lane
     # of the walk at the empty word too, where 0 stands in for its value 1:
     # the class check must let those lanes through to be resampled
-    def singular(w):
+    def singular(*w):
         raise DivByZero("always singular")
 
     S = FuncMould("always-singular", singular, GROUP)
@@ -479,12 +501,12 @@ def test_a_leaf_that_divides_by_zero_poisons_its_lane_only():
         ctx.eval(G, w1)
     assert [name for name, _ in exc.value.trail] == ["singular-lane", "mu", "add"]
     assert ctx.stats["div_by_zero"] == 1
-    assert sum_of_products([], 1, 3) == (0, 1) * 3
+    assert sum_of_products([], 3) == (0, 1) * 3
     with pytest.raises(IndexError):
         sum_of_products([((Fraction(1),), (Fraction(2),))])  # a tuple of Fractions is not a value
 
 
-def _singular_on_thirds(w):
+def _singular_on_thirds(*w):
     # singular wherever a letter's u has a numerator divisible by 3, so the
     # transforms above it meet the pole at other words in other frames
     if any(x.u.numerator % 3 == 0 for x in w):
@@ -498,8 +520,7 @@ def test_a_poisoned_lane_keeps_the_error_its_word_raises_alone():
     # lane's word alone
     S = FuncMould("thirds-singular", _singular_on_thirds, LIE)
     G = pari(Mu(DigestMould(9), swap(S)) + der(anti(S)))
-    bounds = SamplePlan().bounds
-    words = [sample_word(derived_rng(2, "trails", i), 3, bounds) for i in range(3)]
+    words = [sample_word(derived_rng(2, "trails", i), 3) for i in range(3)]
     ctx = EvalContext()
     _, poisoned = ctx.walk(lambda w: (ctx.at(G, w), ctx.zeros), [[w] for w in words])
     assert 0 < len(poisoned) < 3
@@ -541,11 +562,10 @@ def test_a_lane_walk_memo_holds_node_tables_of_word_ids_and_flat_int_values():
             visited.add(sum(w, ()))
             return super().at(A, w)
 
-    F = ari(DigestMould(1), LetterMould("u+v", lambda x: x.u + x.v))
+    F = ari(DigestMould(1), FuncMould("u+v", lambda x: x.u + x.v, LIE, 1))
     G = F + Fraction(2, 3) * Mu(DigestMould(2), one() + DigestMould(3))
     ctx = Recording()
-    bounds = SamplePlan().bounds
-    samples = [[sample_word(derived_rng(0, "memo", i), 3, bounds)] for i in range(3)]
+    samples = [[sample_word(derived_rng(0, "memo", i), 3)] for i in range(3)]
     held = {}
 
     def evaluate(w):
@@ -573,8 +593,7 @@ def test_node_tables_key_their_entries_by_the_word_tables_id_objects():
     # for the identity check to see a copied key.
     F = gari(one() + DigestMould(1), one() + DigestMould(2))
     ctx = EvalContext()
-    bounds = SamplePlan().bounds
-    samples = [[sample_word(derived_rng(0, "ids", i), 6, bounds)] for i in range(3)]
+    samples = [[sample_word(derived_rng(0, "ids", i), 6)] for i in range(3)]
     held = {}
 
     def evaluate(w):
@@ -760,7 +779,7 @@ _CLASS = {"L": LIE, "G": GROUP, "F": FREE}
 _OPERANDS = {
     LIE: DigestMould(60),
     GROUP: one() + DigestMould(61),
-    FREE: FuncMould("free", lambda w: Fraction(2), FREE),
+    FREE: FuncMould("free", lambda *w: Fraction(2), FREE),
 }
 UNARY_CLASSES = {
     "smul[0]": (lambda A: 0 * A, "LLL"),
@@ -800,7 +819,7 @@ def test_binary_linear_nodes_keep_their_empty_class(name):
 
 
 def test_div_by_zero_trail_names_every_linear_node(ctx):
-    def singular(w):
+    def singular(*w):
         raise DivByZero("always singular")
 
     A, B = DigestMould(62), FuncMould("always-singular", singular, LIE)
@@ -846,7 +865,7 @@ def test_check_identity_length_0_only(ctx):
 
 
 def test_check_identity_skip_semantics_and_detail(ctx):
-    def singular(w):
+    def singular(*w):
         raise DivByZero("always singular")
 
     S = FuncMould("always-singular", singular, LIE)
@@ -887,7 +906,7 @@ def test_check_identity_resamples_on_div_by_zero(ctx):
     # retry that point with a fresh word and end up passing
     first_bad: dict = {"word": None}
 
-    def sometimes(w):
+    def sometimes(*w):
         if len(w) == 1 and first_bad["word"] in (None, w):
             first_bad["word"] = w
             raise DivByZero("unlucky draw")
@@ -931,13 +950,13 @@ def test_sample_points_shapes_words_and_split(ctx):
     assert all(pt.status == "pass" for pt in rep.points)
     for i, pt in enumerate(rep.points[:2]):
         rng = derived_rng(7, "shapes", "pair", 2, 1, i, 0)
-        a, b = sample_word(rng, 2, p.bounds), sample_word(rng, 1, p.bounds)
+        a, b = sample_word(rng, 2), sample_word(rng, 1)
         assert seen[i] == (a, b)
         assert pt.word == a + b and pt.split == 2
     assert seen[2] == (EMPTY,)
     assert rep.points[2].word == EMPTY and rep.points[2].split is None
     for i, pt in enumerate(rep.points[3:]):
-        w = sample_word(derived_rng(7, "shapes", "one", i, 0), 3, p.bounds)
+        w = sample_word(derived_rng(7, "shapes", "one", i, 0), 3)
         assert seen[3 + i] == (w,)
         assert pt.word == w and pt.split is None
 
@@ -949,10 +968,11 @@ def test_sampler_frees_its_context_without_the_cyclic_collector():
     class Tracked(EvalContext):
         pass
 
-    def singular(w):
+    def singular(*w):
         raise DivByZero("always singular")
 
-    S = FuncMould("always-singular", singular, LIE)
+    # free, so that it is called, and skipped, at the empty word too
+    S = FuncMould("always-singular", singular, FREE)
     p = SamplePlan(max_length=1, samples_per_length=2, seed=5)
     ctx = Tracked(retry_cap=1)
     ref = weakref.ref(ctx)
@@ -985,9 +1005,9 @@ def test_a_sample_singular_at_its_first_draw_costs_one_more_walk():
 
     p = SamplePlan(max_length=0, samples_per_length=3, seed=6)
     shapes = [(("two",), (2,))]
-    bad = sample_word(derived_rng(6, "walks", "two", 1, 0), 2, p.bounds)
+    bad = sample_word(derived_rng(6, "walks", "two", 1, 0), 2)
 
-    def fn(w):
+    def fn(*w):
         if w == bad:
             raise DivByZero("first draw of sample 1")
         return Fraction(0)
@@ -999,7 +1019,7 @@ def test_a_sample_singular_at_its_first_draw_costs_one_more_walk():
         rep = sample_points(ctx, p, "walks", shapes, lambda w: (ctx.at(G, w), ctx.at(G, w)))
         assert [pt.status for pt in rep.points] == ["pass"] * 3
         assert ctx.walks == walks and ctx.stats["div_by_zero"] == int(singular)
-    assert rep.points[1].word == sample_word(derived_rng(6, "walks", "two", 1, 1), 2, p.bounds)
+    assert rep.points[1].word == sample_word(derived_rng(6, "walks", "two", 1, 1), 2)
 
 
 @pytest.mark.parametrize("w", [W1, W2, W3])
@@ -1064,7 +1084,7 @@ def test_a_plan_compiles_only_assemblies_with_letter_recipes():
     assert len(words) == 6 and len(terms) == 3
 
 
-def test_the_node_classes_are_the_seven_of_one_op_vocabulary():
+def test_the_node_classes_are_the_four_of_one_op_vocabulary():
     import flexionlab.suites  # noqa: F401  (imports every module that builds nodes)
 
     found, stack = set(), [Mould]
@@ -1073,4 +1093,4 @@ def test_the_node_classes_are_the_seven_of_one_op_vocabulary():
             if cls.__module__.startswith("flexionlab"):
                 found.add(cls.__name__)
             stack.append(cls)
-    assert found == {"Scalar", "LetterMould", "FuncMould", "DigestMould", "Lin", "Transform", "Cuts"}
+    assert found == {"FuncMould", "Lin", "Transform", "Cuts"}

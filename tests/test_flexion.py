@@ -576,7 +576,7 @@ def _singular_off_empty(name, empty_class=GROUP, shortest=1):
     """Mould of the given class, singular at every word of ``shortest`` or
     more letters and 1 at the shorter nonempty words."""
 
-    def fn(w):
+    def fn(*w):
         if len(w) >= shortest:
             raise DivByZero(f"{name} is singular")
         return Fraction(1 if w or empty_class == GROUP else 0)

@@ -15,6 +15,7 @@ from oracles import fk_expansion_sides, sampled_points, shuffle_rec
 from flexionlab import suites
 from flexionlab.canonical import recip
 from flexionlab.engine import (
+    FREE,
     LIE,
     DigestMould,
     EvalContext,
@@ -288,7 +289,7 @@ def test_item_time_is_kept_out_of_json_and_equality():
     assert "seconds" not in result.to_json()
 
 
-def _singular(w):
+def _singular(*w):
     raise DivByZero("forced singular value")
 
 
@@ -314,7 +315,8 @@ TWO_PART = {"check_alternal", "check_symmetral", "_fk_expansion_check"}
 def test_skipped_points_keep_word_split_and_detail(checker, samples):
     # with three samples, the points of a shape are the lanes of one walk,
     # every lane is poisoned, and each is resampled until it is skipped
-    singular = FuncMould("singular", _singular, LIE)
+    # free, so that it is called, and skipped, at the empty word too
+    singular = FuncMould("singular", _singular, FREE)
     cfg = Config(max_length=3, samples=samples, retry_cap=2)
     report = SKIP_CHECKERS[checker](singular, cfg, EvalContext(retry_cap=cfg.retry_cap))
     assert report.points and report.status == "fail"
@@ -329,7 +331,7 @@ def test_skipped_points_keep_word_split_and_detail(checker, samples):
         assert "forced singular value" in point.detail
 
 
-def _sometimes_singular(w):
+def _sometimes_singular(*w):
     # singular wherever a letter's u has a numerator divisible by 4: about a
     # quarter of the sampled letters, and of the letters derived from them
     total = Fraction(0)
