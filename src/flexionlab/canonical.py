@@ -8,9 +8,12 @@ series To, the dilator D, the dilator-flow solution S of der(S) =
 preari(S, D), and finally the secondary pair: dotted = invgari(S) and
 plain = swap(dotted).
 
-No node class lives here.  The unit letters E and O and the closed forms
-of oz, os and es are ``engine.FuncMould`` leaves.  The weight components
-are one ``engine.Cuts`` sum over the marked letter of w = p.m.q
+No node class lives here.  The unit letters E and O, the closed forms of
+oz, os and es and the two sides of the tripartite relation are
+``engine.FuncMould`` leaves.  Every registered unit passes
+``check_tripartite``, which compares those sides on
+``engine.sample_points``, the sampler of every other identity.  The weight
+components are one ``engine.Cuts`` sum over the marked letter of w = p.m.q
 (``mould_ro``), and the flow is a self-referential ``engine.Lin`` over an
 ``arit`` term and a ``Cuts`` product, like the solvers of ``flexion``.
 
@@ -29,18 +32,20 @@ from .engine import (
     GROUP,
     LIE,
     Cuts,
+    EvalContext,
     FuncMould,
     Lin,
     Mould,
+    SamplePlan,
     _a,
     _b,
     _c,
     cut_plan,
-    derived_rng,
     invmu,
     leng_r,
     one,
     pari,
+    sample_points,
     swap,
 )
 from .flexion import _flr_ab, arit, ganit, ganit_inv, invgari
@@ -98,26 +103,19 @@ def tripartite_sides(U: FlexionUnit, x1: Biletter, x2: Biletter) -> tuple[Rat, R
     return lhs, rhs
 
 
-def check_tripartite(U: FlexionUnit, seed: int = 0, samples: int = 20) -> bool:
-    """The tripartite relation (``tripartite_sides``) at sampled letters;
-    resamples singular configurations."""
-    rng = derived_rng("tripartite", U.name, seed)
-    checked = 0
-    attempts = 0
-    while checked < samples:
-        attempts += 1
-        if attempts > 50 * samples:
-            raise RuntimeError(f"could not sample {samples} regular tripartite points for {U.name}")
-        vals = [Fraction(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(4)]
-        u1, v1, u2, v2 = vals
-        try:
-            lhs, rhs = tripartite_sides(U, Biletter(u1, v1), Biletter(u2, v2))
-        except DivByZero:
-            continue
-        if lhs != rhs:
-            return False
-        checked += 1
-    return True
+def check_tripartite(U: FlexionUnit, seed: int = 0, ctx: EvalContext | None = None) -> bool:
+    """The tripartite relation (``tripartite_sides``) at 20 sampled words of
+    two letters: its sides are two length-2 leaves that ``sample_points``
+    compares as the identity ``tripartite[<unit>]``, resampling a singular
+    word up to the retry cap of ``ctx`` (a fresh ``EvalContext`` if None).
+    The check passes when no sample fails and at least one is regular."""
+    ctx = ctx if ctx is not None else EvalContext()
+    lhs = FuncMould(f"tripartite-lhs[{U.name}]", lambda x1, x2: tripartite_sides(U, x1, x2)[0], LIE, 2)
+    rhs = FuncMould(f"tripartite-rhs[{U.name}]", lambda x1, x2: tripartite_sides(U, x1, x2)[1], LIE, 2)
+    plan = SamplePlan(max_length=2, samples_per_length=20, seed=seed)
+    shapes = (((2,), (2,)),)
+    report = sample_points(ctx, plan, f"tripartite[{U.name}]", shapes, lambda w: (ctx.at(lhs, w), ctx.at(rhs, w)))
+    return report.status == "pass"
 
 
 _REGISTRY: dict[str, FlexionUnit] = {}
@@ -140,7 +138,7 @@ def get_unit(name: str) -> FlexionUnit:
 
 _polar = FlexionUnit("polar", lambda x: recip(x.u), lambda x: recip(x.v))
 register_unit(_polar)
-_REGISTRY["polar-conjugate"] = _polar.conjugate()
+register_unit(_polar.conjugate())
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Command-line interface: ``flexionlab verify`` / ``flexionlab list-suites``.
 
-Verdicts and serialized JSON are deterministic functions of the
-configuration (unit, lengths, samples, seed, retry cap); the worker count
-and wall time never leak into reports, so two runs with the same
-configuration emit byte-identical JSON.
+Verdicts and serialized JSON are deterministic functions of the options
+(unit, lengths, samples, seed, retry cap, jobs), so two runs with the same
+options emit byte-identical JSON.  Wall time never enters a JSON report.
+The worker count changes no verdict and no point, but the echoed config
+carries it as ``jobs``: runs that differ only in ``--jobs`` differ only in
+those lines.
 
 A JSON report is the chunks of one ``json.JSONEncoder.iterencode`` over the
 ``to_json()`` tree, written in batches of ``_BATCH`` chunks. Joining them
@@ -103,7 +105,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         get_unit(args.unit)
     except KeyError as exc:
-        args.parser.error(str(exc))
+        args.parser.error(exc.args[0])
     for flag, value, low in (
         ("--max-length", args.max_length, 0),
         ("--samples", args.samples, 1),
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--report", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="write the report to this path")
-    verify.set_defaults(run=_cmd_verify)
+    verify.set_defaults(run=_cmd_verify, parser=verify)
 
     listing = sub.add_parser("list-suites", help="list registered suites with anchors")
     listing.add_argument("--report", choices=("text", "json"), default="text")
@@ -189,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    args.parser = parser
+    args = build_parser().parse_args(argv)
     return args.run(args)
 
 

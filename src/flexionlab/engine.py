@@ -87,7 +87,9 @@ every operator of the other modules is a graph of them.
 it draws seeded random words per shape and compares two exact values per
 sample.  Each attempt is one walk over the samples of the shape still
 pending; a poisoned sample is drawn again at the next attempt, up to the
-context's retry cap.  ``check_identity`` compares two graphs on it.
+context's retry cap.  ``check_identity`` compares two graphs on it, and
+``canonical.check_tripartite`` the two sides of the tripartite relation,
+two leaves of length 2, on two-letter words.
 """
 
 from __future__ import annotations

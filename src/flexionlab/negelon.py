@@ -147,15 +147,6 @@ def aux_identities(n_max: int = 12) -> Report:
     return report
 
 
-def _mu_power(X: Mould, i: int) -> Mould:
-    if i == 0:
-        return one()
-    acc = X
-    for _ in range(i - 1):
-        acc = mu(acc, X)
-    return acc
-
-
 def mu_factor_check(
     plan: SamplePlan,
     N: int = 3,
@@ -171,9 +162,9 @@ def mu_factor_check(
     if name is None:
         name = f"mu-factor(N={N})"
     S = one() + DigestMould(plan.seed, tag="mu-factor")
-    lhs = _mu_power(S, N)
+    lhs = mu(*[S] * N)
     proper = S - one()
-    rhs = binom(N, 0) * _mu_power(proper, 0)
+    rhs = binom(N, 0) * one()
     for i in range(1, plan.max_length + 1):
-        rhs = rhs + binom(N, i) * _mu_power(proper, i)
+        rhs = rhs + binom(N, i) * mu(*[proper] * i)
     return check_identity(lhs, rhs, plan, name=name, ctx=ctx)

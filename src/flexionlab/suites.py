@@ -454,17 +454,17 @@ def _suite_unit_axioms() -> Suite:
 
     @items.run("tripartite-polar")
     def tripartite_polar(cfg, ctx, name):
-        return _bool_report(name, check_tripartite(_polar(), seed=cfg.seed))
+        return _bool_report(name, check_tripartite(_polar(), cfg.seed, ctx))
 
     @items.run("tripartite-polar-conjugate")
     def tripartite_conj(cfg, ctx, name):
-        return _bool_report(name, check_tripartite(get_unit("polar-conjugate"), seed=cfg.seed))
+        return _bool_report(name, check_tripartite(get_unit("polar-conjugate"), cfg.seed, ctx))
 
     @items.run("tripartite-bipolar")
     def tripartite_bipolar(cfg, ctx, name):
         return _bool_report(
             name,
-            check_tripartite(_bipolar(), seed=cfg.seed),
+            check_tripartite(_bipolar(), cfg.seed, ctx),
             note="self-conjugate unit mixing u and v; valid unit, excluded from v-only closed forms",
         )
 
@@ -502,7 +502,7 @@ def _suite_unit_axioms() -> Suite:
 
     @items.run("tripartite-inv-square (control)", expect="fail")
     def tripartite_inv_square(cfg, ctx, name):
-        return _bool_report(name, check_tripartite(_inv_square(), seed=cfg.seed))
+        return _bool_report(name, check_tripartite(_inv_square(), cfg.seed, ctx))
 
     return Suite(
         name="unit-axioms",

@@ -28,11 +28,13 @@ from flexionlab.canonical import (
     oss,
     oz_closed,
     recip,
+    register_unit,
     ro_component,
     solve_dilator_ode,
 )
 from flexionlab.engine import (
     DigestMould,
+    EvalContext,
     anti,
     check_identity,
     der,
@@ -113,6 +115,31 @@ def test_check_tripartite_accepts_builtin_units():
 def test_check_tripartite_rejects_non_unit():
     bad = FlexionUnit("linear", lambda x: x.u, lambda x: x.v)
     assert not check_tripartite(bad)
+
+
+def test_check_tripartite_is_one_walk_on_the_callers_context():
+    # the two sides are two leaves, evaluated at the 20 samples as the lanes
+    # of one walk
+    ctx = EvalContext()
+    assert check_tripartite(POLAR, ctx=ctx)
+    assert ctx.stats["evals"] == 2
+
+
+def _always_singular(x):
+    raise DivByZero("singular letter")
+
+
+def test_check_tripartite_skips_a_unit_singular_everywhere():
+    # every sample is drawn at attempts 0, 1 and 2 and poisons its lane each
+    # time; a check with no regular sample fails, and the unit is refused
+    bad = FlexionUnit("singular", _always_singular, _always_singular)
+    ctx = EvalContext(retry_cap=2)
+    assert not check_tripartite(bad, ctx=ctx)
+    assert ctx.stats["div_by_zero"] == 20 * 3
+    with pytest.raises(ValueError, match="fails the tripartite relation"):
+        register_unit(bad)
+    with pytest.raises(KeyError):
+        get_unit("singular")
 
 
 def test_conjugate_is_an_involution():

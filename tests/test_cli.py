@@ -66,6 +66,16 @@ def test_verify_rejects_out_of_range_counts(flag, value, capsys):
     assert f"{flag} must be >= " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [("--unit", "nosuch"), ("--samples", "0")])
+def test_verify_errors_come_from_the_verify_parser(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(ARGS + [flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "flexionlab verify: error:" in err
+    assert '"' not in err
+
+
 def test_list_suites_json_to_file(tmp_path, capsys):
     out = tmp_path / "suites.json"
     assert main(["list-suites", "--report", "json", "--out", str(out)]) == 0

@@ -442,7 +442,7 @@ def test_engine_counters_over_every_item_pin_the_graph_shapes():
             ctx = EvalContext(retry_cap=cfg.retry_cap)
             item.run(cfg, ctx)
             total.update(ctx.stats)
-    assert total == {"evals": 152460, "memo_hits": 126729, "div_by_zero": 2}
+    assert total == {"evals": 152468, "memo_hits": 126729, "div_by_zero": 2}
 
 
 def test_a_second_run_compiles_no_new_plan():
