@@ -15,7 +15,8 @@ oz, os and es and the two sides of the tripartite relation are
 ``engine.sample_points``, the sampler of every other identity.  The weight
 components are one ``engine.Cuts`` sum over the marked letter of w = p.m.q
 (``mould_ro``), and the flow is a self-referential ``engine.Lin`` over an
-``arit`` term and a ``Cuts`` product, like the solvers of ``flexion``.
+``arit`` term and a ``Cuts`` product, like the solvers of ``flexion``.  The
+two plans, ``_RO`` and ``_FLOW_MU``, are module constants.
 
 Everything is cached per unit, so a named mould is one node per process.
 Memos belong to a walk, so the cache shares no values across identities;
@@ -37,9 +38,6 @@ from .engine import (
     Lin,
     Mould,
     SamplePlan,
-    _a,
-    _b,
-    _c,
     cut_plan,
     invmu,
     leng_r,
@@ -48,8 +46,8 @@ from .engine import (
     sample_points,
     swap,
 )
-from .flexion import _flr_ab, arit, ganit, ganit_inv, invgari
-from .words import Biletter, DivByZero, Rat, coprime_fraction, fll, ful, fur
+from .flexion import arit, ganit, ganit_inv, invgari
+from .words import Biletter, DivByZero, Rat, coprime_fraction, fll, flr, ful, fur
 
 UnitFn = Callable[[Biletter], Rat]
 
@@ -218,12 +216,10 @@ def es_closed(U: FlexionUnit) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-def _fll_mq(blocks):
-    return fll(blocks[1], blocks[2])
-
-
-def _ful_p_fur_mq(blocks):
-    return ful(blocks[0], fur(blocks[1], blocks[2]))
+_RO = cut_plan("*1*", (
+    (1, lambda b: b[2]), (2, lambda b: flr(b[0], b[1])),
+    (3, lambda b: ful(b[0], fur(b[1], b[2]))), (2, lambda b: fll(b[1], b[2])),
+))
 
 
 def mould_ro(U: FlexionUnit) -> Mould:
@@ -234,8 +230,7 @@ def mould_ro(U: FlexionUnit) -> Mould:
 
     def build():
         weight = Lin("ro_weight", lambda n: ((n + 1, None),))
-        plan = cut_plan("*1*", ((1, _c), (2, _flr_ab), (3, _ful_p_fur_mq), (2, _fll_mq)))
-        return Cuts(f"ro[{U.name}]", LIE, plan, (weight, mould_oz(U), mould_O(U)))
+        return Cuts(f"ro[{U.name}]", _RO, (weight, mould_oz(U), mould_O(U)))
 
     return U._cached("ro", build)
 
@@ -281,6 +276,9 @@ def dilator_D(U: FlexionUnit) -> Mould:
     return U._cached("D", lambda: ganit_oz_inv(U, To_series(U)))
 
 
+_FLOW_MU = cut_plan("*+", ((1, lambda b: b[0]), (2, lambda b: b[1])))
+
+
 def solve_dilator_ode(D: Mould) -> Mould:
     """The unique group-class S with S(empty)=1 and der(S) = preari(S, D).
 
@@ -297,7 +295,7 @@ def solve_dilator_ode(D: Mould) -> Mould:
 
     node = Lin("dilator_flow", terms)
     inner = arit(D, node)
-    product = Cuts("flow_mu", LIE, cut_plan("*+", ((1, _a), (2, _b))), (node, D))
+    product = Cuts("flow_mu", _FLOW_MU, (node, D))
     return node
 
 

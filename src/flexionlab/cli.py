@@ -7,6 +7,9 @@ The worker count changes no verdict and no point, but the echoed config
 carries it as ``jobs``: runs that differ only in ``--jobs`` differ only in
 those lines.
 
+``--out`` is opened when the run starts: a path that cannot be opened is a
+usage error (exit 2) before any suite runs, and the file is always closed.
+
 A JSON report is the chunks of one ``json.JSONEncoder.iterencode`` over the
 ``to_json()`` tree, written in batches of ``_BATCH`` chunks. Joining them
 into one string first would hold the whole text and its copies at the end
@@ -18,11 +21,12 @@ chunk into the text wrapper of a pipe costs about a second there.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
 import time
-from typing import Iterable, Optional
+from typing import IO, Iterable, Optional
 
 from .canonical import get_unit
 from .engine import PointRecord
@@ -89,16 +93,21 @@ def _json_chunks(doc) -> Iterable[str]:
     return itertools.chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), ("\n",))
 
 
-def _emit(path: Optional[str], chunks: Iterable[str]) -> None:
-    """Write the chunks to ``path``, or to stdout, ``_BATCH`` of them at a time."""
-    fh = open(path, "w", encoding="utf-8") if path else sys.stdout
+def _open_out(args: argparse.Namespace) -> contextlib.AbstractContextManager[IO[str]]:
+    """The open ``--out`` file, or stdout, which leaving the context leaves open."""
+    if not args.out:
+        return contextlib.nullcontext(sys.stdout)
     try:
-        chunks = iter(chunks)
-        while batch := list(itertools.islice(chunks, _BATCH)):
-            fh.write("".join(batch))
-    finally:
-        if path:
-            fh.close()
+        return open(args.out, "w", encoding="utf-8")
+    except OSError as exc:
+        args.parser.error(f"cannot write --out {args.out}: {exc.strerror}")
+
+
+def _emit(fh: IO[str], chunks: Iterable[str]) -> None:
+    """Write the chunks to ``fh``, ``_BATCH`` of them at a time."""
+    chunks = iter(chunks)
+    while batch := list(itertools.islice(chunks, _BATCH)):
+        fh.write("".join(batch))
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -122,35 +131,37 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         retry_cap=args.retry_cap,
     )
-    started = time.perf_counter()
-    report = run_suites(args.suite or ["all"], cfg)
-    elapsed = time.perf_counter() - started
-    if args.report == "json":
-        chunks = _json_chunks(report.to_json())
-    else:
-        # a suite's time is the sum of its items' times, which with --jobs > 1
-        # ran in several workers and can exceed the overall wall time
-        blocks = [_text_suite_report(s) for s in report.suites]
-        blocks.append(f"overall: {report.status}  ({elapsed:.1f}s wall)")
-        chunks = ["\n\n".join(blocks) + "\n"]
-    _emit(args.out, chunks)
+    with _open_out(args) as fh:
+        started = time.perf_counter()
+        report = run_suites(args.suite or ["all"], cfg)
+        elapsed = time.perf_counter() - started
+        if args.report == "json":
+            chunks = _json_chunks(report.to_json())
+        else:
+            # a suite's time is the sum of its items' times, which with --jobs > 1
+            # ran in several workers and can exceed the overall wall time
+            blocks = [_text_suite_report(s) for s in report.suites]
+            blocks.append(f"overall: {report.status}  ({elapsed:.1f}s wall)")
+            chunks = ["\n\n".join(blocks) + "\n"]
+        _emit(fh, chunks)
     return 0 if report.status == "pass" else 1
 
 
 def _cmd_list_suites(args: argparse.Namespace) -> int:
-    rows = list_suites()
-    if args.report == "json":
-        chunks = _json_chunks(rows)
-    else:
-        name_w = max(len(r["suite"]) for r in rows)
-        anchor_w = max(len(r["anchor"]) for r in rows)
-        lines = [
-            f"{r['suite']:<{name_w}}  {r['anchor']:<{anchor_w}}"
-            f"  {r['identities']:>3d}  {r['description']}"
-            for r in rows
-        ]
-        chunks = ["\n".join(lines) + "\n"]
-    _emit(args.out, chunks)
+    with _open_out(args) as fh:
+        rows = list_suites()
+        if args.report == "json":
+            chunks = _json_chunks(rows)
+        else:
+            name_w = max(len(r["suite"]) for r in rows)
+            anchor_w = max(len(r["anchor"]) for r in rows)
+            lines = [
+                f"{r['suite']:<{name_w}}  {r['anchor']:<{anchor_w}}"
+                f"  {r['identities']:>3d}  {r['description']}"
+                for r in rows
+            ]
+            chunks = ["\n".join(lines) + "\n"]
+        _emit(fh, chunks)
     return 0
 
 
@@ -173,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--samples", type=int, default=4, help="sample words per length")
     verify.add_argument("--seed", type=int, default=0, help="base RNG seed")
     verify.add_argument(
-        "--jobs", type=int, default=0, help="worker processes (0 = all CPUs, 1 = inline)"
+        "--jobs", type=int, default=0, help="worker processes (0 = one per usable CPU, 1 = inline)"
     )
     verify.add_argument(
         "--retry-cap", type=int, default=8, help="resampling attempts on division by zero"
@@ -185,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     listing = sub.add_parser("list-suites", help="list registered suites with anchors")
     listing.add_argument("--report", choices=("text", "json"), default="text")
     listing.add_argument("--out", default=None, help="write the listing to this path")
-    listing.set_defaults(run=_cmd_list_suites)
+    listing.set_defaults(run=_cmd_list_suites, parser=listing)
 
     return parser
 

@@ -3,6 +3,8 @@
 A mould is an immutable node in an expression DAG; evaluating (node, word)
 through an EvalContext yields an exact rational.  Every node carries an
 empty-word class: group (value 1 at the empty word), lie (value 0) or free.
+A leaf declares its class; every other node derives it from its terms at
+length 0 by one rule, ``_sum_class``.
 
 Words run through the engine on an integer lattice.  A walk takes words of
 ``Fraction`` coordinates and converts them once: coordinate x becomes the
@@ -58,12 +60,12 @@ the closed forms of ``canonical`` are leaves.
 
 ``Lin`` is the one linear node: its value at w is the sum of c B(w) over the
 (coefficient, child) pairs its term function gives for len(w), built once
-per length, and its empty-word class is derived from those terms at length
-0.  A constant is a term with no child, and ``Scalar(c)`` is the ``Lin``
-with the one term c at length 0.  ``+``, ``-``, scalar ``*``, ``pari``,
-``der`` and ``leng_r`` build one, and so do e_ter, the dilator flow and the
-truncated series of the other modules; ``iterates`` builds the lazy
-sequences of nodes (powers, push iterates) that such a series runs over.
+per length.  A constant is a term with no child, and ``Scalar(c)`` is the
+``Lin`` with the one term c at length 0.  ``+``, ``-``, scalar ``*``,
+``pari``, ``der`` and ``leng_r`` build one, and so do e_ter, the dilator
+flow and the truncated series of the other modules; ``iterates`` builds
+the lazy sequences of nodes (powers, push iterates) that such a series
+runs over.
 
 ``anti``, ``neg``, ``swap`` and ``mantar`` are one ``Transform`` node that
 evaluates its operand at ``reverse(w)``, ``negate(w)`` or
@@ -73,12 +75,13 @@ evaluates its operand at ``reverse(w)``, ``negate(w)`` or
 ``Cuts`` is the one node that sums products of children at words derived
 from w: the cut sums of ``cut_plan`` (mu, invmu, swamu/answamu, amit/anit,
 the e_ter terms and inverse, ro, the flow's product) and the gaxit family
-of ``flexion``.  Its plan, compiled once per pattern and word length by
-running the word assemblies on a symbolic word (``compile_plan``), lists
-each derived letter, distinct factor and term once.  ``Mu(A, B, proper)``
-builds the two-block product; ``proper`` 1 drops the cut with an empty left
-block and 2 drops both end cuts, so a solver's self-referential recursion
-never reaches the full word.
+of ``flexion``.  Its plan, compiled once per word length by running the
+word assemblies on a symbolic word (``compile_plan``), lists each derived
+letter, distinct factor and term once.  Every plan is a module constant,
+built once at import, so the nodes of one kind share its compiled lengths.
+``Mu(A, B, proper)`` builds the two-block product; ``proper`` 1 drops the
+cut with an empty left block and 2 drops both end cuts, so a solver's
+self-referential recursion never reaches the full word.
 
 The node classes are ``FuncMould``, ``Lin``, ``Transform`` and ``Cuts``;
 every operator of the other modules is a graph of them.
@@ -500,10 +503,7 @@ class Lin(Mould):
     those of a term-by-term sum, and the products are added with one
     ``sum_of_products``.
 
-    The empty-word class is derived from ``terms(0)``: a FREE child with a
-    nonzero coefficient makes the node FREE; otherwise s, the sum of the
-    coefficients of the GROUP children and the constants, gives LIE for
-    s = 0, GROUP for s = 1 and FREE for any other s.  ``terms(0)`` is called
+    The empty-word class is ``_sum_class`` of ``terms(0)``, which is called
     when the node is built, so it must not need the node itself.
 
     A node that reads its operand at another word than w (``Transform``,
@@ -516,7 +516,8 @@ class Lin(Mould):
     def __init__(self, name: str, terms: Callable[[int], Terms]):
         self.terms = terms
         self._by_length: dict[int, Terms] = {}
-        super().__init__(name, _lin_class(self.terms_at(0)))
+        classes = ((c, () if B is None else (B.empty_class,)) for c, B in self.terms_at(0))
+        super().__init__(name, _sum_class(classes))
 
     def terms_at(self, r: int) -> Terms:
         """The (coefficient, child) pairs of length ``r``, built once."""
@@ -531,14 +532,18 @@ class Lin(Mould):
         return sum_of_products(products, ctx.lanes)
 
 
-def _lin_class(terms: Terms) -> str:
+def _sum_class(terms: Iterable[tuple[Rat, Sequence[str]]]) -> str:
+    """The empty-word class of a sum of the (coefficient, factor classes)
+    terms at the empty word: a term with coefficient 0 or a lie-class factor
+    is skipped, one with a free factor makes the sum free, and otherwise the
+    coefficient sum s gives LIE for 0, GROUP for 1 and FREE for any other s."""
     s = 0
-    for c, B in terms:
-        cls = GROUP if B is None else B.empty_class
-        if cls == FREE and c:
+    for c, classes in terms:
+        if not c or LIE in classes:
+            continue
+        if FREE in classes:
             return FREE
-        if cls == GROUP:
-            s += c
+        s += c
     return LIE if s == 0 else GROUP if s == 1 else FREE
 
 
@@ -568,14 +573,13 @@ class Transform(Mould):
     """``A`` evaluated at ``f(w)`` for a word transform ``f``: anti, neg, swap.
 
     With ``parity`` set the value is also multiplied by (-1)^(len(w)-1), so
-    -A at the empty word: mantar is the signed reversal.  Such a node is
-    lie-class over a lie-class ``A`` and free otherwise.
+    -A at the empty word: mantar is the signed reversal.
     """
 
     __slots__ = ("A", "f", "parity")
 
     def __init__(self, name: str, f: Callable[[Word], Word], A: Mould, parity: bool = False):
-        super().__init__(name, FREE if parity and A.empty_class != LIE else A.empty_class)
+        super().__init__(name, _sum_class(((-1 if parity else 1, (A.empty_class,)),)))
         self.A = A
         self.f = f
         self.parity = parity
@@ -705,7 +709,6 @@ def compile_plan(terms: Callable[[Word], Iterable]) -> Callable[[int], tuple]:
     return plan
 
 
-@functools.cache
 def cut_plan(spec: str, factors: tuple[tuple[int, Callable[[tuple], Word]], ...], inverse: bool = False):
     """The plan function of a sum over the cuts of w into blocks.
 
@@ -714,10 +717,10 @@ def cut_plan(spec: str, factors: tuple[tuple[int, Callable[[tuple], Word]], ...]
     kinds, in lexicographic order, is a term whose factor ``(role,
     assemble)`` reads its role at ``assemble(blocks)``.  With ``inverse``
     the value is 1 at the empty word minus the sum: invmu solving mu(A, X) =
-    1 for itself.  Shared assembly functions share one plan: mu, swamu and
-    answamu are ``**``, proper mu ``+*`` and ``++``, invmu ``+*``, amit
-    ``*++``, anit ``++*``, the flow's product ``*+``, the e_ter terms
-    ``*1``, ro ``*1*`` (w = p m q) and the triple-split e_ter inverse ``***``.
+    1 for itself.  Each call is a new plan, so each is a module constant:
+    mu, swamu and answamu are ``**``, proper mu ``+*`` and ``++``, invmu
+    ``+*``, amit ``*++``, anit ``++*``, the flow's product ``*+``, the e_ter
+    terms ``*1``, ro ``*1*`` (w = p m q) and the e_ter inverse ``***``.
     """
     if len(spec) < 2 or set(spec) - set("*+1"):
         raise ValueError(f"a cut spec is two or more of '*+1', got {spec!r}")
@@ -742,13 +745,22 @@ class Cuts(Mould):
     ``cut_plan`` and the gaxit family of ``flexion``.  Each distinct factor
     is evaluated once, in first use, the order of a term-by-term sum, so
     the first ``DivByZero`` and its trail are that sum's; the products are
-    added with one ``sum_of_products``.
+    added with one ``sum_of_products``.  The empty-word class is
+    ``_sum_class`` of the terms of ``plan(0)``, a negated one with
+    coefficient -1; a plan that reads the node itself there raises
+    ``ValueError``, and one that reads no factor there (invmu) needs no
+    children yet.
     """
 
     __slots__ = ("plan", "children")
 
-    def __init__(self, name: str, empty_class: str, plan: Callable[[int], tuple], children: tuple):
-        super().__init__(name, empty_class)
+    def __init__(self, name: str, plan: Callable[[int], tuple], children: tuple):
+        _, words, terms = plan(0)
+        if any(role == 0 for role, _ in words):
+            raise ValueError(f"{name} reads itself at the empty word, so it has no empty-word class")
+        classes = [*(children[role - 1].empty_class for role, _ in words), _NEGATED]  # as ``_eval``'s values
+        factors = [term(classes) for term in terms]
+        super().__init__(name, _sum_class((-1 if _NEGATED in f else 1, f) for f in factors))
         self.plan, self.children = plan, children
 
     def _eval(self, ctx, w):
@@ -762,7 +774,9 @@ class Cuts(Mould):
         return sum_of_products([term(values) for term in terms], ctx.lanes)
 
 
+_NEGATED = "negated"  # the class of the ctx.negs factor of a negated term, in Cuts
 _a, _b, _c = map(itemgetter, range(3))  # the blocks of a cut w = abc, as they are
+_MU_PLANS = tuple(cut_plan(spec, ((1, _a), (2, _b))) for spec in ("**", "+*", "++"))  # by ``proper``
 
 
 def Mu(A: Mould, B: Mould, proper: int = 0) -> Mould:
@@ -774,17 +788,7 @@ def Mu(A: Mould, B: Mould, proper: int = 0) -> Mould:
     on the empty word, but never evaluates either operand at the full word,
     which keeps self-referential length recursions well founded.
     """
-    name = ("mu", "mu'", "mu''")[proper]
-    cls = LIE if proper else product_class(A, B)
-    return Cuts(name, cls, cut_plan(("**", "+*", "++")[proper], ((1, _a), (2, _b))), (A, B))
-
-
-def product_class(A: Mould, B: Mould) -> str:
-    """The empty-word class of a product of A and B at the empty word."""
-    ca, cb = A.empty_class, B.empty_class
-    if LIE in (ca, cb):
-        return LIE
-    return GROUP if ca == cb == GROUP else FREE
+    return Cuts(("mu", "mu'", "mu''")[proper], _MU_PLANS[proper], (A, B))
 
 
 def mu(*ms) -> Mould:
@@ -807,7 +811,7 @@ def invmu(A: Mould) -> Mould:
     """mu-inverse: X(empty)=1, X(w) = -sum_{w=ab, a nonempty} A(a) X(b)."""
     if A.empty_class != GROUP:
         raise ValueError(f"invmu needs a group-class mould, got {A.empty_class} ({A.name})")
-    return Cuts("invmu", GROUP, _invmu_plan, (A,))
+    return Cuts("invmu", _invmu_plan, (A,))
 
 
 # ---------------------------------------------------------------------------

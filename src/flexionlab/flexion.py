@@ -8,10 +8,11 @@ conjugates gira/preira/girat.
 
 amit, anit, swamu and answamu are ``engine.cut_plan`` sums over the two-
 or three-block factorizations of w, whose factors read children at words
-that one-argument functions assemble from a cut's blocks (``_ful_ab`` and
-the like).  invgari is the invmu plan over its own garit graph.  gaxit and
-gaxit_inv are ``engine.Cuts`` nodes of the block/gap plan ``_gaxit_plan``,
-written with the flexions of its definition and compiled once per length.
+that the flexions of their definitions assemble from a cut's blocks.
+invgari is the invmu plan over its own garit graph.  gaxit and gaxit_inv
+are ``engine.Cuts`` nodes of the block/gap plan ``_gaxit_plan``.  Each
+plan is a module constant, built once at import, and each node derives its
+empty-word class from its plan.
 
 expari, logari, adari_series and the dilator extraction are ``engine.Lin``
 series: at length r each is a weighted sum of at most r + 1 nodes at the
@@ -28,7 +29,6 @@ at the full word.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from math import factorial
@@ -47,7 +47,6 @@ from .engine import (
     iterates,
     lu,
     one,
-    product_class,
     push,
     swap,
 )
@@ -59,34 +58,18 @@ from .words import fll, flr, ful, fur
 # ---------------------------------------------------------------------------
 
 
-def _on_ab(flexion):
-    """The word assembly flexion(a, b) of a cut's first two blocks a, b."""
-    return lambda blocks: flexion(blocks[0], blocks[1])
-
-
-_ful_ab, _flr_ab, _fur_ab, _fll_ab = map(_on_ab, (ful, flr, fur, fll))
-
-
-def _a_ful_bc(blocks):
-    return blocks[0] + ful(blocks[1], blocks[2])
-
-
-def _flr_bc(blocks):
-    return flr(blocks[1], blocks[2])
-
-
-def _fur_ab_c(blocks):
-    return fur(blocks[0], blocks[1]) + blocks[2]
+_AMIT = cut_plan("*++", ((1, lambda b: b[0] + ful(b[1], b[2])), (2, lambda b: flr(b[1], b[2]))))
+_ANIT = cut_plan("++*", ((1, lambda b: fur(b[0], b[1]) + b[2]), (2, lambda b: fll(b[0], b[1]))))
 
 
 def amit(X: Mould, A: Mould) -> Mould:
     """amit(X,A)(w) = sum_{w=abc, b,c nonempty} A(a . ful(b,c)) X(flr(b,c))."""
-    return Cuts("amit", LIE, cut_plan("*++", ((1, _a_ful_bc), (2, _flr_bc))), (A, X))
+    return Cuts("amit", _AMIT, (A, X))
 
 
 def anit(X: Mould, A: Mould) -> Mould:
     """anit(X,A)(w) = sum_{w=abc, a,b nonempty} A(fur(a,b) . c) X(fll(a,b))."""
-    return Cuts("anit", LIE, cut_plan("++*", ((1, _fur_ab_c), (2, _fll_ab))), (A, X))
+    return Cuts("anit", _ANIT, (A, X))
 
 
 def axit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -116,7 +99,6 @@ def ari(A: Mould, B: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
 def _gaxit_plan(inverse: bool):
     """The plan of gaxit(X, Y)(A), roles A 1, X 2 and Y 3, or of gaxit_inv.
 
@@ -158,6 +140,9 @@ def _gaxit_plan(inverse: bool):
     return compile_plan(terms)
 
 
+_GAXIT_PLANS = (_gaxit_plan(False), _gaxit_plan(True))  # by ``inverse``
+
+
 def _gaxit(X: Mould, Y: Mould, A: Mould, inverse: bool = False) -> Mould:
     """gaxit(X,Y)(A) or gaxit_inv: X acts from the left gaps and Y from the
     right gaps, and the blocks absorb their gaps' u-sums."""
@@ -165,7 +150,7 @@ def _gaxit(X: Mould, Y: Mould, A: Mould, inverse: bool = False) -> Mould:
     for m, side in ((X, "X"), (Y, "Y")):
         if m.empty_class != GROUP:
             raise ValueError(f"{name} needs group-class {side}, got {m.empty_class} ({m.name})")
-    return Cuts(name, A.empty_class, _gaxit_plan(inverse), (A, X, Y))
+    return Cuts(name, _GAXIT_PLANS[inverse], (A, X, Y))
 
 
 def gaxit(X: Mould, Y: Mould, A: Mould) -> Mould:
@@ -214,7 +199,7 @@ def invgari(A: Mould) -> Mould:
     """
     if A.empty_class != GROUP:
         raise ValueError(f"invgari needs a group-class mould, got {A.empty_class} ({A.name})")
-    node = Cuts("invgari", GROUP, _invmu_plan, ())
+    node = Cuts("invgari", _invmu_plan, ())
     node.children = (garit(node, A),)
     return node
 
@@ -290,14 +275,18 @@ def adari_inv(M: Mould, A: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
+_SWAMU = cut_plan("**", ((1, lambda b: ful(b[0], b[1])), (2, lambda b: flr(b[0], b[1]))))
+_ANSWAMU = cut_plan("**", ((1, lambda b: fur(b[0], b[1])), (2, lambda b: fll(b[0], b[1]))))
+
+
 def swamu(A: Mould, B: Mould) -> Mould:
     """swamu(A,B)(w) = sum_{w=ab} A(ful(a,b)) B(flr(a,b))."""
-    return Cuts("swamu", product_class(A, B), cut_plan("**", ((1, _ful_ab), (2, _flr_ab))), (A, B))
+    return Cuts("swamu", _SWAMU, (A, B))
 
 
 def answamu(A: Mould, B: Mould) -> Mould:
     """answamu(A,B)(w) = sum_{w=ab} A(fur(a,b)) B(fll(a,b))."""
-    return Cuts("answamu", product_class(A, B), cut_plan("**", ((1, _fur_ab), (2, _fll_ab))), (A, B))
+    return Cuts("answamu", _ANSWAMU, (A, B))
 
 
 def gira(A: Mould, B: Mould) -> Mould:

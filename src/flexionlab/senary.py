@@ -19,7 +19,8 @@ Conventions:
 No node class lives here: every operator is composed from the nodes of
 ``engine`` and ``flexion``.  e_ter is one ``engine.Lin`` over B and two
 ``engine.Cuts`` sums over the cuts w = w'x that split off the last letter,
-and the triple-split e_ter inverse is a ``Cuts`` sum over w = abc.
+and the triple-split e_ter inverse is a ``Cuts`` sum over w = abc; their
+plans are module constants, built once at import.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .engine import (
     Cuts,
     Lin,
     Mould,
-    _a,
-    _b,
-    _c,
     cut_plan,
     invmu,
     mantar,
@@ -51,7 +49,8 @@ from .engine import (
     push_inv,
     swap,
 )
-from .flexion import _fll_ab, _fur_ab, adari, answamu, ganit, gaxit, invgari, preari, swamu
+from .flexion import adari, answamu, ganit, gaxit, invgari, preari, swamu
+from .words import fll, fur
 
 
 def _require_lie(A: Mould, op: str) -> None:
@@ -173,6 +172,13 @@ def e_swap_inv_3(U: FlexionUnit, B: Mould) -> Mould:
 # ---------------------------------------------------------------------------
 
 
+_E_TER_LAST = cut_plan("*1", ((1, lambda b: b[0]), (2, lambda b: b[1])))
+_E_TER_FLEXED = cut_plan("*1", ((1, lambda b: fur(b[0], b[1])), (2, lambda b: fll(b[0], b[1]))))
+_E_TER_INV_TRIPLE = cut_plan(
+    "***", ((1, lambda b: fur(b[0], b[1])), (2, lambda b: fll(b[0], b[1])), (3, lambda b: b[2]))
+)
+
+
 def e_ter(U: FlexionUnit, B: Mould) -> Mould:
     """B corrected by two boundary terms involving the unit's letter function:
 
@@ -183,8 +189,8 @@ def e_ter(U: FlexionUnit, B: Mould) -> Mould:
     corrections cancel for every B.
     """
     E = mould_E(U)
-    last = Cuts("e_ter_last", LIE, cut_plan("*1", ((1, _a), (2, _b))), (B, E))
-    flexed = Cuts("e_ter_flexed", LIE, cut_plan("*1", ((1, _fur_ab), (2, _fll_ab))), (B, E))
+    last = Cuts("e_ter_last", _E_TER_LAST, (B, E))
+    flexed = Cuts("e_ter_flexed", _E_TER_FLEXED, (B, E))
     terms = ((1, B), (-1, last), (1, flexed))
     return Lin("e_ter", lambda r: terms)
 
@@ -207,8 +213,7 @@ def e_ter_inv_triple(U: FlexionUnit, B: Mould) -> Mould:
         B(fur(a, b)) . invmu(es)(fll(a, b)) . es(c)  summed over w = abc.
     """
     es = mould_es(U)
-    plan = cut_plan("***", ((1, _fur_ab), (2, _fll_ab), (3, _c)))
-    return Cuts("e_ter_inv_triple", B.empty_class, plan, (B, invmu(es), es))
+    return Cuts("e_ter_inv_triple", _E_TER_INV_TRIPLE, (B, invmu(es), es))
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,12 @@ class Config:
         )
 
     def resolved_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        """``jobs``, or for 0 the number of CPUs this process may run on."""
+        if self.jobs > 0:
+            return self.jobs
+        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
 
     def to_json(self) -> dict:
         return asdict(self)
@@ -1657,11 +1662,6 @@ def run_item(suite_name: str, index: int, cfg: Config) -> ItemResult:
     )
 
 
-def _run_item_job(args: tuple[str, int, Config]) -> tuple[str, int, ItemResult]:
-    suite_name, index, cfg = args
-    return suite_name, index, run_item(suite_name, index, cfg)
-
-
 def _resolve_names(names) -> list[str]:
     if isinstance(names, str):
         names = [names]
@@ -1685,30 +1685,22 @@ def run_suites(names, cfg: Config = Config()) -> RunReport:
     """Run the named suites (or 'all') and assemble a deterministic report.
 
     Verdicts and serialized values are independent of the worker count:
-    items are dealt to processes but reassembled in registry order.
+    items are dealt to processes, and ``map`` gives their results back in
+    registry order.
     """
     selected = _resolve_names(names)
     jobs = cfg.resolved_jobs()
     tasks = [(s, i, cfg) for s in selected for i in range(len(SUITES[s].items))]
-    results: dict[tuple[str, int], ItemResult] = {}
     if jobs <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            s, i, res = _run_item_job(task)
-            results[(s, i)] = res
+        results = [run_item(*task) for task in tasks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            for s, i, res in pool.map(_run_item_job, tasks):
-                results[(s, i)] = res
-    suite_reports = [
-        SuiteReport(
-            suite=s,
-            anchor=SUITES[s].anchor,
-            config=cfg,
-            results=[results[(s, i)] for i in range(len(SUITES[s].items))],
-        )
-        for s in selected
+            results = list(pool.map(run_item, *zip(*tasks)))
+    in_order = iter(results)
+    reports = [
+        SuiteReport(s, SUITES[s].anchor, cfg, [next(in_order) for _ in SUITES[s].items]) for s in selected
     ]
-    return RunReport(config=cfg, suites=suite_reports)
+    return RunReport(config=cfg, suites=reports)
 

@@ -76,6 +76,39 @@ def test_verify_errors_come_from_the_verify_parser(flag, value, capsys):
     assert '"' not in err
 
 
+@pytest.mark.parametrize(
+    "argv, run", [(ARGS, "run_suites"), (["list-suites"], "list_suites")], ids=["verify", "list-suites"]
+)
+def test_an_out_path_that_cannot_be_opened_fails_before_the_run(argv, run, tmp_path, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("ran before --out was opened")
+
+    monkeypatch.setattr(cli, run, unreachable)
+    out = tmp_path / "missing" / "r.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"flexionlab {argv[0]}: error: cannot write --out {out}: No such file or directory" in err
+
+
+def test_out_is_closed_when_the_run_raises(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    def failing(*args):
+        raise RuntimeError("a suite raised")
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
+    monkeypatch.setattr(cli, "run_suites", failing)
+    with pytest.raises(RuntimeError, match="a suite raised"):
+        main(ARGS + ["--out", str(tmp_path / "r.txt")])
+    assert len(opened) == 1 and opened[0].closed
+
+
 def test_list_suites_json_to_file(tmp_path, capsys):
     out = tmp_path / "suites.json"
     assert main(["list-suites", "--report", "json", "--out", str(out)]) == 0
@@ -139,7 +172,8 @@ def test_json_writer_holds_a_fraction_of_the_text(tmp_path):
     out = tmp_path / "report.json"
     tracemalloc.start()
     try:
-        cli._emit(str(out), cli._json_chunks(doc))
+        with open(out, "w", encoding="utf-8") as fh:
+            cli._emit(fh, cli._json_chunks(doc))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -52,7 +52,7 @@ from flexionlab.engine import (
     swap,
     zero,
 )
-from flexionlab.flexion import ari, gari
+from flexionlab.flexion import answamu, ari, gamit, gamit_inv, ganit, ganit_inv, gari, gaxit, gaxit_inv, swamu
 from flexionlab.words import (
     BASE,
     EMPTY,
@@ -818,6 +818,58 @@ def test_binary_linear_nodes_keep_their_empty_class(name):
             EvalContext().eval(node, EMPTY)
 
 
+# The empty-word classes that products and one-operand nodes derive from
+# their terms at length 0: a row per left operand class L, G, F for the
+# products, one class per operand class for the rest.
+_G = _OPERANDS[GROUP]
+PRODUCT_CLASSES = {
+    "mu": (Mu, ("LLL", "LGF", "LFF")),
+    "mu'": (lambda A, B: Mu(A, B, 1), ("LLL", "LLL", "LLL")),
+    "mu''": (lambda A, B: Mu(A, B, 2), ("LLL", "LLL", "LLL")),
+    "swamu": (swamu, ("LLL", "LGF", "LFF")),
+    "answamu": (answamu, ("LLL", "LGF", "LFF")),
+}
+OPERAND_CLASSES = {
+    "anti": (anti, "anti", "LGF"),
+    "mantar": (mantar, "mantar", "LFF"),
+    "gaxit": (lambda A: gaxit(_G, _G, A), "gaxit", "LGF"),
+    "gamit": (lambda A: gamit(_G, A), "gaxit", "LGF"),
+    "ganit": (lambda A: ganit(_G, A), "gaxit", "LGF"),
+    "gaxit_inv": (lambda A: gaxit_inv(_G, _G, A), "gaxit_inv", "LGF"),
+    "gamit_inv": (lambda A: gamit_inv(_G, A), "gaxit_inv", "LGF"),
+    "ganit_inv": (lambda A: ganit_inv(_G, A), "gaxit_inv", "LGF"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CLASSES))
+def test_binary_products_derive_their_empty_class(name):
+    build, rows = PRODUCT_CLASSES[name]
+    for left, row in zip((LIE, GROUP, FREE), rows):
+        for right, want in zip((LIE, GROUP, FREE), row):
+            node = build(_OPERANDS[left], _OPERANDS[right])
+            assert isinstance(node, Cuts) and node.name == name
+            assert node.empty_class == _CLASS[want], (name, left, right)
+            EvalContext().eval(node, EMPTY)
+
+
+@pytest.mark.parametrize("label", sorted(OPERAND_CLASSES))
+def test_nodes_over_one_operand_derive_their_empty_class(label):
+    build, name, classes = OPERAND_CLASSES[label]
+    for operand, want in zip((LIE, GROUP, FREE), classes):
+        node = build(_OPERANDS[operand])
+        assert node.name == name
+        assert node.empty_class == _CLASS[want], (label, operand)
+        EvalContext().eval(node, EMPTY)
+
+
+def test_a_plan_that_reads_its_node_at_the_empty_word_is_refused():
+    # invmu reads itself at shorter words only, so its length-0 term is the
+    # empty product; a node read at the empty word has no class to derive
+    with pytest.raises(ValueError, match="reads itself at the empty word"):
+        Cuts("self-mu", cut_plan("**", ((1, _a), (0, _b))), (DigestMould(63),))
+    assert Cuts("invmu", cut_plan("+*", ((1, _a), (0, _b)), True), (_G,)).empty_class == GROUP
+
+
 def test_div_by_zero_trail_names_every_linear_node(ctx):
     def singular(*w):
         raise DivByZero("always singular")
@@ -1038,8 +1090,7 @@ def test_proper_mu_drops_its_end_terms(ev, w):
 def test_cut_plans_list_the_block_lengths_of_every_spec_in_order():
     # every spec of two or three blocks at r <= 5, each cut's blocks read
     # back through the plan's getters, against the block lengths enumerated
-    # by brute force in lexicographic order; two kinds that shared a cache
-    # key would give the second spec looked up the first one's plan
+    # by brute force in lexicographic order
     fits = {"*": lambda n: True, "+": lambda n: n >= 1, "1": lambda n: n == 1}
     for k in (2, 3):
         blocks = tuple(enumerate((_a, _b, _c)[:k], 1))  # block i in role i + 1

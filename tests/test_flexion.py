@@ -43,7 +43,7 @@ from flexionlab.engine import (
     zero,
 )
 from flexionlab.flexion import (
-    _gaxit_plan,
+    _GAXIT_PLANS,
     adari,
     adari_inv,
     adari_series,
@@ -254,9 +254,9 @@ def test_gaxit_plan_has_a_fibonacci_number_of_terms():
         fib.append(fib[-1] + fib[-2])
     for r in range(1, 7):
         w = words_of_length(r, 1, seed=r)[0]
-        assert len(_gaxit_plan(False)(r)[-1]) == len(gaxit_terms(w)) == fib[2 * r]
+        assert len(_GAXIT_PLANS[False](r)[-1]) == len(gaxit_terms(w)) == fib[2 * r]
         # gaxit_inv: A at w, then every term but the identity
-        assert len(_gaxit_plan(True)(r)[-1]) - 1 == len(gaxit_terms(w, True)) == fib[2 * r] - 1
+        assert len(_GAXIT_PLANS[True](r)[-1]) - 1 == len(gaxit_terms(w, True)) == fib[2 * r] - 1
 
 
 class _Recorder:

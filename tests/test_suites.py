@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import weakref
 from collections import Counter
 
@@ -12,7 +13,7 @@ import pytest
 from fractions import Fraction
 
 from oracles import fk_expansion_sides, sampled_points, shuffle_rec
-from flexionlab import suites
+from flexionlab import engine, flexion, suites
 from flexionlab.canonical import recip
 from flexionlab.engine import (
     FREE,
@@ -24,13 +25,12 @@ from flexionlab.engine import (
     Report,
     SamplePlan,
     check_identity,
-    cut_plan,
     leng_r,
     one,
     push,
     zero,
 )
-from flexionlab.flexion import _gaxit_plan, ari, arit
+from flexionlab.flexion import ari, arit
 from flexionlab.suites import (
     ALL_SUITE,
     Config,
@@ -179,6 +179,13 @@ def test_config_plan_caps_length():
 def test_config_resolved_jobs():
     assert Config(jobs=3).resolved_jobs() == 3
     assert Config(jobs=0).resolved_jobs() >= 1
+
+
+def test_jobs_0_counts_the_cpus_this_process_may_use(monkeypatch):
+    # a process pinned to one CPU of a 64-CPU machine gets one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert Config(jobs=0).resolved_jobs() == 1
 
 
 def test_config_json_echo():
@@ -445,16 +452,17 @@ def test_engine_counters_over_every_item_pin_the_graph_shapes():
     assert total == {"evals": 152468, "memo_hits": 126729, "div_by_zero": 2}
 
 
-def test_a_second_run_compiles_no_new_plan():
-    # a plan is cached per pattern of shared objects and per length, so a run
-    # that builds the same graphs again finds every plan compiled; an
-    # assembly made anew for each node (an inline itemgetter) would add a
-    # cache entry per node and run
-    cfg = Config(max_length=3, samples=1, jobs=1)
-    run_suites("all", cfg)
-    sizes = cut_plan.cache_info().currsize, _gaxit_plan.cache_info().currsize
-    run_suites("all", cfg)
-    assert (cut_plan.cache_info().currsize, _gaxit_plan.cache_info().currsize) == sizes
+def test_a_run_compiles_no_plan_function(monkeypatch):
+    # every plan is a module constant, built at import, so a run that builds
+    # and evaluates every graph makes no plan function; a builder that made
+    # its plan per node would reach compile_plan here
+    def refuse(terms):
+        raise AssertionError("a plan function compiled after import")
+
+    monkeypatch.setattr(engine, "compile_plan", refuse)
+    monkeypatch.setattr(flexion, "compile_plan", refuse)
+    report = run_suites("all", Config(max_length=3, samples=1, jobs=1))
+    assert report.status == "pass"
 
 
 def test_items_that_check_nothing_are_not_ok():
